@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, MissingPair, UnsupportedForBaseline
+from .errors import DataError, MissingPair
 from .feature_io import PairedSet
 from .nn_core import euclid_loss
-from .translator import KIND_MLP, TranslatorModel, reconstruct, translate
+from .translator import TranslatorModel, reconstruct, translate
 
 DIRECTED_M = "directed_M"
 ROW_NORM_R = "row_norm_R"
@@ -54,9 +54,8 @@ class AffinityMatrix:
 
 
 def dam_entry(model: TranslatorModel, paired: PairedSet) -> float:
-    """Translation error minus reconstruction error on the given split."""
-    if model.kind == KIND_MLP:
-        raise UnsupportedForBaseline("dam_entry")
+    """Translation error minus reconstruction error on the given split;
+    UnsupportedForBaseline for a model with no reconstruct path."""
     v_t = paired.target.vectors
     trans, _ = euclid_loss(translate(model, paired.source).vectors, v_t)
     recon, _ = euclid_loss(reconstruct(model, paired.target).vectors, v_t)
@@ -117,18 +116,6 @@ def uam(r: AffinityMatrix, c: AffinityMatrix) -> AffinityMatrix:
     u = (r.values + r.values.T + c.values + c.values.T) / 4.0
     u = np.clip((u + u.T) / 2.0, 0.0, 1.0)  # exact symmetry against rounding
     return AffinityMatrix(names=r.names, values=u, kind=UNDIRECTED_U)
-
-
-def average_affinity(matrices: list[AffinityMatrix]) -> AffinityMatrix:
-    """Entrywise mean over matrices of identical names, order and kind."""
-    if not matrices:
-        raise DataError("nothing to average")
-    first = matrices[0]
-    for m in matrices[1:]:
-        if m.names != first.names or m.kind != first.kind:
-            raise DataError("matrices must share names and kind to be averaged")
-    mean = np.mean([m.values for m in matrices], axis=0)
-    return AffinityMatrix(names=first.names, values=mean, kind=first.kind)
 
 
 def write_matrix_csv(m: AffinityMatrix, path) -> None:

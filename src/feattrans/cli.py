@@ -5,14 +5,11 @@ Subcommands: synth | train | translate | eval | affinity | mst.
 A JSON config file supplies the feature-set registry (name -> vec/ids paths)
 and optional defaults for the training flags; explicit flags always win.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
-Set FEATTRANS_LOG to control logging verbosity.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,9 +20,7 @@ from . import affinity as aff
 from . import feature_io as fio
 from . import mst as mst_mod
 from . import retrieval, synth, translator
-from .errors import DataError, MissingPair, NumericError
-
-log = logging.getLogger("feattrans")
+from .errors import DataError, InvalidConfig, MissingPair, NumericError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,7 +35,13 @@ def _load_config(path: str | None) -> dict:
     if not p.exists():
         raise DataError(f"config file not found: {p}")
     with open(p, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            config = json.load(f)
+        except ValueError as exc:
+            raise DataError(f"{p}: malformed config JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise DataError(f"{p}: config must be a JSON object")
+    return config
 
 
 def _registry_paths(config: dict, name: str) -> tuple[Path, Path]:
@@ -121,10 +122,10 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
+    cfg = _train_config(args, config)
     src = _load_registered(config, args.source)
     tgt = fio.l2_normalize(_load_registered(config, args.target))
     paired = fio.align_pairs(src, tgt)
-    cfg = _train_config(args, config)
     model = translator.build(
         source_dim=src.dim,
         target_dim=tgt.dim,
@@ -299,13 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("FEATTRANS_LOG", "WARNING").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "kind", None) == "mlp":
         args.kind = translator.KIND_MLP
     try:
         return args.func(args)
+    except InvalidConfig as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

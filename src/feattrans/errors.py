@@ -2,7 +2,8 @@
 
 Data errors (bad files, inconsistent inputs) all derive from DataError so
 the CLI can map them to a single exit code; numeric failures derive from
-NumericError.
+NumericError; out-of-range settings raise InvalidConfig, which the CLI
+reports as a usage error.
 """
 
 
@@ -15,6 +16,10 @@ class DataError(FeattransError):
 
 
 class NumericError(FeattransError):
+    pass
+
+
+class InvalidConfig(FeattransError, ValueError):
     pass
 
 
@@ -58,9 +63,9 @@ class UnknownRelevantId(DataError):
         )
 
 
-class UnsupportedForBaseline(FeattransError):
-    def __init__(self, op: str = "reconstruct"):
-        super().__init__(f"{op} is undefined for the mlp_baseline model (no target encoder)")
+class UnsupportedForBaseline(DataError):
+    def __init__(self):
+        super().__init__("reconstruct is undefined for the mlp_baseline model (no target encoder)")
 
 
 class BadMagic(DataError):

@@ -139,9 +139,6 @@ def load_feature_set(vec_path, ids_path, name: str) -> FeatureSet:
             f"{vec_path}: {len(rows)} vectors but {ids_path} has {len(ids)} ids"
         )
     vectors = np.array(rows, dtype=np.float64).reshape(len(rows), dim or 0)
-    if not np.all(np.isfinite(vectors)):
-        bad = int(np.argwhere(~np.isfinite(vectors).all(axis=1))[0, 0])
-        raise NonFiniteValue(bad + 1)
     return FeatureSet(name=name, ids=tuple(ids), vectors=vectors)
 
 

@@ -101,12 +101,3 @@ def export(mst: MstResult, fmt: str, path) -> None:
     else:
         raise DataError(f"unknown export format {fmt!r}")
 
-
-def mst_from_json(path) -> MstResult:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    return MstResult(
-        nodes=tuple(payload["nodes"]),
-        edges=tuple((e["a"], e["b"], float(e["w"])) for e in payload["edges"]),
-        total_weight=float(payload["total_weight"]),
-    )

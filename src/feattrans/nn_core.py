@@ -69,12 +69,6 @@ class LayerStack:
             out.append(l.bias)
         return out
 
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        assert len(params) == 2 * len(self.layers)
-        for i, l in enumerate(self.layers):
-            l.weights = np.asarray(params[2 * i], dtype=np.float64)
-            l.bias = np.asarray(params[2 * i + 1], dtype=np.float64)
-
     def copy(self) -> "LayerStack":
         return LayerStack(
             layers=[

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .feature_io import FeatureSet, GroundTruth, l2_normalize
 
 FAMILIES = ("orthogonal_linear", "nonlinear_mlp", "independent")
@@ -40,19 +41,19 @@ class SynthSpec:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple((n, f) for n, f in self.members))
         if self.n_vectors < 1 or self.latent_dim < 1 or self.output_dim < 1:
-            raise ValueError("n_vectors, latent_dim, output_dim must be >= 1")
+            raise InvalidConfig("n_vectors, latent_dim, output_dim must be >= 1")
         if self.output_dim < self.latent_dim:
-            raise ValueError("output_dim must be >= latent_dim for orthogonal maps")
+            raise InvalidConfig("output_dim must be >= latent_dim for orthogonal maps")
         if self.n_clusters < 1 or self.n_vectors % self.n_clusters != 0:
-            raise ValueError("n_clusters must divide n_vectors")
+            raise InvalidConfig("n_clusters must divide n_vectors")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise InvalidConfig("noise_sigma must be >= 0")
         names = [n for n, _ in self.members]
         if len(set(names)) != len(names):
-            raise ValueError("member names must be unique")
+            raise InvalidConfig("member names must be unique")
         for _, fam in self.members:
             if fam not in FAMILIES:
-                raise ValueError(f"unknown family {fam!r}")
+                raise InvalidConfig(f"unknown family {fam!r}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Hybrid auto-encoder translators between feature spaces.
 
-A translator holds two encoders (source, target) into a shared latent space
-and one shared decoder back to the target space. Training minimizes the sum
-of the translation error (decode source latents, compare to targets) and the
-reconstruction error (decode target latents, compare to targets), each the
-mean Euclidean distance over the batch. At inference only the source encoder
-and the decoder run. An MLP baseline (single direct regression stack, no
-second encoder, translation error only) is also provided.
+A translator is a *translate path* of layer stacks from the source space to
+the target space plus an optional *reconstruct path* from the target space
+back to itself. The hybrid auto-encoder (HAE) has the paths (source encoder,
+decoder) and (target encoder, decoder), which share one decoder object.
+Training minimizes the sum over the paths of the mean Euclidean distance to
+the targets: the translation error plus the reconstruction error. At
+inference only the translate path runs. The MLP baseline is a translate path
+of one direct regression stack and no reconstruct path, so it trains on the
+translation error alone.
 """
 from __future__ import annotations
 
@@ -15,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagic, BadModelFile, DataError, NumericError, UnsupportedForBaseline
+from .errors import (
+    BadMagic,
+    BadModelFile,
+    DataError,
+    InvalidConfig,
+    NumericError,
+    UnsupportedForBaseline,
+)
 from .feature_io import FeatureSet, PairedSet
 from .nn_core import (
     AdamState,
@@ -36,45 +45,44 @@ DEFAULT_LATENT_DIM = 510
 
 @dataclass
 class TranslatorModel:
-    kind: str  # hae | mlp_baseline
     source_name: str
     target_name: str
     latent_dim: int
-    encoder_s: LayerStack
-    encoder_t: LayerStack | None  # None for mlp_baseline
-    decoder: LayerStack | None  # None for mlp_baseline
+    translate_path: tuple[LayerStack, ...]
+    reconstruct_path: tuple[LayerStack, ...] = ()  # shares all but its first stack
+
+    @property
+    def kind(self) -> str:
+        return KIND_HAE if self.reconstruct_path else KIND_MLP
 
     @property
     def source_dim(self) -> int:
-        return self.encoder_s.in_dim
+        return self.translate_path[0].in_dim
 
     @property
     def target_dim(self) -> int:
-        if self.kind == KIND_MLP:
-            return self.encoder_s.out_dim
-        return self.decoder.out_dim
+        return self.translate_path[-1].out_dim
+
+    def stacks(self) -> tuple[LayerStack, ...]:
+        """Each stack once, in .haet order: encoder(s) first, then the rest."""
+        return self.translate_path[:1] + self.reconstruct_path[:1] + self.translate_path[1:]
 
     def copy(self) -> "TranslatorModel":
-        return TranslatorModel(
-            kind=self.kind,
-            source_name=self.source_name,
-            target_name=self.target_name,
-            latent_dim=self.latent_dim,
-            encoder_s=self.encoder_s.copy(),
-            encoder_t=self.encoder_t.copy() if self.encoder_t else None,
-            decoder=self.decoder.copy() if self.decoder else None,
-        )
-
-    def stacks(self) -> list[LayerStack]:
-        if self.kind == KIND_MLP:
-            return [self.encoder_s]
-        return [self.encoder_s, self.encoder_t, self.decoder]
+        stacks = tuple(s.copy() for s in self.stacks())  # the shared decoder stays shared
+        return _from_stacks(self.source_name, self.target_name, self.latent_dim, stacks)
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for s in self.stacks():
-            out.extend(s.parameters())
-        return out
+        return [p for s in self.stacks() for p in s.parameters()]
+
+
+def _from_stacks(
+    source_name: str, target_name: str, latent_dim: int, stacks: tuple[LayerStack, ...]
+) -> TranslatorModel:
+    """Inverse of TranslatorModel.stacks(): (mlp,) or (enc_s, enc_t, dec)."""
+    return TranslatorModel(
+        source_name, target_name, latent_dim,
+        translate_path=stacks[:1] + stacks[2:], reconstruct_path=stacks[1:],
+    )
 
 
 @dataclass(frozen=True)
@@ -85,13 +93,15 @@ class TrainConfig:
     patience: int = 20
     val_fraction: float = 0.1
     seed: int = 0
-    latent_activation: str = "linear"  # activation applied at the latent layer
 
     def __post_init__(self):
         if not (0.0 < self.val_fraction < 1.0):
-            raise ValueError("val_fraction must lie in (0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InvalidConfig("val_fraction must lie in (0, 1)")
+        if not self.lr > 0.0:
+            raise InvalidConfig("lr must be > 0")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be >= 1")
 
 
 @dataclass
@@ -122,7 +132,6 @@ def build(
     seed: int = 0,
     source_name: str = "source",
     target_name: str = "target",
-    latent_activation: str = "linear",
 ) -> TranslatorModel:
     """Construct an untrained translator.
 
@@ -135,75 +144,60 @@ def build(
         raise DataError("dims must be >= 1")
     rng = np.random.default_rng(seed)
     if kind == KIND_MLP:
-        dims = (source_dim,) + (source_dim,) * (_hidden_count(source_dim) - 1) + (target_dim,)
-        stack = build_stack(dims, final_l2_normalize=True, rng=rng)
-        return TranslatorModel(
-            kind=kind,
-            source_name=source_name,
-            target_name=target_name,
-            latent_dim=0,
-            encoder_s=stack,
-            encoder_t=None,
-            decoder=None,
-        )
+        dims = (source_dim,) * _hidden_count(source_dim) + (target_dim,)
+        mlp = build_stack(dims, final_l2_normalize=True, rng=rng)
+        return _from_stacks(source_name, target_name, 0, (mlp,))
     if kind != KIND_HAE:
         raise DataError(f"unknown model kind {kind!r}")
     enc_s_dims = (source_dim,) * (1 + _hidden_count(source_dim)) + (latent_dim,)
     enc_t_dims = (target_dim,) * (1 + _hidden_count(target_dim)) + (latent_dim,)
     dec_dims = tuple(reversed(enc_t_dims))
-    return TranslatorModel(
-        kind=kind,
-        source_name=source_name,
-        target_name=target_name,
-        latent_dim=latent_dim,
-        encoder_s=build_stack(enc_s_dims, False, rng, last_activation=latent_activation),
-        encoder_t=build_stack(enc_t_dims, False, rng, last_activation=latent_activation),
-        decoder=build_stack(dec_dims, True, rng),
-    )
+    enc_s = build_stack(enc_s_dims, False, rng)
+    enc_t = build_stack(enc_t_dims, False, rng)
+    dec = build_stack(dec_dims, True, rng)
+    return _from_stacks(source_name, target_name, latent_dim, (enc_s, enc_t, dec))
+
+
+def _run(path: tuple[LayerStack, ...], x: np.ndarray, tapes: list | None = None) -> np.ndarray:
+    """Feed x through each stack of a path, appending the tapes if asked."""
+    for stack in path:
+        x, tape = forward(stack, x)
+        if tapes is not None:
+            tapes.append(tape)
+    return x
 
 
 def _batch_losses(model: TranslatorModel, vs: np.ndarray, vt: np.ndarray) -> tuple[float, float]:
     """(translation error, reconstruction error) on one batch, no gradients."""
-    if model.kind == KIND_MLP:
-        v_st, _ = forward(model.encoder_s, vs)
-        trans, _ = euclid_loss(v_st, vt)
+    trans, _ = euclid_loss(_run(model.translate_path, vs), vt)
+    if not model.reconstruct_path:
         return trans, 0.0
-    z_s, _ = forward(model.encoder_s, vs)
-    v_st, _ = forward(model.decoder, z_s)
-    z_t, _ = forward(model.encoder_t, vt)
-    v_tt, _ = forward(model.decoder, z_t)
-    trans, _ = euclid_loss(v_st, vt)
-    recon, _ = euclid_loss(v_tt, vt)
+    recon, _ = euclid_loss(_run(model.reconstruct_path, vt), vt)
     return trans, recon
 
 
-def _train_step(
-    model: TranslatorModel, vs: np.ndarray, vt: np.ndarray, state: AdamState
-) -> float:
-    """One gradient step on a batch; returns the total batch loss."""
-    if model.kind == KIND_MLP:
-        v_st, tape = forward(model.encoder_s, vs)
-        loss, g = euclid_loss(v_st, vt)
-        grads, _ = backward(model.encoder_s, tape, g)
-        adam_step(model.encoder_s.parameters(), grads, state)
-        return loss
+def _loss_and_grads(
+    model: TranslatorModel, vs: np.ndarray, vt: np.ndarray
+) -> tuple[float, list[np.ndarray]]:
+    """Total loss on one batch and its gradient, ordered as model.parameters().
 
-    z_s, tape_es = forward(model.encoder_s, vs)
-    v_st, tape_ds = forward(model.decoder, z_s)
-    z_t, tape_et = forward(model.encoder_t, vt)
-    v_tt, tape_dt = forward(model.decoder, z_t)
-    trans, g_st = euclid_loss(v_st, vt)
-    recon, g_tt = euclid_loss(v_tt, vt)
-
-    g_dec_s, g_zs = backward(model.decoder, tape_ds, g_st)
-    g_dec_t, g_zt = backward(model.decoder, tape_dt, g_tt)
-    g_enc_s, _ = backward(model.encoder_s, tape_es, g_zs)
-    g_enc_t, _ = backward(model.encoder_t, tape_et, g_zt)
-    g_dec = [a + b for a, b in zip(g_dec_s, g_dec_t)]
-
-    # parameters() returns live references; adam_step updates them in place
-    adam_step(model.parameters(), g_enc_s + g_enc_t + g_dec, state)
-    return trans + recon
+    Each path runs forward, is scored against vt and runs backward; a stack
+    on both paths (the HAE decoder) gets the sum of its two gradients.
+    """
+    total = 0.0
+    grads: dict[int, list[np.ndarray]] = {}
+    for path, x in ((model.translate_path, vs), (model.reconstruct_path, vt)):
+        if not path:
+            continue
+        tapes: list = []
+        loss, g = euclid_loss(_run(path, x, tapes), vt)
+        total += loss
+        for stack, tape in zip(reversed(path), reversed(tapes)):
+            g_params, g = backward(stack, tape, g)
+            if id(stack) in grads:
+                g_params = [a + b for a, b in zip(grads[id(stack)], g_params)]
+            grads[id(stack)] = g_params
+    return total, [g for s in model.stacks() for g in grads[id(s)]]
 
 
 def _check_unit_norm(fs: FeatureSet) -> None:
@@ -249,7 +243,10 @@ def train(
         order = rng.permutation(train_idx)
         for start in range(0, order.size, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            total = _train_step(model, vs_all[idx], vt_all[idx], state)
+            total, grads = _loss_and_grads(model, vs_all[idx], vt_all[idx])
+            # parameters() returns live references; adam_step updates them in place
+            adam_step(model.parameters(), grads, state)
+            del grads  # free them before the next step builds its own
             if not np.isfinite(total):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
 
@@ -290,11 +287,7 @@ def translate(model: TranslatorModel, src: FeatureSet) -> FeatureSet:
     """Map source features into the target space; output rows are unit-norm."""
     if src.dim != model.source_dim:
         raise DataError(f"input dim {src.dim} does not match model source dim {model.source_dim}")
-    if model.kind == KIND_MLP:
-        out, _ = forward(model.encoder_s, src.vectors)
-    else:
-        z, _ = forward(model.encoder_s, src.vectors)
-        out, _ = forward(model.decoder, z)
+    out = _run(model.translate_path, src.vectors)
     _check_nonzero_rows(out, src)
     return FeatureSet(
         name=f"{model.source_name}2{model.target_name}",
@@ -305,13 +298,12 @@ def translate(model: TranslatorModel, src: FeatureSet) -> FeatureSet:
 
 
 def reconstruct(model: TranslatorModel, tgt: FeatureSet) -> FeatureSet:
-    """Auto-encode target features through the target encoder and decoder."""
-    if model.kind == KIND_MLP:
+    """Auto-encode target features through the reconstruct path."""
+    if not model.reconstruct_path:
         raise UnsupportedForBaseline()
     if tgt.dim != model.target_dim:
         raise DataError(f"input dim {tgt.dim} does not match model target dim {model.target_dim}")
-    z, _ = forward(model.encoder_t, tgt.vectors)
-    out, _ = forward(model.decoder, z)
+    out = _run(model.reconstruct_path, tgt.vectors)
     _check_nonzero_rows(out, tgt)
     return FeatureSet(
         name=f"{model.target_name}_reconstructed",
@@ -398,20 +390,7 @@ def load_model(path) -> TranslatorModel:
         source_name = _read_str(f)
         target_name = _read_str(f)
         (latent_dim,) = struct.unpack("<I", _read_exact(f, 4))
-        enc_s = _read_stack(f)
-        if kind == KIND_MLP:
-            enc_t = dec = None
-        else:
-            enc_t = _read_stack(f)
-            dec = _read_stack(f)
+        stacks = tuple(_read_stack(f) for _ in range(1 if kind == KIND_MLP else 3))
         if f.read(1):
             raise BadModelFile("trailing bytes after model payload")
-    return TranslatorModel(
-        kind=kind,
-        source_name=source_name,
-        target_name=target_name,
-        latent_dim=latent_dim,
-        encoder_s=enc_s,
-        encoder_t=enc_t,
-        decoder=dec,
-    )
+    return _from_stacks(source_name, target_name, latent_dim, stacks)

@@ -39,8 +39,11 @@ class TestDamEntry:
         tgt = fio.l2_normalize(fio.FeatureSet("t", ("a", "b"), rng.normal(size=(2, 3))))
         paired = fio.PairedSet(source=src, target=tgt, order=("a", "b"))
 
-        v_st, _ = nn_core.forward(model.decoder, nn_core.forward(model.encoder_s, src.vectors)[0])
-        v_tt, _ = nn_core.forward(model.decoder, nn_core.forward(model.encoder_t, tgt.vectors)[0])
+        enc_s, dec = model.translate_path
+        enc_t, _ = model.reconstruct_path
+        assert model.translate_path[-1] is model.reconstruct_path[-1]
+        v_st, _ = nn_core.forward(dec, nn_core.forward(enc_s, src.vectors)[0])
+        v_tt, _ = nn_core.forward(dec, nn_core.forward(enc_t, tgt.vectors)[0])
         manual = (
             np.linalg.norm(v_st - tgt.vectors, axis=1).mean()
             - np.linalg.norm(v_tt - tgt.vectors, axis=1).mean()
@@ -143,31 +146,6 @@ class TestUam:
         c = aff.AffinityMatrix(("a", "c"), np.zeros((2, 2)), aff.COL_NORM_C)
         with pytest.raises(DataError):
             aff.uam(r, c)
-
-
-class TestAverage:
-    def test_single_matrix_identity(self):
-        m = directed([[0.0, 1.0], [2.0, 0.0]])
-        out = aff.average_affinity([m])
-        np.testing.assert_array_equal(out.values, m.values)
-
-    def test_x_and_minus_x(self):
-        m = directed([[0.0, 1.0], [2.0, 0.0]])
-        n = directed(-m.values)
-        np.testing.assert_array_equal(aff.average_affinity([m, n]).values, np.zeros((2, 2)))
-
-    def test_three_random_matrices_vs_mean_oracle(self):
-        rng = np.random.default_rng(0)
-        mats = [directed(rng.normal(size=(3, 3))) for _ in range(3)]
-        out = aff.average_affinity(mats)
-        want = (mats[0].values + mats[1].values + mats[2].values) / 3.0
-        assert np.abs(out.values - want).max() < 1e-12
-
-    def test_name_mismatch(self):
-        a = directed(np.zeros((2, 2)))
-        b = aff.AffinityMatrix(("x", "y"), np.zeros((2, 2)), aff.DIRECTED_M)
-        with pytest.raises(DataError):
-            aff.average_affinity([a, b])
 
 
 class TestCsv:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,46 @@ def test_affinity_missing_model(workspace, tmp_path, capsys):
     ])
     assert code == 3
     assert "no trained model" in capsys.readouterr().err
+
+
+def test_affinity_over_baseline_model(workspace, tmp_path, capsys):
+    cfg = str(workspace / "data" / "config.json")
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "models", models)
+    assert main([
+        "train", "--config", cfg, "--source", "fx", "--target", "fy",
+        "--kind", "mlp", "--lr", "1e-3", "--epochs", "2", "--patience", "2",
+        "--out", str(models),
+    ]) == 0
+    code = main([
+        "affinity", "--config", cfg, "--models-dir", str(models), "--out", str(tmp_path),
+    ])
+    assert code == 3
+    assert "mlp_baseline" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["train", "--config", "{bad}", "--source", "fx", "--target", "fy"], 3),
+        (["train", "--config", "{array}", "--source", "fx", "--target", "fy"], 3),
+        (["train", "--config", "{cfg}", "--source", "fx", "--target", "fy", "--batch", "0"], 2),
+        (["train", "--config", "{cfg}", "--source", "fx", "--target", "fy", "--epochs", "0"], 2),
+        (["synth", "--n", "101", "--clusters", "5"], 2),
+    ],
+    ids=["malformed-config", "non-object-config", "batch-0", "epochs-0", "clusters-not-dividing-n"],
+)
+def test_bad_settings_exit_with_code(workspace, tmp_path, capsys, argv, code):
+    (tmp_path / "bad.json").write_text('{"features": ')
+    (tmp_path / "array.json").write_text("[]")
+    paths = {
+        "cfg": str(workspace / "data" / "config.json"),
+        "bad": str(tmp_path / "bad.json"),
+        "array": str(tmp_path / "array.json"),
+    }
+    argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith("usage error:" if code == 2 else "error:")
 
 
 def test_mst_from_affinity(workspace, tmp_path):

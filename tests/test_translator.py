@@ -2,34 +2,49 @@ import numpy as np
 import pytest
 
 from feattrans import feature_io as fio, nn_core as nn, translator
-from feattrans.errors import BadMagic, BadModelFile, DataError, UnsupportedForBaseline
+from feattrans.errors import (
+    BadMagic,
+    BadModelFile,
+    DataError,
+    InvalidConfig,
+    UnsupportedForBaseline,
+)
+from oracles import finite_diff_grads
 
 
 class TestBuild:
     def test_wide_input_architecture(self):
         m = translator.build(2048, 2048, 510, "hae")
-        assert m.encoder_s.dims == (2048, 2048, 2048, 2048, 510)
-        assert m.encoder_t.dims == (2048, 2048, 2048, 2048, 510)
-        assert m.decoder.dims == (510, 2048, 2048, 2048, 2048)
-        assert m.decoder.final_l2_normalize
-        assert m.decoder.layers[-1].activation == "linear"
-        assert m.encoder_s.layers[-1].activation == "linear"
+        enc_s, dec = m.translate_path
+        enc_t, _ = m.reconstruct_path
+        assert m.translate_path[-1] is m.reconstruct_path[-1]
+        assert enc_s.dims == (2048, 2048, 2048, 2048, 510)
+        assert enc_t.dims == (2048, 2048, 2048, 2048, 510)
+        assert dec.dims == (510, 2048, 2048, 2048, 2048)
+        assert dec.final_l2_normalize
+        assert dec.layers[-1].activation == "linear"
+        assert enc_s.layers[-1].activation == "linear"
 
     def test_narrow_input_architecture(self):
         m = translator.build(512, 512, 510, "hae")
-        assert m.encoder_s.dims == (512, 512, 512, 510)
+        assert m.translate_path[0].dims == (512, 512, 512, 510)
+        assert m.translate_path[-1] is m.reconstruct_path[-1]
 
     def test_mlp_baseline_architecture(self):
         m = translator.build(2048, 2048, kind="mlp_baseline")
-        assert m.encoder_s.dims == (2048, 2048, 2048, 2048)
-        assert m.encoder_s.final_l2_normalize
-        assert m.encoder_t is None and m.decoder is None
+        (mlp,) = m.translate_path
+        assert mlp.dims == (2048, 2048, 2048, 2048)
+        assert mlp.final_l2_normalize
+        assert m.reconstruct_path == ()
 
     def test_mixed_dims(self):
         m = translator.build(512, 2048, 510, "hae")
-        assert m.encoder_s.dims == (512, 512, 512, 510)
-        assert m.encoder_t.dims == (2048, 2048, 2048, 2048, 510)
-        assert m.decoder.dims == (510, 2048, 2048, 2048, 2048)
+        enc_s, dec = m.translate_path
+        enc_t, _ = m.reconstruct_path
+        assert m.translate_path[-1] is m.reconstruct_path[-1]
+        assert enc_s.dims == (512, 512, 512, 510)
+        assert enc_t.dims == (2048, 2048, 2048, 2048, 510)
+        assert dec.dims == (510, 2048, 2048, 2048, 2048)
 
     def test_seeded_build_reproducible(self):
         a = translator.build(16, 16, 8, "hae", seed=5)
@@ -66,6 +81,13 @@ class TestTrain:
         assert all(r == 0.0 for r in log.train_reconstruction)
         assert all(r == 0.0 for r in log.val_reconstruction)
 
+    @pytest.mark.parametrize(
+        "setting", [{"lr": 0.0}, {"batch_size": 0}, {"max_epochs": 0}, {"patience": 0}]
+    )
+    def test_out_of_range_setting_rejected(self, setting):
+        with pytest.raises(InvalidConfig):
+            translator.TrainConfig(**setting)
+
     def test_empty_pair_rejected(self):
         model = translator.build(4, 4, 3, "hae")
         fs = fio.l2_normalize(fio.FeatureSet("x", ("a",), np.ones((1, 4))))
@@ -83,6 +105,42 @@ class TestTrain:
         paired = fio.align_pairs(fs, fs)
         with pytest.raises(DataError, match="normalized"):
             translator.train(model, paired, translator.TrainConfig(lr=1e-3, max_epochs=1))
+
+
+class TestLossAndGrads:
+    @staticmethod
+    def _objective(model, vs, vt):
+        """Translation plus reconstruction error, composed by hand from nn_core."""
+        def run(stacks, x):
+            for stack in stacks:
+                x, _ = nn.forward(stack, x)
+            return x
+
+        if model.kind == "mlp_baseline":
+            return nn.euclid_loss(run(model.translate_path, vs), vt)[0]
+        enc_s, dec = model.translate_path
+        enc_t = model.reconstruct_path[0]
+        return (nn.euclid_loss(run([enc_s, dec], vs), vt)[0]
+                + nn.euclid_loss(run([enc_t, dec], vt), vt)[0])
+
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_matches_finite_differences(self, kind):
+        # mixed source/target dims so a misordered gradient cannot line up
+        model = translator.build(4, 5, 3, kind, seed=1)
+        rng = np.random.default_rng(7)
+        vs = rng.normal(size=(6, 4))
+        vt = rng.normal(size=(6, 5))
+        vt /= np.linalg.norm(vt, axis=1, keepdims=True)
+
+        total, analytic = translator._loss_and_grads(model, vs, vt)
+        assert abs(total - self._objective(model, vs, vt)) < 1e-12
+        numeric = finite_diff_grads(
+            lambda: self._objective(model, vs, vt), model.parameters()
+        )
+        assert len(analytic) == len(numeric) == (18 if kind == "hae" else 4)
+        for a, n in zip(analytic, numeric):
+            assert a.shape == n.shape
+            assert np.max(np.abs(a - n) / np.maximum(np.abs(n), 1e-6)) < 1e-4
 
 
 class TestTranslate:
