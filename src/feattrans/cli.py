@@ -44,11 +44,23 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _registry_paths(config: dict, name: str) -> tuple[Path, Path]:
+def _registry(config: dict) -> dict:
     features = config.get("features", {})
+    if not isinstance(features, dict):
+        raise DataError("config key 'features' must be an object of feature sets")
+    return features
+
+
+def _registry_paths(config: dict, name: str) -> tuple[Path, Path]:
+    features = _registry(config)
     if name not in features:
         raise DataError(f"feature set {name!r} not found in config registry")
     entry = features[name]
+    if not isinstance(entry, dict):
+        raise DataError(f"config registry entry {name!r} must be an object with 'vec' and 'ids'")
+    for key in ("vec", "ids"):
+        if not isinstance(entry.get(key), str):
+            raise DataError(f"config registry entry {name!r} needs a {key!r} path string")
     return Path(entry["vec"]), Path(entry["ids"])
 
 
@@ -60,20 +72,25 @@ def _load_registered(config: dict, name: str) -> fio.FeatureSet:
     return fio.load_feature_set(vec, ids, name)
 
 
-def _merged(args, config: dict, key: str, default):
+def _merged(args, config: dict, key: str, default, kind: type):
+    """The flag if given, else the config value, else the default, as `kind`."""
     value = getattr(args, key, None)
     if value is not None:
         return value
-    return config.get(key, default)
+    value = config.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise DataError(f"config key {key!r} must be a {kind.__name__}, got {value!r}") from None
 
 
 def _train_config(args, config: dict) -> translator.TrainConfig:
     return translator.TrainConfig(
-        lr=float(_merged(args, config, "lr", 1e-5)),
-        batch_size=int(_merged(args, config, "batch", 64)),
-        max_epochs=int(_merged(args, config, "epochs", 200)),
-        patience=int(_merged(args, config, "patience", 20)),
-        seed=int(_merged(args, config, "seed", 0)),
+        lr=_merged(args, config, "lr", 1e-5, float),
+        batch_size=_merged(args, config, "batch", 64, int),
+        max_epochs=_merged(args, config, "epochs", 200, int),
+        patience=_merged(args, config, "patience", 20, int),
+        seed=_merged(args, config, "seed", 0, int),
     )
 
 
@@ -129,7 +146,7 @@ def cmd_train(args) -> int:
     model = translator.build(
         source_dim=src.dim,
         target_dim=tgt.dim,
-        latent_dim=int(_merged(args, config, "latent", translator.DEFAULT_LATENT_DIM)),
+        latent_dim=_merged(args, config, "latent", translator.DEFAULT_LATENT_DIM, int),
         kind=args.kind,
         seed=cfg.seed,
         source_name=args.source,
@@ -170,6 +187,8 @@ def cmd_eval(args) -> int:
     gt_path = args.gt or config.get("gt")
     if gt_path is None:
         raise DataError("no ground-truth file given (--gt or config 'gt')")
+    if not isinstance(gt_path, str):
+        raise DataError(f"config key 'gt' must be a path string, got {gt_path!r}")
     if not Path(gt_path).exists():
         raise DataError(f"input path does not exist: {gt_path}")
     gt = fio.load_ground_truth(gt_path)
@@ -187,7 +206,7 @@ def cmd_eval(args) -> int:
 
 def cmd_affinity(args) -> int:
     config = _load_config(args.config)
-    names = args.names.split(",") if args.names else sorted(config.get("features", {}))
+    names = args.names.split(",") if args.names else sorted(_registry(config))
     if len(names) < 2:
         raise DataError("affinity needs at least two feature-set names")
     models_dir = Path(args.models_dir)

@@ -68,13 +68,13 @@ class UnsupportedForBaseline(DataError):
         super().__init__("reconstruct is undefined for the mlp_baseline model (no target encoder)")
 
 
-class BadMagic(DataError):
-    def __init__(self, got: bytes):
-        super().__init__(f"not a model file (magic {got!r})")
-
-
 class BadModelFile(DataError):
     pass
+
+
+class BadMagic(BadModelFile):
+    def __init__(self, got: bytes):
+        super().__init__(f"not a model file (magic {got!r})")
 
 
 class MissingPair(DataError):

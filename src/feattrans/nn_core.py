@@ -8,7 +8,7 @@ differences in the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,19 +69,45 @@ class LayerStack:
             out.append(l.bias)
         return out
 
-    def copy(self) -> "LayerStack":
-        return LayerStack(
-            layers=[
-                DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
-                for l in self.layers
-            ],
-            final_l2_normalize=self.final_l2_normalize,
-        )
+
+def stack_size(dims: tuple[int, ...]) -> int:
+    """Number of parameters of a dense stack through `dims`."""
+    return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims, dims[1:]))
 
 
-def he_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / in_dim)
-    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
+def stack_views(
+    flat: np.ndarray,
+    dims: tuple[int, ...],
+    final_l2_normalize: bool,
+    last_activation: str = "linear",
+) -> LayerStack:
+    """Dense stack through `dims` whose weights and biases are views into
+    `flat` (stack_size(dims) elements), each layer's W then b; relu on every
+    layer but the last."""
+    layers, start = [], 0
+    for k, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+        w = flat[start : start + d_out * d_in].reshape(d_out, d_in)
+        start += d_out * d_in
+        b = flat[start : start + d_out]
+        start += d_out
+        act = last_activation if k == len(dims) - 2 else "relu"
+        layers.append(DenseLayer(w, b, act))
+    return LayerStack(layers=layers, final_l2_normalize=final_l2_normalize)
+
+
+def he_init(stack: LayerStack, rng: np.random.Generator) -> None:
+    """He-uniform weights and zero biases, written in place, layer by layer.
+
+    Bit-identical to rng.uniform(-limit, limit, size=w.shape), without its
+    full-size temporary.
+    """
+    for layer in stack.layers:
+        w = layer.weights
+        limit = np.sqrt(6.0 / layer.in_dim)
+        rng.random(out=w)
+        w *= 2 * limit
+        w -= limit
+        layer.bias.fill(0.0)
 
 
 def build_stack(
@@ -90,12 +116,10 @@ def build_stack(
     rng: np.random.Generator,
     last_activation: str = "linear",
 ) -> LayerStack:
-    """Dense stack through `dims`; relu on every layer but the last."""
-    layers = []
-    for k, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-        act = last_activation if k == len(dims) - 2 else "relu"
-        layers.append(DenseLayer(he_uniform(rng, d_out, d_in), np.zeros(d_out), act))
-    return LayerStack(layers=layers, final_l2_normalize=final_l2_normalize)
+    """He-initialized dense stack through `dims` over its own flat buffer."""
+    stack = stack_views(np.empty(stack_size(dims)), dims, final_l2_normalize, last_activation)
+    he_init(stack, rng)
+    return stack
 
 
 @dataclass
@@ -127,11 +151,15 @@ def forward(stack: LayerStack, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
 
 
 def backward(
-    stack: LayerStack, tape: Tape, upstream_grad: np.ndarray
+    stack: LayerStack,
+    tape: Tape,
+    upstream_grad: np.ndarray,
+    out: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact gradients for forward()'s output w.r.t. parameters and input.
 
-    Returns (param_grads ordered as stack.parameters(), input_grad).
+    Returns (param_grads ordered as stack.parameters(), input_grad). The
+    parameter gradients are written into `out` when it is given.
     """
     g = np.asarray(upstream_grad, dtype=np.float64)
     if stack.final_l2_normalize:
@@ -141,17 +169,18 @@ def backward(
         y = tape.pre_norm / n
         # d(x/||x||) applied to g: (g - (g.y) y) / ||x||
         g = (g - np.sum(g * y, axis=1, keepdims=True) * y) / n
-    param_grads: list[np.ndarray] = [None] * (2 * len(stack.layers))
+    if out is None:
+        out = [np.empty_like(p) for p in stack.parameters()]
     for k in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[k]
         if g.shape != tape.pre_acts[k].shape:
             raise DataError("stale tape: gradient shape mismatch")
         if layer.activation == "relu":
             g = g * (tape.pre_acts[k] > 0)
-        param_grads[2 * k] = g.T @ tape.inputs[k]
-        param_grads[2 * k + 1] = g.sum(axis=0)
+        np.matmul(g.T, tape.inputs[k], out=out[2 * k])
+        np.sum(g, axis=0, out=out[2 * k + 1])
         g = g @ layer.weights
-    return param_grads, g
+    return out, g
 
 
 def euclid_loss(pred: np.ndarray, tgt: np.ndarray) -> tuple[float, np.ndarray]:
@@ -169,6 +198,11 @@ def euclid_loss(pred: np.ndarray, tgt: np.ndarray) -> tuple[float, np.ndarray]:
     n = pred.shape[0]
     grad = diff / (dists[:, None] + _EPS) / n
     return float(dists.mean()), grad
+
+
+# Elements per slice of adam_step's update: its scratch stays in cache and
+# no temporary the size of the parameters is ever allocated.
+ADAM_CHUNK = 1 << 15
 
 
 @dataclass
@@ -195,14 +229,35 @@ class AdamState:
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
 ) -> list[np.ndarray]:
-    """One in-place Adam update; returns the updated parameter list."""
+    """One in-place Adam update (Kingma & Ba 2015, Alg. 1); returns params.
+
+    Each array is updated in ADAM_CHUNK-element slices of its raveled view,
+    so params and moments must be C-contiguous.
+    """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1**t)
-        v_hat = state.v[i] / (1 - b2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    c2 = 1 - b2**t
+    step_size = state.lr / (1 - b1**t)
+    scratch = np.empty(min(ADAM_CHUNK, max((p.size for p in params), default=0)))
+    for arrays in zip(params, grads, state.m, state.v):
+        if not all(a.flags.c_contiguous for a in arrays):
+            raise ValueError("adam_step needs C-contiguous arrays")
+        p, g, m, v = (a.reshape(-1) for a in arrays)
+        for lo in range(0, p.size, ADAM_CHUNK):
+            pc, gc, mc, vc = (a[lo : lo + ADAM_CHUNK] for a in (p, g, m, v))
+            s = scratch[: pc.size]
+            mc *= b1  # m = b1 m + (1 - b1) g
+            np.multiply(gc, 1 - b1, out=s)
+            mc += s
+            vc *= b2  # v = b2 v + (1 - b2) g^2
+            np.multiply(gc, 1 - b2, out=s)
+            s *= gc
+            vc += s
+            np.divide(vc, c2, out=s)  # p -= (lr / c1) m / (sqrt(v / c2) + eps)
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(mc, s, out=s)
+            s *= step_size
+            pc -= s
     return params

@@ -12,8 +12,10 @@ translation error alone.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,13 +30,14 @@ from .errors import (
 from .feature_io import FeatureSet, PairedSet
 from .nn_core import (
     AdamState,
-    DenseLayer,
     LayerStack,
     adam_step,
     backward,
-    build_stack,
     euclid_loss,
     forward,
+    he_init,
+    stack_size,
+    stack_views,
 )
 
 KIND_HAE = "hae"
@@ -42,12 +45,16 @@ KIND_MLP = "mlp_baseline"
 
 DEFAULT_LATENT_DIM = 510
 
+# (dims, final L2 normalization) of each stack of a model, in .haet order
+Layout = tuple[tuple[tuple[int, ...], bool], ...]
+
 
 @dataclass
 class TranslatorModel:
     source_name: str
     target_name: str
     latent_dim: int
+    flat: np.ndarray  # every parameter, in .haet order; the stacks hold views into it
     translate_path: tuple[LayerStack, ...]
     reconstruct_path: tuple[LayerStack, ...] = ()  # shares all but its first stack
 
@@ -67,20 +74,41 @@ class TranslatorModel:
         """Each stack once, in .haet order: encoder(s) first, then the rest."""
         return self.translate_path[:1] + self.reconstruct_path[:1] + self.translate_path[1:]
 
+    def layout(self) -> Layout:
+        return tuple((s.dims, s.final_l2_normalize) for s in self.stacks())
+
+    def on(self, flat: np.ndarray) -> "TranslatorModel":
+        """A model of this one's names and layout over another flat buffer."""
+        return _on_flat(self.source_name, self.target_name, self.latent_dim, self.layout(), flat)
+
     def copy(self) -> "TranslatorModel":
-        stacks = tuple(s.copy() for s in self.stacks())  # the shared decoder stays shared
-        return _from_stacks(self.source_name, self.target_name, self.latent_dim, stacks)
+        return self.on(self.flat.copy())  # the shared decoder stays shared
 
     def parameters(self) -> list[np.ndarray]:
         return [p for s in self.stacks() for p in s.parameters()]
 
 
-def _from_stacks(
-    source_name: str, target_name: str, latent_dim: int, stacks: tuple[LayerStack, ...]
+def _payloads(flat: np.ndarray, layout: Layout) -> list[np.ndarray]:
+    """The consecutive slices of `flat` that the stacks of `layout` occupy."""
+    ends = list(accumulate((stack_size(dims) for dims, _ in layout), initial=0))
+    return [flat[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _on_flat(
+    source_name: str,
+    target_name: str,
+    latent_dim: int,
+    layout: Layout,
+    flat: np.ndarray,
 ) -> TranslatorModel:
-    """Inverse of TranslatorModel.stacks(): (mlp,) or (enc_s, enc_t, dec)."""
+    """A model whose stacks, (mlp,) or (enc_s, enc_t, dec) as in
+    TranslatorModel.stacks(), are laid out one after another in `flat`."""
+    stacks = tuple(
+        stack_views(payload, dims, final_norm)
+        for (dims, final_norm), payload in zip(layout, _payloads(flat, layout))
+    )
     return TranslatorModel(
-        source_name, target_name, latent_dim,
+        source_name, target_name, latent_dim, flat,
         translate_path=stacks[:1] + stacks[2:], reconstruct_path=stacks[1:],
     )
 
@@ -124,6 +152,23 @@ def _hidden_count(dim: int) -> int:
     return 3 if dim >= 1024 else 2
 
 
+def _layout(kind: str, source_dim: int, target_dim: int, latent_dim: int) -> Layout:
+    """The layout of the model build() makes.
+
+    Encoder widths repeat the input dim for the hidden layers then project to
+    the latent dim; the decoder mirrors the target-side encoder reversed and
+    ends in L2 normalization. The MLP baseline is a single stack of the same
+    hidden widths mapping straight to the target dim.
+    """
+    if kind == KIND_MLP:
+        return (((source_dim,) * _hidden_count(source_dim) + (target_dim,), True),)
+    if kind != KIND_HAE:
+        raise DataError(f"unknown model kind {kind!r}")
+    enc_s_dims = (source_dim,) * (1 + _hidden_count(source_dim)) + (latent_dim,)
+    enc_t_dims = (target_dim,) * (1 + _hidden_count(target_dim)) + (latent_dim,)
+    return ((enc_s_dims, False), (enc_t_dims, False), (tuple(reversed(enc_t_dims)), True))
+
+
 def build(
     source_dim: int,
     target_dim: int,
@@ -133,29 +178,19 @@ def build(
     source_name: str = "source",
     target_name: str = "target",
 ) -> TranslatorModel:
-    """Construct an untrained translator.
-
-    Encoder widths repeat the input dim for the hidden layers then project to
-    the latent dim; the decoder mirrors the target-side encoder reversed and
-    ends linear + L2 normalization. The MLP baseline is a single stack of the
-    same hidden widths mapping straight to the target dim.
-    """
+    """Construct an untrained translator, with the stacks of _layout() over
+    one flat buffer; every layer is linear at the end and relu elsewhere."""
     if source_dim < 1 or target_dim < 1 or (kind == KIND_HAE and latent_dim < 1):
         raise DataError("dims must be >= 1")
-    rng = np.random.default_rng(seed)
+    layout = _layout(kind, source_dim, target_dim, latent_dim)
     if kind == KIND_MLP:
-        dims = (source_dim,) * _hidden_count(source_dim) + (target_dim,)
-        mlp = build_stack(dims, final_l2_normalize=True, rng=rng)
-        return _from_stacks(source_name, target_name, 0, (mlp,))
-    if kind != KIND_HAE:
-        raise DataError(f"unknown model kind {kind!r}")
-    enc_s_dims = (source_dim,) * (1 + _hidden_count(source_dim)) + (latent_dim,)
-    enc_t_dims = (target_dim,) * (1 + _hidden_count(target_dim)) + (latent_dim,)
-    dec_dims = tuple(reversed(enc_t_dims))
-    enc_s = build_stack(enc_s_dims, False, rng)
-    enc_t = build_stack(enc_t_dims, False, rng)
-    dec = build_stack(dec_dims, True, rng)
-    return _from_stacks(source_name, target_name, latent_dim, (enc_s, enc_t, dec))
+        latent_dim = 0
+    flat = np.empty(sum(stack_size(dims) for dims, _ in layout))
+    model = _on_flat(source_name, target_name, latent_dim, layout, flat)
+    rng = np.random.default_rng(seed)
+    for stack in model.stacks():
+        he_init(stack, rng)
+    return model
 
 
 def _run(path: tuple[LayerStack, ...], x: np.ndarray, tapes: list | None = None) -> np.ndarray:
@@ -177,27 +212,41 @@ def _batch_losses(model: TranslatorModel, vs: np.ndarray, vt: np.ndarray) -> tup
 
 
 def _loss_and_grads(
-    model: TranslatorModel, vs: np.ndarray, vt: np.ndarray
+    model: TranslatorModel,
+    vs: np.ndarray,
+    vt: np.ndarray,
+    grads: TranslatorModel | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Total loss on one batch and its gradient, ordered as model.parameters().
 
-    Each path runs forward, is scored against vt and runs backward; a stack
-    on both paths (the HAE decoder) gets the sum of its two gradients.
+    The first stack of each path (enc_s on vs, enc_t on vt; or the baseline's
+    one stack) runs on its own input, and the stacks the paths share (the HAE
+    decoder) run once on the k stacked outputs against k stacked copies of
+    vt. That loss is the mean over k·B rows, so k times it, and its gradient,
+    is the sum of the k per-path means. Each gradient is written once into
+    `grads`, a model shaped like `model` over a gradient buffer (model.on()),
+    allocated here if not given.
     """
-    total = 0.0
-    grads: dict[int, list[np.ndarray]] = {}
-    for path, x in ((model.translate_path, vs), (model.reconstruct_path, vt)):
-        if not path:
-            continue
-        tapes: list = []
-        loss, g = euclid_loss(_run(path, x, tapes), vt)
-        total += loss
-        for stack, tape in zip(reversed(path), reversed(tapes)):
-            g_params, g = backward(stack, tape, g)
-            if id(stack) in grads:
-                g_params = [a + b for a, b in zip(grads[id(stack)], g_params)]
-            grads[id(stack)] = g_params
-    return total, [g for s in model.stacks() for g in grads[id(s)]]
+    if grads is None:
+        grads = model.on(np.empty_like(model.flat))
+    heads = model.translate_path[:1] + model.reconstruct_path[:1]
+    k = len(heads)
+    head_tapes, latents = [], []
+    for stack, x in zip(heads, (vs, vt)):
+        z, tape = forward(stack, x)
+        head_tapes.append(tape)
+        latents.append(z)
+    tail_tapes: list = []
+    out = _run(model.translate_path[1:], np.concatenate(latents), tail_tapes)
+    loss, g = euclid_loss(out, np.concatenate([vt] * k))
+    g *= k
+    tail = zip(model.translate_path[1:], grads.translate_path[1:], tail_tapes)
+    for stack, g_stack, tape in reversed(list(tail)):
+        _, g = backward(stack, tape, g, g_stack.parameters())
+    g_heads = grads.translate_path[:1] + grads.reconstruct_path[:1]
+    for stack, g_stack, tape, g_rows in zip(heads, g_heads, head_tapes, np.split(g, k)):
+        backward(stack, tape, g_rows, g_stack.parameters())
+    return k * loss, grads.parameters()
 
 
 def _check_unit_norm(fs: FeatureSet) -> None:
@@ -233,7 +282,8 @@ def train(
         train_idx, val_idx = perm, perm
     vs_all, vt_all = paired.source.vectors, paired.target.vectors
 
-    state = AdamState.init(model.parameters(), lr=cfg.lr)
+    grads = model.on(np.empty_like(model.flat))  # written in full by every step
+    state = AdamState.init([model.flat], lr=cfg.lr)
     log = TrainLog()
     best = model.copy()
     best_val = np.inf
@@ -243,10 +293,8 @@ def train(
         order = rng.permutation(train_idx)
         for start in range(0, order.size, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            total, grads = _loss_and_grads(model, vs_all[idx], vt_all[idx])
-            # parameters() returns live references; adam_step updates them in place
-            adam_step(model.parameters(), grads, state)
-            del grads  # free them before the next step builds its own
+            total, _ = _loss_and_grads(model, vs_all[idx], vt_all[idx], grads)
+            adam_step([model.flat], [grads.flat], state)  # in place, through the views
             if not np.isfinite(total):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
 
@@ -264,7 +312,7 @@ def train(
 
         if va_t + va_r < best_val:
             best_val = va_t + va_r
-            best = model.copy()
+            best.flat[:] = model.flat
             log.best_epoch = epoch
             since_best = 0
         else:
@@ -325,42 +373,49 @@ def _write_str(f, s: str) -> None:
     f.write(raw)
 
 
-def _read_exact(f, n: int) -> bytes:
-    raw = f.read(n)
-    if len(raw) != n:
+def _check_fits(f, n: int) -> None:
+    # before any read, so a corrupt length allocates nothing
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise BadModelFile("truncated model file")
-    return raw
+
+
+def _read_exact(f, n: int) -> bytes:
+    _check_fits(f, n)
+    return f.read(n)
 
 
 def _read_str(f) -> str:
     (n,) = struct.unpack("<I", _read_exact(f, 4))
-    return _read_exact(f, n).decode("utf-8")
+    try:
+        return _read_exact(f, n).decode("utf-8")
+    except UnicodeDecodeError:
+        raise BadModelFile("model file name is not UTF-8") from None
 
 
-def _write_stack(f, stack: LayerStack) -> None:
+def _write_stack(f, stack: LayerStack, payload: np.ndarray) -> None:
     f.write(struct.pack("<I", len(stack.layers)))
     for d in stack.dims:
         f.write(struct.pack("<I", d))
     f.write(struct.pack("<B", 1 if stack.final_l2_normalize else 0))
     for layer in stack.layers:
         f.write(struct.pack("<B", 1 if layer.activation == "relu" else 0))
-    for layer in stack.layers:
-        f.write(layer.weights.astype("<f8").tobytes())
-        f.write(layer.bias.astype("<f8").tobytes())
+    f.write(payload.astype("<f8", copy=False))
 
 
-def _read_stack(f) -> LayerStack:
+def _read_stack_header(f) -> tuple[tuple[int, ...], bool, int]:
+    """(dims, final L2 normalization, payload offset) of the next stack; leaves
+    f after its payload, which must fit in the file."""
     (n_layers,) = struct.unpack("<I", _read_exact(f, 4))
     dims = struct.unpack(f"<{n_layers + 1}I", _read_exact(f, 4 * (n_layers + 1)))
     (final_norm,) = struct.unpack("<B", _read_exact(f, 1))
-    acts = struct.unpack(f"<{n_layers}B", _read_exact(f, n_layers))
-    layers = []
-    for k in range(n_layers):
-        d_in, d_out = dims[k], dims[k + 1]
-        w = np.frombuffer(_read_exact(f, 8 * d_out * d_in), dtype="<f8").reshape(d_out, d_in)
-        b = np.frombuffer(_read_exact(f, 8 * d_out), dtype="<f8")
-        layers.append(DenseLayer(w.copy(), b.copy(), "relu" if acts[k] else "linear"))
-    return LayerStack(layers=layers, final_l2_normalize=bool(final_norm))
+    # build() makes every layer relu but the last, which is linear (and no
+    # empty stack)
+    if _read_exact(f, n_layers) != b"\x01" * (n_layers - 1) + b"\x00":
+        raise BadModelFile("model stack activations are not relu ... relu, linear")
+    offset, size = f.tell(), 8 * stack_size(dims)
+    _check_fits(f, size)
+    f.seek(offset + size)
+    return dims, bool(final_norm), offset
 
 
 def save_model(model: TranslatorModel, path) -> None:
@@ -371,11 +426,13 @@ def save_model(model: TranslatorModel, path) -> None:
         _write_str(f, model.source_name)
         _write_str(f, model.target_name)
         f.write(struct.pack("<I", model.latent_dim))
-        for stack in model.stacks():
-            _write_stack(f, stack)
+        for stack, payload in zip(model.stacks(), _payloads(model.flat, model.layout())):
+            _write_stack(f, stack, payload)
 
 
 def load_model(path) -> TranslatorModel:
+    """Read a .haet file. Every header is checked against the file size and
+    against the layout build() makes before the parameters are allocated."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
@@ -390,7 +447,18 @@ def load_model(path) -> TranslatorModel:
         source_name = _read_str(f)
         target_name = _read_str(f)
         (latent_dim,) = struct.unpack("<I", _read_exact(f, 4))
-        stacks = tuple(_read_stack(f) for _ in range(1 if kind == KIND_MLP else 3))
+        headers = [_read_stack_header(f) for _ in range(1 if kind == KIND_MLP else 3)]
         if f.read(1):
             raise BadModelFile("trailing bytes after model payload")
-    return _from_stacks(source_name, target_name, latent_dim, stacks)
+        layout = tuple((dims, final_norm) for dims, final_norm, _ in headers)
+        source_dim, target_dim = layout[0][0][0], layout[-1][0][-1]
+        if layout != _layout(kind, source_dim, target_dim, latent_dim) or (
+            kind == KIND_MLP and latent_dim != 0
+        ):
+            raise BadModelFile(f"stack dims do not form a {kind} model")
+        flat = np.empty(sum(stack_size(dims) for dims, _ in layout), dtype="<f8")
+        for (_, _, offset), payload in zip(headers, _payloads(flat, layout)):
+            f.seek(offset)
+            if f.readinto(payload) != payload.nbytes:
+                raise BadModelFile("truncated model file")
+    return _on_flat(source_name, target_name, latent_dim, layout, flat)

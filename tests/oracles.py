@@ -82,3 +82,21 @@ def finite_diff_grads(loss_fn, params, h=1e-5):
             g[idx] = (up - down) / (2 * h)
         grads.append(g)
     return grads
+
+
+def adam_textbook(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam (Kingma & Ba 2015, Alg. 1) written out per array, on copies of params.
+
+    grads_per_step yields one list of gradients (one per array) per step.
+    """
+    params = [np.array(p, dtype=np.float64) for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v[i] = beta2 * v[i] + (1 - beta2) * g**2
+            m_hat = m[i] / (1 - beta1**t)
+            v_hat = v[i] / (1 - beta2**t)
+            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params

@@ -172,6 +172,43 @@ def test_bad_settings_exit_with_code(workspace, tmp_path, capsys, argv, code):
     assert capsys.readouterr().err.startswith("usage error:" if code == 2 else "error:")
 
 
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"batch": "abc"}, "batch"),
+        ({"lr": [1]}, "lr"),
+        ({"epochs": None}, "epochs"),
+        ({"latent": {"n": 8}}, "latent"),
+        ({"features": ["fx", "fy"]}, "features"),
+        ({"features": {"fx": "fx.vec", "fy": "fy.vec"}}, "fx"),
+        ({"features": {"fx": {"vec": "fx.vec"}}}, "ids"),
+        ({"features": {"fx": {"ids": "fx.ids", "vec": 3}}}, "vec"),
+    ],
+    ids=["batch-str", "lr-list", "epochs-null", "latent-object", "features-list",
+         "entry-not-object", "entry-without-ids", "entry-vec-not-str"],
+)
+def test_bad_config_value_names_its_key(workspace, tmp_path, capsys, change, key):
+    config = json.loads((workspace / "data" / "config.json").read_text())
+    config.update(change)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    code = main(["train", "--config", str(tmp_path / "c.json"), "--source", "fx",
+                 "--target", "fy", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+
+
+def test_eval_gt_not_a_path(workspace, tmp_path, capsys):
+    config = json.loads((workspace / "data" / "config.json").read_text())
+    config["gt"] = 5
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    code = main(["eval", "--config", str(tmp_path / "c.json"),
+                 "--model", str(workspace / "models" / "fx2fy.haet"),
+                 "--source", "fx", "--target", "fy", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "'gt'" in capsys.readouterr().err
+
+
 def test_mst_from_affinity(workspace, tmp_path):
     cfg = str(workspace / "data" / "config.json")
     matrices = tmp_path / "matrices"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from feattrans import nn_core as nn
-from oracles import finite_diff_grads
+from oracles import adam_textbook, finite_diff_grads
 
 
 def random_stack(rng, dims=None, final_l2=False, last_activation="linear"):
@@ -155,3 +155,33 @@ class TestAdam:
             prev = p[0][0]
             nn.adam_step(p, [np.array([1.0])], state)
         assert abs(abs(p[0][0] - prev) - 1e-3) < 5e-5
+
+
+class TestAdamMatchesTextbook:
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(2 * nn.ADAM_CHUNK + 7,)],  # two full chunks and an odd remainder
+            [(3, 5), (7,), (nn.ADAM_CHUNK + 3,), (2, 3, 4), (1,)],
+        ],
+        ids=["one-vector", "several-arrays"],
+    )
+    def test_hundred_steps(self, shapes):
+        rng = np.random.default_rng(0)
+        params = [rng.normal(size=s) for s in shapes]
+        grads = [[rng.normal(size=s) for s in shapes] for _ in range(100)]
+        want = adam_textbook(params, grads, lr=1e-3)
+        state = nn.AdamState.init(params, lr=1e-3)
+        for g in grads:
+            nn.adam_step(params, g, state)
+        assert state.step == 100
+        for got, ref in zip(params, want):
+            assert got.shape == ref.shape
+            # max-norm relative difference: the two differ only in rounding
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_non_contiguous_parameter_rejected(self):
+        p = np.zeros((4, 4))[:, :2]
+        state = nn.AdamState.init([np.zeros((4, 2))], lr=1e-3)
+        with pytest.raises(ValueError, match="contiguous"):
+            nn.adam_step([p], [np.ones((4, 2))], state)

@@ -1,5 +1,12 @@
+import dataclasses
+import hashlib
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feattrans import feature_io as fio, nn_core as nn, translator
 from feattrans.errors import (
@@ -80,6 +87,18 @@ class TestTrain:
         _, log = translator.train(model, rotation_fixture.train_pair, cfg)
         assert all(r == 0.0 for r in log.train_reconstruction)
         assert all(r == 0.0 for r in log.val_reconstruction)
+
+    def test_returns_best_epoch_parameters(self, rotation_fixture):
+        pair = rotation_fixture.train_pair
+        cfg = translator.TrainConfig(lr=1e-2, batch_size=64, max_epochs=6, patience=6, seed=0)
+        model = translator.build(32, 32, 24, "hae", seed=0)
+        best, log = translator.train(model, pair, cfg)
+        assert log.best_epoch < log.epochs_run - 1  # a later epoch did worse
+        assert not np.shares_memory(best.flat, model.flat)
+        # the same run stopped after the best epoch ends on the same parameters
+        short = dataclasses.replace(cfg, max_epochs=log.best_epoch + 1)
+        again, _ = translator.train(translator.build(32, 32, 24, "hae", seed=0), pair, short)
+        assert np.array_equal(best.flat, again.flat)
 
     @pytest.mark.parametrize(
         "setting", [{"lr": 0.0}, {"batch_size": 0}, {"max_epochs": 0}, {"patience": 0}]
@@ -229,3 +248,125 @@ class TestSerialization:
         (tmp_path / "cut.haet").write_bytes(raw[: len(raw) // 2])
         with pytest.raises(BadModelFile):
             translator.load_model(tmp_path / "cut.haet")
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_parameters_are_contiguous_views_of_flat(self, kind):
+        model = translator.build(6, 5, 4, kind, seed=0)
+        params = model.parameters()
+        assert sum(p.size for p in params) == model.flat.size
+        for p in params:
+            assert np.shares_memory(p, model.flat)
+            assert p.flags.c_contiguous
+
+    def test_copy_is_independent_and_keeps_decoder_shared(self):
+        model = translator.build(6, 5, 4, "hae", seed=0)
+        x = fio.FeatureSet("s", ("a", "b"), np.random.default_rng(0).normal(size=(2, 6)))
+        before = translator.translate(model, x).vectors
+        dup = model.copy()
+        assert dup.translate_path[-1] is dup.reconstruct_path[-1]
+        assert not np.shares_memory(dup.flat, model.flat)
+        dup.flat += 0.5
+        assert np.array_equal(translator.translate(model, x).vectors, before)
+        assert not np.array_equal(translator.translate(dup, x).vectors, before)
+
+    def test_train_updates_the_flat_buffer_in_place(self, rotation_fixture):
+        model = translator.build(32, 32, 24, "hae", seed=0)
+        flat, start = model.flat, model.flat.copy()
+        cfg = translator.TrainConfig(lr=1e-3, max_epochs=1, seed=0)
+        translator.train(model, rotation_fixture.train_pair, cfg)
+        assert model.flat is flat
+        assert not np.array_equal(flat, start)
+
+    # sha256 prefixes of save_model's file for untrained builds, recorded from
+    # the per-array store that preceded the flat buffer
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((32, 32, 24, "hae", 1), "fae91ab87c7aa995"),
+            ((32, 32, 24, "mlp_baseline", 2), "12cea1943203d43f"),
+            ((48, 32, 16, "hae", 3), "5082f8bce3675e65"),
+        ],
+    )
+    def test_untrained_file_bytes_unchanged(self, tmp_path, args, digest):
+        *dims, kind, seed = args
+        translator.save_model(translator.build(*dims, kind, seed=seed), tmp_path / "m.haet")
+        assert hashlib.sha256((tmp_path / "m.haet").read_bytes()).hexdigest()[:16] == digest
+
+
+def _haet_header(kind_byte: int, latent: int) -> bytes:
+    names = b"".join(struct.pack("<I", 1) + c for c in (b"s", b"t"))
+    return b"HAET" + struct.pack("<HB", 1, kind_byte) + names + struct.pack("<I", latent)
+
+
+class TestModelFileHeaders:
+    def test_huge_layer_claim_rejected_without_allocating(self, tmp_path):
+        # one mlp stack claiming a 2^31 x 2^31 layer, followed by 64 bytes
+        wide = 2**31
+        raw = _haet_header(1, 0) + struct.pack("<III", 1, wide, wide) + b"\x01\x00" + bytes(64)
+        (tmp_path / "m.haet").write_bytes(raw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadModelFile, match="truncated"):
+                translator.load_model(tmp_path / "m.haet")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_huge_layer_count_rejected(self, tmp_path):
+        (tmp_path / "m.haet").write_bytes(_haet_header(1, 0) + struct.pack("<I", 2**32 - 1))
+        with pytest.raises(BadModelFile, match="truncated"):
+            translator.load_model(tmp_path / "m.haet")
+
+    def test_layout_other_than_build_rejected(self, tmp_path):
+        # a well-formed 4 -> 4 mlp stack with one layer, where build() makes three
+        raw = _haet_header(1, 0) + struct.pack("<III", 1, 4, 4) + b"\x01\x00" + bytes(8 * 20)
+        (tmp_path / "m.haet").write_bytes(raw)
+        with pytest.raises(BadModelFile, match="mlp_baseline"):
+            translator.load_model(tmp_path / "m.haet")
+
+
+def _structure(model: translator.TranslatorModel):
+    acts = tuple(tuple(l.activation for l in s.layers) for s in model.stacks())
+    return model.kind, model.latent_dim, model.layout(), acts
+
+
+class TestModelFileFuzz:
+    """Damaged .haet files of a small HAE and a small baseline raise a
+    DataError, or load as the saved structure; nothing else is raised."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("haet")
+        models = {}
+        for kind in ("hae", "mlp_baseline"):
+            model = translator.build(3, 4, 2, kind, seed=4, source_name="src", target_name="tgt")
+            translator.save_model(model, root / f"{kind}.haet")
+            models[kind] = (model, (root / f"{kind}.haet").read_bytes())
+        return root, models
+
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_every_truncation_raises_bad_model_file(self, saved, kind):
+        root, models = saved
+        _, raw = models[kind]
+        for n in range(len(raw)):
+            (root / "cut.haet").write_bytes(raw[:n])
+            with pytest.raises(BadModelFile):
+                translator.load_model(root / "cut.haet")
+
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(["hae", "mlp_baseline"]), data=st.data())
+    def test_bit_flip_raises_data_error_or_keeps_structure(self, saved, kind, data):
+        root, models = saved
+        model, raw = models[kind]
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        (root / "flip.haet").write_bytes(bytes(flipped))
+        try:
+            back = translator.load_model(root / "flip.haet")
+        except DataError:
+            return
+        assert _structure(back) == _structure(model)
