@@ -35,13 +35,6 @@ def parse_args() -> argparse.Namespace:
     return p.parse_args()
 
 
-def subset(fs: fio.FeatureSet, keep: set[str]) -> fio.FeatureSet:
-    take = [i for i, x in enumerate(fs.ids) if x in keep]
-    return fio.FeatureSet(
-        fs.name, tuple(fs.ids[i] for i in take), fs.vectors[take], fs.normalized
-    )
-
-
 def main() -> None:
     args = parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
@@ -65,8 +58,8 @@ def main() -> None:
     sets, gt = data.feature_sets, data.ground_truth
 
     ids = sets[names[0]].ids
-    holdout = set(ids[int(0.8 * len(ids)) :])
-    train_ids = set(ids) - holdout
+    cut = int(0.8 * len(ids))
+    train_ids, holdout = ids[:cut], ids[cut:]
 
     cfg = translator.TrainConfig(
         lr=args.lr, max_epochs=args.epochs, patience=args.epochs, seed=0
@@ -74,14 +67,14 @@ def main() -> None:
     models, eval_pairs = {}, {}
     for s, t in itertools.product(names, names):
         started = time.monotonic()
-        paired = fio.align_pairs(subset(sets[s], train_ids), subset(sets[t], train_ids))
+        paired = fio.align_pairs(sets[s].take(train_ids), sets[t].take(train_ids))
         model = translator.build(
             args.dim, args.dim, latent_dim=args.model_latent, kind="hae",
             seed=args.model_seed, source_name=s, target_name=t,
         )
         model, log = translator.train(model, paired, cfg)
         models[(s, t)] = model
-        eval_pairs[(s, t)] = fio.align_pairs(subset(sets[s], holdout), subset(sets[t], holdout))
+        eval_pairs[(s, t)] = fio.align_pairs(sets[s].take(holdout), sets[t].take(holdout))
         translator.save_model(model, args.out / f"{s}2{t}.haet")
         print(f"trained {s}->{t}: best epoch {log.best_epoch}, "
               f"{time.monotonic() - started:.1f} s")

@@ -6,12 +6,11 @@ File formats:
   * ids file    -- UTF-8 text, one id per line, no blanks
   * ground truth -- UTF-8 lines ``query_id<TAB>rel1,rel2,...``
 
-Vectors are float32 on disk and float64 in memory.
+Vectors are float32 on disk and float64 in memory. Each file is read whole.
 """
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +72,12 @@ class FeatureSet:
     def row(self, image_id: str) -> np.ndarray:
         return self.vectors[self.ids.index(image_id)]
 
+    def take(self, ids) -> FeatureSet:
+        """The rows for ``ids``, in that order (KeyError for an id not in the set)."""
+        index = {i: k for k, i in enumerate(self.ids)}
+        ids = tuple(ids)
+        return FeatureSet(self.name, ids, self.vectors[[index[i] for i in ids]], self.normalized)
+
 
 @dataclass(frozen=True)
 class PairedSet:
@@ -105,71 +110,72 @@ class GroundTruth:
         object.__setattr__(self, "relevant", rel)
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, without their newlines."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return [line.rstrip("\n") for line in f]
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
 def load_feature_set(vec_path, ids_path, name: str) -> FeatureSet:
-    """Read a vector file plus its sidecar ids file into a FeatureSet."""
-    with open(ids_path, encoding="utf-8") as f:
-        ids = [line.rstrip("\n") for line in f]
+    """Read a vector file plus its sidecar ids file into a FeatureSet. Every
+    record header is checked against the first, and the file size against
+    the record size, before the vectors are allocated."""
+    ids = _read_lines(ids_path)
     if any(i == "" for i in ids):
         raise DataError(f"{ids_path}: blank line in ids file")
 
-    rows = []
-    dim = None
     with open(vec_path, "rb") as f:
-        record = 0
-        while True:
-            header = f.read(4)
-            if not header:
-                break
-            if len(header) != 4:
-                raise DataError(f"{vec_path}: truncated record header at record {record + 1}")
-            record += 1
-            (d,) = struct.unpack("<I", header)
-            if dim is None:
-                if d < 1:
-                    raise DataError(f"{vec_path}: record 1 has dimension {d}")
-                dim = d
-            elif d != dim:
-                raise InconsistentDim(at=record, expected=dim, got=d)
-            payload = f.read(4 * d)
-            if len(payload) != 4 * d:
-                raise DataError(f"{vec_path}: truncated payload at record {record}")
-            rows.append(np.frombuffer(payload, dtype="<f4"))
-    if len(rows) != len(ids):
-        raise DataError(
-            f"{vec_path}: {len(rows)} vectors but {ids_path} has {len(ids)} ids"
-        )
-    vectors = np.array(rows, dtype=np.float64).reshape(len(rows), dim or 0)
+        raw = f.read()
+    if 0 < len(raw) < 4:
+        raise DataError(f"{vec_path}: truncated record header at record 1")
+    dim = int.from_bytes(raw[:4], "little")
+    if raw and dim < 1:
+        raise DataError(f"{vec_path}: record 1 has dimension {dim}")
+    record = 4 * (1 + dim)
+    n, rest = divmod(len(raw), record)
+    headers = np.ndarray((n + (rest >= 4),), "<u4", raw, strides=(record,))
+    bad = np.flatnonzero(headers != dim)
+    if bad.size:
+        raise InconsistentDim(at=int(bad[0]) + 1, expected=dim, got=int(headers[bad[0]]))
+    if rest:
+        part = "payload" if rest >= 4 else "record header"
+        raise DataError(f"{vec_path}: truncated {part} at record {n + 1}")
+    if n != len(ids):
+        raise DataError(f"{vec_path}: {n} vectors but {ids_path} has {len(ids)} ids")
+    with np.errstate(invalid="ignore"):  # a signalling NaN is reported as NonFiniteValue
+        vectors = np.frombuffer(raw, "<f4").reshape(n, 1 + dim)[:, 1:].astype(np.float64)
     return FeatureSet(name=name, ids=tuple(ids), vectors=vectors)
 
 
 def save_feature_set(fs: FeatureSet, vec_path, ids_path) -> None:
     """Write the binary vector file and sidecar ids file."""
+    records = np.empty((len(fs), 1 + fs.dim), "<f4")
+    records.view("<u4")[:, 0] = fs.dim
+    records[:, 1:] = fs.vectors
     with open(vec_path, "wb") as f:
-        header = struct.pack("<I", fs.dim)
-        for row in fs.vectors:
-            f.write(header)
-            f.write(row.astype("<f4").tobytes())
+        f.write(records)
     with open(ids_path, "w", encoding="utf-8") as f:
         f.writelines(i + "\n" for i in fs.ids)
 
 
 def load_ground_truth(path) -> GroundTruth:
     relevant: dict[str, frozenset[str]] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                query, rels = line.split("\t")
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: expected 'query<TAB>rel1,rel2,...'")
-            if query in relevant:
-                raise DuplicateId(query)
-            ids = frozenset(r for r in rels.split(",") if r)
-            if not ids:
-                raise DataError(f"{path}:{lineno}: empty relevant list for {query!r}")
-            relevant[query] = ids
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if not line:
+            continue
+        try:
+            query, rels = line.split("\t")
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: expected 'query<TAB>rel1,rel2,...'")
+        if query in relevant:
+            raise DuplicateId(query)
+        ids = frozenset(r for r in rels.split(",") if r)
+        if not ids:
+            raise DataError(f"{path}:{lineno}: empty relevant list for {query!r}")
+        relevant[query] = ids
     return GroundTruth(relevant=relevant)
 
 
@@ -202,21 +208,9 @@ def align_pairs(src: FeatureSet, tgt: FeatureSet) -> PairedSet:
     common = sorted(set(src.ids) & set(tgt.ids))
     if not common:
         raise NoCommonIds()
-    dropped = (len(src.ids) - len(common)) + (len(tgt.ids) - len(common))
-
-    def restrict(fs: FeatureSet) -> FeatureSet:
-        index = {i: k for k, i in enumerate(fs.ids)}
-        take = [index[i] for i in common]
-        return FeatureSet(
-            name=fs.name,
-            ids=tuple(common),
-            vectors=fs.vectors[take],
-            normalized=fs.normalized,
-        )
-
     return PairedSet(
-        source=restrict(src),
-        target=restrict(tgt),
+        source=src.take(common),
+        target=tgt.take(common),
         order=tuple(common),
-        n_dropped=dropped,
+        n_dropped=len(src) + len(tgt) - 2 * len(common),
     )

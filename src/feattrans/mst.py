@@ -15,31 +15,6 @@ from .affinity import UNDIRECTED_U, AffinityMatrix
 from .errors import DataError, NotUndirected
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 @dataclass(frozen=True)
 class MstResult:
     nodes: tuple[str, ...]
@@ -61,11 +36,13 @@ def kruskal(u: AffinityMatrix) -> MstResult:
             candidates.append((float(u.values[i, j]), a, b))
     candidates.sort()  # by weight, then lexicographic name pair
 
-    index = {name: k for k, name in enumerate(names)}
-    uf = UnionFind(n)
+    # one component label per node; n is the number of feature types
+    component = {name: k for k, name in enumerate(names)}
     edges = []
     for w, a, b in candidates:
-        if uf.union(index[a], index[b]):
+        ca, cb = component[a], component[b]
+        if ca != cb:
+            component = {name: ca if c == cb else c for name, c in component.items()}
             edges.append((a, b, w))
             if len(edges) == n - 1:
                 break

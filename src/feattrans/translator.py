@@ -457,8 +457,10 @@ def load_model(path) -> TranslatorModel:
         ):
             raise BadModelFile(f"stack dims do not form a {kind} model")
         flat = np.empty(sum(stack_size(dims) for dims, _ in layout), dtype="<f8")
-        for (_, _, offset), payload in zip(headers, _payloads(flat, layout)):
+        for k, ((_, _, offset), payload) in enumerate(zip(headers, _payloads(flat, layout))):
             f.seek(offset)
             if f.readinto(payload) != payload.nbytes:
                 raise BadModelFile("truncated model file")
+            if not np.isfinite(payload).all():
+                raise BadModelFile(f"non-finite parameter in model stack {k + 1}")
     return _on_flat(source_name, target_name, latent_dim, layout, flat)

@@ -35,13 +35,6 @@ ROTATION_CFG = translator.TrainConfig(
 )
 
 
-def _split(fs: fio.FeatureSet, keep: set[str]) -> fio.FeatureSet:
-    take = [i for i, x in enumerate(fs.ids) if x in keep]
-    return fio.FeatureSet(
-        fs.name, tuple(fs.ids[i] for i in take), fs.vectors[take], fs.normalized
-    )
-
-
 @dataclass
 class RotationFixture:
     data: synth.SynthResult
@@ -57,9 +50,9 @@ def rotation_fixture() -> RotationFixture:
     data = synth.generate(ROTATION_SPEC)
     a, b = data.feature_sets["a"], data.feature_sets["b"]
     ids = a.ids
-    holdout = set(ids[900:])
-    train_pair = fio.align_pairs(_split(a, set(ids) - holdout), _split(b, set(ids) - holdout))
-    holdout_pair = fio.align_pairs(_split(a, holdout), _split(b, holdout))
+    train_ids, holdout = ids[:900], ids[900:]
+    train_pair = fio.align_pairs(a.take(train_ids), b.take(train_ids))
+    holdout_pair = fio.align_pairs(a.take(holdout), b.take(holdout))
     model = translator.build(
         32, 32, latent_dim=24, kind="hae", seed=0, source_name="a", target_name="b"
     )
@@ -142,18 +135,18 @@ def grid_fixture() -> GridFixture:
     data = synth.generate(GRID_SPEC)
     sets, gt = data.feature_sets, data.ground_truth
     ids = sets[GRID_NAMES[0]].ids
-    holdout = set(ids[int(0.8 * len(ids)) :])
-    train_ids = set(ids) - holdout
+    cut = int(0.8 * len(ids))
+    train_ids, holdout = ids[:cut], ids[cut:]
 
     models, eval_pairs = {}, {}
     for s, t in itertools.product(GRID_NAMES, GRID_NAMES):
-        paired = fio.align_pairs(_split(sets[s], train_ids), _split(sets[t], train_ids))
+        paired = fio.align_pairs(sets[s].take(train_ids), sets[t].take(train_ids))
         model = translator.build(
             32, 32, latent_dim=24, kind="hae", seed=1, source_name=s, target_name=t
         )
         model, _ = translator.train(model, paired, GRID_CFG)
         models[(s, t)] = model
-        eval_pairs[(s, t)] = fio.align_pairs(_split(sets[s], holdout), _split(sets[t], holdout))
+        eval_pairs[(s, t)] = fio.align_pairs(sets[s].take(holdout), sets[t].take(holdout))
 
     dam = affinity.build_dam(models, eval_pairs, GRID_NAMES)
     row_norm = affinity.normalize_rows(dam)

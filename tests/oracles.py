@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's own code paths: plain-Python
 distance loops for AP, exhaustive spanning-tree enumeration for the MST,
-and central finite differences for gradients.
+central finite differences for gradients, and a record-by-record reader
+for the .vec format.
 """
 from __future__ import annotations
 
 import math
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -100,3 +102,26 @@ def adam_textbook(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             v_hat = v[i] / (1 - beta2**t)
             params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
     return params
+
+
+def vec_records(raw: bytes):
+    """Read .vec bytes one record at a time: the (n, dim) float32 rows, or the
+    message of the first fault in file order."""
+    rows, dim, pos, record = [], None, 0, 0
+    while pos < len(raw):
+        record += 1
+        if len(raw) - pos < 4:
+            return f"truncated record header at record {record}"
+        (d,) = struct.unpack_from("<I", raw, pos)
+        pos += 4
+        if dim is None:
+            if d < 1:
+                return f"record 1 has dimension {d}"
+            dim = d
+        elif d != dim:
+            return f"record {record}: dimension {d} differs from first record's {dim}"
+        if len(raw) - pos < 4 * d:
+            return f"truncated payload at record {record}"
+        rows.append(np.frombuffer(raw, "<f4", d, pos))
+        pos += 4 * d
+    return np.array(rows, dtype="<f4").reshape(len(rows), dim or 0)

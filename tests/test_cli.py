@@ -1,6 +1,7 @@
 import itertools
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,34 @@ def test_eval_gt_not_a_path(workspace, tmp_path, capsys):
                  "--source", "fx", "--target", "fy", "--out", str(tmp_path / "out")])
     assert code == 3
     assert "'gt'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["vec-dim-2^32-1", "ids-not-utf8", "gt-not-utf8", "registry-path-is-dir", "model-is-dir"],
+)
+def test_unreadable_input_exits_3(workspace, tmp_path, capsys, case):
+    config = json.loads((workspace / "data" / "config.json").read_text())
+    model = str(workspace / "models" / "fx2fy.haet")
+    bad = tmp_path / "bad"
+    if case == "vec-dim-2^32-1":
+        bad.write_bytes(struct.pack("<I", 2**32 - 1) + bytes(16))
+        config["features"]["fx"]["vec"] = str(bad)
+    elif case == "ids-not-utf8":
+        bad.write_bytes(b"img\xff\n")
+        config["features"]["fx"]["ids"] = str(bad)
+    elif case == "gt-not-utf8":
+        bad.write_bytes(b"q\xfe\tr\n")
+        config["gt"] = str(bad)
+    elif case == "registry-path-is-dir":
+        config["features"]["fx"]["vec"] = str(tmp_path)
+    else:
+        model = str(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    code = main(["eval", "--config", str(tmp_path / "c.json"), "--model", model,
+                 "--source", "fx", "--target", "fy", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_mst_from_affinity(workspace, tmp_path):

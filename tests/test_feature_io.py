@@ -1,4 +1,6 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from feattrans.errors import (
     NonFiniteValue,
     ZeroVector,
 )
+from oracles import vec_records
 
 
 def write_vec_file(path, rows, dims=None):
@@ -208,3 +211,153 @@ class TestGroundTruth:
     def test_empty_relevant_rejected(self):
         with pytest.raises(DataError):
             fio.GroundTruth({"q": frozenset()})
+
+
+class TestLoadErrors:
+    """Each malformed .vec raises the DataError that names its record."""
+
+    @pytest.mark.parametrize("tail", [b"\x04", b"\x04\x00", b"\x04\x00\x00"])
+    def test_trailing_header_bytes(self, tmp_path, tail):
+        write_vec_file(tmp_path / "v.vec", [[1, 2, 3, 4]])
+        with open(tmp_path / "v.vec", "ab") as f:
+            f.write(tail)
+        write_ids_file(tmp_path / "v.ids", ["a", "b"])
+        with pytest.raises(DataError, match="truncated record header at record 2"):
+            fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
+
+    def test_first_dim_zero(self, tmp_path):
+        (tmp_path / "v.vec").write_bytes(struct.pack("<I", 0) + bytes(8))
+        write_ids_file(tmp_path / "v.ids", ["a"])
+        with pytest.raises(DataError, match="record 1 has dimension 0"):
+            fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
+
+    def test_inconsistent_dim_in_partial_last_record(self, tmp_path):
+        write_vec_file(tmp_path / "v.vec", [[1, 2, 3, 4], [5, 6, 7, 8]])
+        with open(tmp_path / "v.vec", "ab") as f:
+            f.write(struct.pack("<I", 7) + bytes(3))
+        write_ids_file(tmp_path / "v.ids", ["a", "b", "c"])
+        with pytest.raises(InconsistentDim) as exc:
+            fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
+        assert exc.value.at == 3
+
+    def test_truncated_payload_names_record(self, tmp_path):
+        write_vec_file(tmp_path / "v.vec", [[1, 2, 3, 4], [5, 6, 7, 8]])
+        with open(tmp_path / "v.vec", "ab") as f:
+            f.write(struct.pack("<I", 4) + bytes(8))
+        write_ids_file(tmp_path / "v.ids", ["a", "b", "c"])
+        with pytest.raises(DataError, match="truncated payload at record 3"):
+            fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
+
+    def test_empty_vec_and_ids(self, tmp_path):
+        (tmp_path / "v.vec").write_bytes(b"")
+        write_ids_file(tmp_path / "v.ids", [])
+        with pytest.raises(DataError, match="dim >= 1"):
+            fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
+
+    def test_huge_first_dim_rejected_without_allocating(self, tmp_path):
+        (tmp_path / "v.vec").write_bytes(struct.pack("<I", 2**32 - 1) + bytes(16))
+        write_ids_file(tmp_path / "v.ids", ["a"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="truncated payload at record 1"):
+                fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_ids_not_utf8(self, tmp_path):
+        write_vec_file(tmp_path / "v.vec", [[1, 2]])
+        (tmp_path / "v.ids").write_bytes(b"img\xff\n")
+        with pytest.raises(DataError, match="v.ids: not UTF-8"):
+            fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
+
+    def test_ground_truth_not_utf8(self, tmp_path):
+        (tmp_path / "gt.tsv").write_bytes(b"q\xfe\tr\n")
+        with pytest.raises(DataError, match="gt.tsv: not UTF-8"):
+            fio.load_ground_truth(tmp_path / "gt.tsv")
+
+
+class TestSave:
+    def test_seeded_2048_d_file_bytes_unchanged(self, tmp_path):
+        rng = np.random.default_rng(3)
+        fs = fio.FeatureSet("x", tuple(f"img{k}" for k in range(16)), rng.normal(size=(16, 2048)))
+        fio.save_feature_set(fs, tmp_path / "x.vec", tmp_path / "x.ids")
+        digest = hashlib.sha256((tmp_path / "x.vec").read_bytes()).hexdigest()
+        assert digest == "a1b788d065a6c32b8553f985d2b79cdb07535757a36845d5156c5d0005a89ce9"
+        assert (tmp_path / "x.ids").read_text() == "".join(f"img{k}\n" for k in range(16))
+
+    def test_matches_record_by_record_writer(self, tmp_path):
+        fs = make_fs(n=5, dim=3, seed=2)
+        fio.save_feature_set(fs, tmp_path / "x.vec", tmp_path / "x.ids")
+        write_vec_file(tmp_path / "y.vec", fs.vectors)
+        assert (tmp_path / "x.vec").read_bytes() == (tmp_path / "y.vec").read_bytes()
+
+
+class TestTake:
+    def test_rows_in_requested_order(self):
+        fs = make_fs(n=4, dim=3)
+        out = fs.take(["img2", "img0", "img3"])
+        assert out.ids == ("img2", "img0", "img3") and out.name == fs.name
+        np.testing.assert_array_equal(out.vectors, fs.vectors[[2, 0, 3]])
+
+    def test_keeps_normalized_flag(self):
+        fs = fio.l2_normalize(make_fs(n=3, dim=2))
+        assert fs.take(("img1",)).normalized
+
+    def test_unknown_id_raises(self):
+        with pytest.raises(KeyError):
+            make_fs(n=2).take(["img9"])
+
+
+class TestFileFuzz:
+    """Truncated or bit-flipped .vec, .ids and gt.tsv files raise a DataError
+    or load; nothing else is raised. A damaged .vec fails with the message and
+    record of the first fault that a record-by-record reader finds."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        fs = fio.FeatureSet("x", ("imgé0", "img1", "imgß2"), make_fs(n=3, dim=4).vectors)
+        fio.save_feature_set(fs, root / "x.vec", root / "x.ids")
+        gt = fio.GroundTruth({"imgé0": frozenset({"img1", "imgß2"}), "img1": frozenset({"imgé0"})})
+        fio.save_ground_truth(gt, root / "gt.tsv")
+        return root, {name: (root / name).read_bytes() for name in ("x.vec", "x.ids", "gt.tsv")}
+
+    @staticmethod
+    def _load(root, name, raw):
+        """What loading ``raw`` in place of ``name`` gives: the loaded object
+        or the DataError raised."""
+        path = root / f"cut.{name}"
+        path.write_bytes(raw)
+        try:
+            if name == "gt.tsv":
+                return fio.load_ground_truth(path)
+            vec, ids = (path, root / "x.ids") if name == "x.vec" else (root / "x.vec", path)
+            return fio.load_feature_set(vec, ids, "x")
+        except DataError as exc:
+            loaded = exc
+        if name == "x.vec":
+            expected = vec_records(raw)
+            if isinstance(expected, str):
+                assert str(loaded).endswith(expected)
+        return loaded
+
+    @pytest.mark.parametrize("name", ["x.vec", "x.ids", "gt.tsv"])
+    def test_every_truncation(self, saved, name):
+        root, files = saved
+        for n in range(len(files[name])):
+            loaded = self._load(root, name, files[name][:n])
+            # no shorter .vec holds the three records the ids name
+            assert isinstance(loaded, DataError) or name != "x.vec"
+
+    @settings(max_examples=400, deadline=None)
+    @given(name=st.sampled_from(["x.vec", "x.ids", "gt.tsv"]), data=st.data())
+    def test_bit_flip(self, saved, name, data):
+        root, files = saved
+        raw = bytearray(files[name])
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        raw[bit // 8] ^= 1 << (bit % 8)
+        loaded = self._load(root, name, bytes(raw))
+        if name == "x.vec" and isinstance(loaded, fio.FeatureSet):
+            assert np.array_equal(loaded.vectors, vec_records(bytes(raw)))

@@ -327,6 +327,18 @@ class TestModelFileHeaders:
         with pytest.raises(BadModelFile, match="mlp_baseline"):
             translator.load_model(tmp_path / "m.haet")
 
+    @pytest.mark.parametrize(
+        "stack, layer, attr, index, value",
+        [(-1, -1, "bias", 1, np.nan), (0, 0, "weights", (0, 2), np.inf)],
+        ids=["nan-decoder-bias", "inf-weight"],
+    )
+    def test_non_finite_parameter_rejected(self, tmp_path, stack, layer, attr, index, value):
+        model = translator.build(4, 4, 2, "hae", seed=0)
+        getattr(model.translate_path[stack].layers[layer], attr)[index] = value
+        translator.save_model(model, tmp_path / "m.haet")
+        with pytest.raises(BadModelFile, match="non-finite"):
+            translator.load_model(tmp_path / "m.haet")
+
 
 def _structure(model: translator.TranslatorModel):
     acts = tuple(tuple(l.activation for l in s.layers) for s in model.stacks())
