@@ -9,6 +9,7 @@ normalize to all zeros and are flagged.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,8 @@ class AffinityMatrix:
         n = len(self.names)
         if n < 2 or vals.shape != (n, n):
             raise DataError(f"expected square matrix over >= 2 names, got shape {vals.shape}")
+        if len(set(self.names)) != n:
+            raise DataError(f"duplicate feature-set names in {self.names}")
         if not np.all(np.isfinite(vals)):
             raise DataError("affinity matrix contains non-finite values")
         if self.kind in (ROW_NORM_R, COL_NORM_C, UNDIRECTED_U):
@@ -128,16 +131,28 @@ def write_matrix_csv(m: AffinityMatrix, path) -> None:
 
 
 def read_matrix_csv(path, kind: str) -> AffinityMatrix:
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0][0] != "":
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: row {row}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if not rows or rows[0][:1] != [""]:
         raise DataError(f"{path}: expected a header row starting with an empty cell")
     names = tuple(rows[0][1:])
     values = []
-    for row in rows[1:]:
+    for k, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if row[0] != names[len(values)]:
-            raise DataError(f"{path}: row label {row[0]!r} does not match header order")
-        values.append([float(x) for x in row[1:]])
+        if len(values) == len(names) or row[0] != names[len(values)]:
+            raise DataError(f"{path}: row {k}: label {row[0]!r} does not match header order")
+        if len(row) != len(names) + 1:
+            raise DataError(f"{path}: row {k}: {len(row) - 1} values for {len(names)} names")
+        try:
+            values.append([float(x) for x in row[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}: row {k}: {exc}") from None
     return AffinityMatrix(names=names, values=np.array(values), kind=kind)

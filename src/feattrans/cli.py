@@ -11,10 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from . import affinity as aff
 from . import feature_io as fio
@@ -85,12 +82,13 @@ def _merged(args, config: dict, key: str, default, kind: type):
 
 
 def _train_config(args, config: dict) -> translator.TrainConfig:
+    default = translator.TrainConfig()
     return translator.TrainConfig(
-        lr=_merged(args, config, "lr", 1e-5, float),
-        batch_size=_merged(args, config, "batch", 64, int),
-        max_epochs=_merged(args, config, "epochs", 200, int),
-        patience=_merged(args, config, "patience", 20, int),
-        seed=_merged(args, config, "seed", 0, int),
+        lr=_merged(args, config, "lr", default.lr, float),
+        batch_size=_merged(args, config, "batch", default.batch_size, int),
+        max_epochs=_merged(args, config, "epochs", default.max_epochs, int),
+        patience=_merged(args, config, "patience", default.patience, int),
+        seed=_merged(args, config, "seed", default.seed, int),
     )
 
 
@@ -212,23 +210,15 @@ def cmd_affinity(args) -> int:
     models_dir = Path(args.models_dir)
     sets = {n: _load_registered(config, n) for n in names}
 
-    def entry(pair: tuple[str, str]) -> float:
-        s, t = pair
+    def entry(s: str, t: str) -> float:
         path = models_dir / f"{s}2{t}.haet"
         if not path.exists():
             raise MissingPair(s, t)
         model = translator.load_model(path)
-        paired = fio.align_pairs(sets[s], fio.l2_normalize(sets[t]))
-        return aff.dam_entry(model, paired)
+        return aff.dam_entry(model, fio.align_pairs(sets[s], fio.l2_normalize(sets[t])))
 
-    ordered = [(s, t) for s in names for t in names]
-    jobs = max(1, args.jobs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(entry, ordered))
-    else:
-        entries = [entry(p) for p in ordered]
-    values = np.array(entries).reshape(len(names), len(names))
+    # each model is loaded when its entry is due, so one is alive at a time
+    values = [[entry(s, t) for t in names] for s in names]
     m = aff.AffinityMatrix(names=tuple(names), values=values, kind=aff.DIRECTED_M)
     r = aff.normalize_rows(m)
     c = aff.normalize_cols(m)
@@ -307,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--models-dir", required=True)
     p.add_argument("--names", help="comma list; defaults to all registry names")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_affinity)
 

@@ -85,15 +85,18 @@ class PairedSet:
 
     source: FeatureSet
     target: FeatureSet
-    order: tuple[str, ...]
     n_dropped: int = 0
 
     def __post_init__(self):
-        if self.source.ids != self.order or self.target.ids != self.order:
+        if self.source.ids != self.target.ids:
             raise DataError("paired sets must share the exact id sequence")
 
+    @property
+    def order(self) -> tuple[str, ...]:
+        return self.source.ids
+
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.source)
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,5 @@ def align_pairs(src: FeatureSet, tgt: FeatureSet) -> PairedSet:
     return PairedSet(
         source=src.take(common),
         target=tgt.take(common),
-        order=tuple(common),
         n_dropped=len(src) + len(tgt) - 2 * len(common),
     )

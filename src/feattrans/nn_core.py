@@ -204,6 +204,9 @@ def euclid_loss(pred: np.ndarray, tgt: np.ndarray) -> tuple[float, np.ndarray]:
 # no temporary the size of the parameters is ever allocated.
 ADAM_CHUNK = 1 << 15
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -213,9 +216,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, params: list[np.ndarray], lr: float) -> "AdamState":
@@ -236,9 +236,8 @@ def adam_step(
     """
     state.step += 1
     t = state.step
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    c2 = 1 - b2**t
-    step_size = state.lr / (1 - b1**t)
+    c2 = 1 - BETA2**t
+    step_size = state.lr / (1 - BETA1**t)
     scratch = np.empty(min(ADAM_CHUNK, max((p.size for p in params), default=0)))
     for arrays in zip(params, grads, state.m, state.v):
         if not all(a.flags.c_contiguous for a in arrays):
@@ -247,16 +246,16 @@ def adam_step(
         for lo in range(0, p.size, ADAM_CHUNK):
             pc, gc, mc, vc = (a[lo : lo + ADAM_CHUNK] for a in (p, g, m, v))
             s = scratch[: pc.size]
-            mc *= b1  # m = b1 m + (1 - b1) g
-            np.multiply(gc, 1 - b1, out=s)
+            mc *= BETA1  # m = BETA1 m + (1 - BETA1) g
+            np.multiply(gc, 1 - BETA1, out=s)
             mc += s
-            vc *= b2  # v = b2 v + (1 - b2) g^2
-            np.multiply(gc, 1 - b2, out=s)
+            vc *= BETA2  # v = BETA2 v + (1 - BETA2) g^2
+            np.multiply(gc, 1 - BETA2, out=s)
             s *= gc
             vc += s
             np.divide(vc, c2, out=s)  # p -= (lr / c1) m / (sqrt(v / c2) + eps)
             np.sqrt(s, out=s)
-            s += eps
+            s += ADAM_EPS
             np.divide(mc, s, out=s)
             s *= step_size
             pc -= s

@@ -30,18 +30,14 @@ class EvalResult:
     n_queries: int
 
 
-def rank(
-    query_id: str,
-    query: np.ndarray,
-    refs: FeatureSet,
-    exclude_self: bool = True,
-) -> RankingList:
+def rank(query_id: str, query: np.ndarray, refs: FeatureSet) -> RankingList:
+    """The references other than the query's own id, nearest first."""
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (refs.dim,):
         raise DataError(f"query shape {query.shape} does not match reference dim {refs.dim}")
     dists = np.linalg.norm(refs.vectors - query, axis=1)
     order = sorted(
-        (i for i in range(len(refs)) if not (exclude_self and refs.ids[i] == query_id)),
+        (i for i in range(len(refs)) if refs.ids[i] != query_id),
         key=lambda i: (dists[i], refs.ids[i]),
     )
     return RankingList(query_id=query_id, ref_ids=tuple(refs.ids[i] for i in order))
@@ -73,7 +69,7 @@ def evaluate(queries: FeatureSet, refs: FeatureSet, gt: GroundTruth) -> EvalResu
     for qid in sorted(gt.relevant):
         if qid not in qindex:
             raise DataError(f"ground-truth query {qid!r} missing from query feature set")
-        rl = rank(qid, queries.vectors[qindex[qid]], refs, exclude_self=True)
+        rl = rank(qid, queries.vectors[qindex[qid]], refs)
         per_query[qid] = average_precision(rl, gt.relevant[qid])
     if not per_query:
         raise DataError("ground truth contains no queries")

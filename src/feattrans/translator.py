@@ -45,6 +45,8 @@ KIND_MLP = "mlp_baseline"
 
 DEFAULT_LATENT_DIM = 510
 
+VAL_FRACTION = 0.1  # share of the pairs held out for early stopping
+
 # (dims, final L2 normalization) of each stack of a model, in .haet order
 Layout = tuple[tuple[tuple[int, ...], bool], ...]
 
@@ -119,12 +121,9 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs: int = 200
     patience: int = 20
-    val_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.val_fraction < 1.0):
-            raise InvalidConfig("val_fraction must lie in (0, 1)")
         if not self.lr > 0.0:
             raise InvalidConfig("lr must be > 0")
         for name in ("batch_size", "max_epochs", "patience"):
@@ -276,7 +275,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     n = len(paired)
     perm = rng.permutation(n)
-    n_val = max(1, int(round(cfg.val_fraction * n))) if n > 1 else 0
+    n_val = max(1, int(round(VAL_FRACTION * n))) if n > 1 else 0
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if train_idx.size == 0:
         train_idx, val_idx = perm, perm

@@ -37,7 +37,7 @@ class TestDamEntry:
         rng = np.random.default_rng(0)
         src = fio.l2_normalize(fio.FeatureSet("s", ("a", "b"), rng.normal(size=(2, 3))))
         tgt = fio.l2_normalize(fio.FeatureSet("t", ("a", "b"), rng.normal(size=(2, 3))))
-        paired = fio.PairedSet(source=src, target=tgt, order=("a", "b"))
+        paired = fio.PairedSet(source=src, target=tgt)
 
         enc_s, dec = model.translate_path
         enc_t, _ = model.reconstruct_path
@@ -155,6 +155,53 @@ class TestCsv:
         back = aff.read_matrix_csv(path, kind=aff.DIRECTED_M)
         assert back.names == grid_fixture.dam.names
         assert np.array_equal(back.values, grid_fixture.dam.values)
+
+    def test_duplicate_names_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="duplicate"):
+            aff.AffinityMatrix(names=("fx", "fx"), values=np.zeros((2, 2)), kind=aff.DIRECTED_M)
+        path = tmp_path / "U.csv"
+        path.write_text(",fx,fy,fx\nfx,0,1,0\nfy,1,0,1\nfx,0,1,0\n")
+        with pytest.raises(DataError, match="duplicate"):
+            aff.read_matrix_csv(path, kind=aff.UNDIRECTED_U)
+
+
+class TestMatrixFileFuzz:
+    """Truncated or bit-flipped U.csv files raise a DataError or load."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "U.csv"
+        m = aff.AffinityMatrix(
+            names=("fé", "fb", "fß"),
+            values=[[0.0, 0.3, -1.25], [0.7, 0.0, 2.0], [0.1, 0.4, 0.0]],
+            kind=aff.DIRECTED_M,
+        )
+        aff.write_matrix_csv(aff.uam(aff.normalize_rows(m), aff.normalize_cols(m)), path)
+        return path, path.read_bytes()
+
+    @staticmethod
+    def _load(path, raw):
+        path.write_bytes(raw)
+        try:
+            return aff.read_matrix_csv(path, kind=aff.UNDIRECTED_U)
+        except DataError as exc:
+            return exc
+
+    def test_every_truncation(self, saved):
+        path, raw = saved
+        cut = path.with_name("cut.csv")
+        for n in range(len(raw)):
+            assert isinstance(self._load(cut, raw[:n]), (DataError, aff.AffinityMatrix))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_bit_flip(self, saved, data):
+        path, raw = saved
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        loaded = self._load(path.with_name("flip.csv"), bytes(flipped))
+        assert isinstance(loaded, (DataError, aff.AffinityMatrix))
 
 
 class TestHomology:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from feattrans import affinity as aff
+from feattrans import feature_io as fio, translator
 from feattrans.cli import main
 
 
@@ -114,13 +115,43 @@ def test_affinity_writes_four_matrices(workspace, tmp_path):
     cfg = str(workspace / "data" / "config.json")
     assert main([
         "affinity", "--config", cfg, "--models-dir", str(workspace / "models"),
-        "--jobs", "2", "--out", str(tmp_path),
+        "--out", str(tmp_path),
     ]) == 0
     for label in "MRCU":
         m = aff.read_matrix_csv(tmp_path / f"{label}.csv", kind=aff.DIRECTED_M)
         assert m.values.shape == (2, 2)
     u = aff.read_matrix_csv(tmp_path / "U.csv", kind=aff.UNDIRECTED_U)
     assert np.array_equal(u.values, u.values.T)
+
+
+def test_affinity_m_matches_library(workspace, tmp_path):
+    names = ("fx", "fy")
+    data = workspace / "data"
+    sets = {n: fio.load_feature_set(data / f"{n}.vec", data / f"{n}.ids", n) for n in names}
+    pairs = list(itertools.product(names, repeat=2))
+    expected = aff.build_dam(
+        {(s, t): translator.load_model(workspace / "models" / f"{s}2{t}.haet") for s, t in pairs},
+        {(s, t): fio.align_pairs(sets[s], fio.l2_normalize(sets[t])) for s, t in pairs},
+        names,
+    )
+    assert main([
+        "affinity", "--config", str(data / "config.json"),
+        "--models-dir", str(workspace / "models"), "--out", str(tmp_path),
+    ]) == 0
+    m = aff.read_matrix_csv(tmp_path / "M.csv", kind=aff.DIRECTED_M)
+    assert m.names == names
+    assert np.array_equal(m.values, expected.values)
+
+
+def test_affinity_duplicate_names(workspace, tmp_path, capsys):
+    code = main([
+        "affinity", "--config", str(workspace / "data" / "config.json"),
+        "--models-dir", str(workspace / "models"), "--names", "fx,fx", "--out", str(tmp_path),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "duplicate" in err
+    assert not (tmp_path / "U.csv").exists()
 
 
 def test_affinity_missing_model(workspace, tmp_path, capsys):
@@ -255,6 +286,35 @@ def test_mst_rejects_asymmetric(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(",a,b\na,0.0,0.5\nb,0.25,0.0\n")
     assert main(["mst", "--input", str(bad), "--out", str(tmp_path)]) == 3
+
+
+U_CSV = b",fx,fy\nfx,0.0,1.0\nfy,1.0,0.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (U_CSV + b"fz,0.5,0.5\n", "row 4:"),
+        (U_CSV.replace(b"fy,1.0,0.0", b"fy,abc,0.0"), "row 3:"),
+        (U_CSV.replace(b"fy,1.0,0.0", b"fy,1.0"), "row 3:"),
+        (U_CSV.replace(b"fy,1.0,0.0", b"f\xffy,1.0,0.0"), "row 3:"),
+        (U_CSV.replace(b"fy,1.0", b"fy," + b"1" * 200_000), "field larger than field limit"),
+    ],
+    ids=["extra-row", "non-numeric-cell", "short-row", "not-utf8", "cell-over-csv-limit"],
+)
+def test_mst_malformed_matrix_csv_exits_3(tmp_path, capsys, text, where):
+    bad = tmp_path / "U.csv"
+    bad.write_bytes(text)
+    assert main(["mst", "--input", str(bad), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {where}")
+
+
+def test_mst_duplicate_names_exits_3(tmp_path, capsys):
+    bad = tmp_path / "U.csv"
+    bad.write_text(",fx,fx\nfx,0.0,1.0\nfx,1.0,0.0\n")
+    assert main(["mst", "--input", str(bad), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "duplicate" in err
 
 
 def test_usage_error_exit_code():

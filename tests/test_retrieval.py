@@ -25,7 +25,7 @@ class TestRank:
 
     def test_self_excluded(self):
         refs = feature_set("r", ["q", "a"], [[0.0], [1.0]])
-        rl = retrieval.rank("q", np.array([0.0]), refs, exclude_self=True)
+        rl = retrieval.rank("q", np.array([0.0]), refs)
         assert rl.ref_ids == ("a",)
 
     def test_euclid_order_equals_cosine_order_on_unit_vectors(self):
