@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end synthetic experiment: generate a four-member feature grid
 (two homologous views of one latent space plus two independent families),
-train a translator for every ordered pair, and write the directed/normalized/
-undirected affinity matrices, the minimum spanning tree, and a retrieval
-summary comparing direct vs translated mAP.
+train a translator for every ordered pair with feattrans.pipeline.run_grid,
+and write the models, the directed/normalized/undirected affinity matrices,
+the minimum spanning tree, and a retrieval summary comparing direct vs
+translated mAP.
 
 Usage:
     python3 scripts/run_synthetic_grid.py --out runs/grid
@@ -12,11 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
-import time
 from pathlib import Path
 
-from feattrans import affinity, feature_io as fio, mst, retrieval, synth, translator
+from feattrans import affinity, mst, pipeline, synth, translator
 
 
 def parse_args() -> argparse.Namespace:
@@ -55,60 +54,36 @@ def main() -> None:
     )
     data = synth.generate(spec)
     names = tuple(name for name, _ in spec.members)
-    sets, gt = data.feature_sets, data.ground_truth
 
-    ids = sets[names[0]].ids
-    cut = int(0.8 * len(ids))
-    train_ids, holdout = ids[:cut], ids[cut:]
-
-    cfg = translator.TrainConfig(
-        lr=args.lr, max_epochs=args.epochs, patience=args.epochs, seed=0
+    cfg = translator.TrainConfig(lr=args.lr, max_epochs=args.epochs, patience=args.epochs, seed=0)
+    grid = pipeline.run_grid(
+        data.feature_sets, data.ground_truth, names, cfg,
+        model_seed=args.model_seed, latent_dim=args.model_latent,
     )
-    models, eval_pairs = {}, {}
-    for s, t in itertools.product(names, names):
-        started = time.monotonic()
-        paired = fio.align_pairs(sets[s].take(train_ids), sets[t].take(train_ids))
-        model = translator.build(
-            args.dim, args.dim, latent_dim=args.model_latent, kind="hae",
-            seed=args.model_seed, source_name=s, target_name=t,
-        )
-        model, log = translator.train(model, paired, cfg)
-        models[(s, t)] = model
-        eval_pairs[(s, t)] = fio.align_pairs(sets[s].take(holdout), sets[t].take(holdout))
+    for (s, t), model in grid.models.items():
         translator.save_model(model, args.out / f"{s}2{t}.haet")
-        print(f"trained {s}->{t}: best epoch {log.best_epoch}, "
-              f"{time.monotonic() - started:.1f} s")
+        print(f"trained {s}->{t}: best epoch {grid.logs[(s, t)].best_epoch}")
 
-    dam = affinity.build_dam(models, eval_pairs, names)
-    r = affinity.normalize_rows(dam)
-    c = affinity.normalize_cols(dam)
-    u = affinity.uam(r, c)
-    for label, matrix in (("M", dam), ("R", r), ("C", c), ("U", u)):
+    u = grid.uam
+    for label, matrix in (("M", grid.dam), ("R", grid.row_norm), ("C", grid.col_norm), ("U", u)):
         affinity.write_matrix_csv(matrix, args.out / f"{label}.csv")
-
-    tree = mst.kruskal(u)
-    mst.export(tree, "dot", args.out / "mst.dot")
-    mst.export(tree, "json", args.out / "mst.json")
+    mst.export(grid.tree, "dot", args.out / "mst.dot")
+    mst.export(grid.tree, "json", args.out / "mst.json")
 
     with open(args.out / "retrieval_summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source", "target", "direct_map", "translated_map", "drop", "u"])
-        direct = {n: retrieval.evaluate(sets[n], sets[n], gt).map for n in names}
-        for s, t in itertools.product(names, names):
-            if s == t:
-                continue
-            translated = retrieval.cross_feature_evaluate(
-                models[(s, t)], sets[s], sets[t], gt
-            ).map
+        for (s, t), translated in grid.translated_map.items():
+            direct = grid.direct_map[t]
             writer.writerow([
-                s, t, f"{direct[t]:.2f}", f"{translated:.2f}",
-                f"{direct[t] - translated:.2f}", f"{u.entry(s, t):.4f}",
+                s, t, f"{direct:.2f}", f"{translated:.2f}",
+                f"{direct - translated:.2f}", f"{u.entry(s, t):.4f}",
             ])
 
     print(f"\nundirected affinity matrix ({', '.join(names)}):")
     for row in u.values:
         print("  " + "  ".join(f"{x:.3f}" for x in row))
-    print(f"MST edges: {tree.edges}")
+    print(f"MST edges: {grid.tree.edges}")
     print(f"outputs written to {args.out}")
 
 

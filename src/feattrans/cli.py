@@ -207,6 +207,8 @@ def cmd_affinity(args) -> int:
     names = args.names.split(",") if args.names else sorted(_registry(config))
     if len(names) < 2:
         raise DataError("affinity needs at least two feature-set names")
+    if len(set(names)) != len(names):
+        raise DataError(f"duplicate feature-set names in --names {args.names}")
     models_dir = Path(args.models_dir)
     sets = {n: _load_registered(config, n) for n in names}
 

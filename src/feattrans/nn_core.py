@@ -75,22 +75,17 @@ def stack_size(dims: tuple[int, ...]) -> int:
     return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims, dims[1:]))
 
 
-def stack_views(
-    flat: np.ndarray,
-    dims: tuple[int, ...],
-    final_l2_normalize: bool,
-    last_activation: str = "linear",
-) -> LayerStack:
+def stack_views(flat: np.ndarray, dims: tuple[int, ...], final_l2_normalize: bool) -> LayerStack:
     """Dense stack through `dims` whose weights and biases are views into
     `flat` (stack_size(dims) elements), each layer's W then b; relu on every
-    layer but the last."""
+    layer but the last, which is linear."""
     layers, start = [], 0
     for k, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
         w = flat[start : start + d_out * d_in].reshape(d_out, d_in)
         start += d_out * d_in
         b = flat[start : start + d_out]
         start += d_out
-        act = last_activation if k == len(dims) - 2 else "relu"
+        act = "linear" if k == len(dims) - 2 else "relu"
         layers.append(DenseLayer(w, b, act))
     return LayerStack(layers=layers, final_l2_normalize=final_l2_normalize)
 
@@ -108,18 +103,6 @@ def he_init(stack: LayerStack, rng: np.random.Generator) -> None:
         w *= 2 * limit
         w -= limit
         layer.bias.fill(0.0)
-
-
-def build_stack(
-    dims: tuple[int, ...],
-    final_l2_normalize: bool,
-    rng: np.random.Generator,
-    last_activation: str = "linear",
-) -> LayerStack:
-    """He-initialized dense stack through `dims` over its own flat buffer."""
-    stack = stack_views(np.empty(stack_size(dims)), dims, final_l2_normalize, last_activation)
-    he_init(stack, rng)
-    return stack
 
 
 @dataclass

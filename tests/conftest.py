@@ -5,18 +5,16 @@ acceptance suite and the module tests reuse the same converged models.
 """
 from __future__ import annotations
 
-import itertools
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from feattrans import affinity, feature_io as fio, retrieval, synth, translator
+from feattrans import feature_io as fio, pipeline, synth, translator
 
 # -- rotation pair: two orthogonal views of one clustered latent -------------
 
@@ -115,64 +113,9 @@ GRID_CFG = translator.TrainConfig(
 )
 
 
-@dataclass
-class GridFixture:
-    data: synth.SynthResult
-    names: tuple[str, ...]
-    models: dict
-    eval_pairs: dict  # held-out 20% split, used for DAM
-    dam: affinity.AffinityMatrix
-    row_norm: affinity.AffinityMatrix
-    col_norm: affinity.AffinityMatrix
-    uam: affinity.AffinityMatrix
-    direct_map: dict  # name -> mAP of the feature set against itself
-    translated_map: dict  # (s, t) -> mAP of translated refs
-    drops: dict = field(default_factory=dict)  # (s, t) -> direct - translated
-
-
 @pytest.fixture(scope="session")
-def grid_fixture() -> GridFixture:
+def grid_fixture() -> pipeline.GridResult:
     data = synth.generate(GRID_SPEC)
-    sets, gt = data.feature_sets, data.ground_truth
-    ids = sets[GRID_NAMES[0]].ids
-    cut = int(0.8 * len(ids))
-    train_ids, holdout = ids[:cut], ids[cut:]
-
-    models, eval_pairs = {}, {}
-    for s, t in itertools.product(GRID_NAMES, GRID_NAMES):
-        paired = fio.align_pairs(sets[s].take(train_ids), sets[t].take(train_ids))
-        model = translator.build(
-            32, 32, latent_dim=24, kind="hae", seed=1, source_name=s, target_name=t
-        )
-        model, _ = translator.train(model, paired, GRID_CFG)
-        models[(s, t)] = model
-        eval_pairs[(s, t)] = fio.align_pairs(sets[s].take(holdout), sets[t].take(holdout))
-
-    dam = affinity.build_dam(models, eval_pairs, GRID_NAMES)
-    row_norm = affinity.normalize_rows(dam)
-    col_norm = affinity.normalize_cols(dam)
-    u = affinity.uam(row_norm, col_norm)
-
-    direct_map = {n: retrieval.evaluate(sets[n], sets[n], gt).map for n in GRID_NAMES}
-    translated_map, drops = {}, {}
-    for s, t in itertools.product(GRID_NAMES, GRID_NAMES):
-        if s == t:
-            continue
-        translated_map[(s, t)] = retrieval.cross_feature_evaluate(
-            models[(s, t)], sets[s], sets[t], gt
-        ).map
-        drops[(s, t)] = direct_map[t] - translated_map[(s, t)]
-
-    return GridFixture(
-        data=data,
-        names=GRID_NAMES,
-        models=models,
-        eval_pairs=eval_pairs,
-        dam=dam,
-        row_norm=row_norm,
-        col_norm=col_norm,
-        uam=u,
-        direct_map=direct_map,
-        translated_map=translated_map,
-        drops=drops,
+    return pipeline.run_grid(
+        data.feature_sets, data.ground_truth, GRID_NAMES, GRID_CFG, model_seed=1, latent_dim=24
     )

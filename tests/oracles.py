@@ -13,6 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
+from feattrans import nn_core
+
 
 def ap_enumeration(query_id, query_vec, ref_ids, ref_vecs, relevant) -> float:
     """Average precision by full enumeration with plain-Python arithmetic."""
@@ -65,6 +67,15 @@ def min_spanning_weight(weights: np.ndarray) -> float:
         if _spans(n, subset):
             best = min(best, sum(weights[i, j] for i, j in subset))
     return best
+
+
+def build_stack(dims, final_l2_normalize, rng, last_activation="linear"):
+    """He-initialized stack through `dims` ending in `last_activation`; the
+    gradient checks also run relu-last stacks, which the library never builds."""
+    stack = nn_core.stack_views(np.empty(nn_core.stack_size(dims)), dims, final_l2_normalize)
+    stack.layers[-1].activation = last_activation
+    nn_core.he_init(stack, rng)
+    return stack
 
 
 def finite_diff_grads(loss_fn, params, h=1e-5):

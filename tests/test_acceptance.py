@@ -16,7 +16,7 @@ from scipy.stats import spearmanr
 from feattrans import feature_io as fio
 from feattrans import affinity, nn_core, retrieval, translator
 from feattrans.mst import kruskal
-from oracles import finite_diff_grads, map_enumeration, min_spanning_weight
+from oracles import build_stack, finite_diff_grads, map_enumeration, min_spanning_weight
 from test_mst import random_u
 
 
@@ -60,7 +60,7 @@ def test_gradient_correctness():
         dims = tuple(int(rng.integers(3, 9)) for _ in range(n_layers + 1))
         final_l2 = trial % 2 == 0  # half the stacks end in the L2 layer
         last_act = "linear" if trial % 3 else "relu"
-        stack = nn_core.build_stack(dims, final_l2, rng, last_activation=last_act)
+        stack = build_stack(dims, final_l2, rng, last_activation=last_act)
         x, tgt = _smooth_point(stack, rng, dims)
 
         out, tape = nn_core.forward(stack, x)
@@ -237,7 +237,7 @@ def test_uam_predictiveness(grid_fixture):
             if i == j:
                 continue
             u_vals.append(grid_fixture.uam.values[i, j])
-            drops.append(grid_fixture.drops[(s, t)])
+            drops.append(grid_fixture.direct_map[t] - grid_fixture.translated_map[(s, t)])
     rho = float(spearmanr(u_vals, drops).statistic)
 
     homologous = grid_fixture.uam.entry("fa", "fb")

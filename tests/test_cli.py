@@ -143,7 +143,8 @@ def test_affinity_m_matches_library(workspace, tmp_path):
     assert np.array_equal(m.values, expected.values)
 
 
-def test_affinity_duplicate_names(workspace, tmp_path, capsys):
+def test_affinity_duplicate_names(workspace, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(translator, "load_model", lambda path: pytest.fail(f"loaded {path}"))
     code = main([
         "affinity", "--config", str(workspace / "data" / "config.json"),
         "--models-dir", str(workspace / "models"), "--names", "fx,fx", "--out", str(tmp_path),

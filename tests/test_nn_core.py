@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from feattrans import nn_core as nn
-from oracles import adam_textbook, finite_diff_grads
+from oracles import adam_textbook, build_stack, finite_diff_grads
 
 
 def random_stack(rng, dims=None, final_l2=False, last_activation="linear"):
     dims = dims or (8, 8, 8)
-    return nn.build_stack(dims, final_l2_normalize=final_l2, rng=rng,
-                          last_activation=last_activation)
+    return build_stack(dims, final_l2, rng, last_activation)
 
 
 class TestForward:

@@ -1,23 +1,32 @@
-import os
-import subprocess
+import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from feattrans import affinity as aff
+from feattrans import pipeline
 
-ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_synthetic_grid.py"
 
 
-def test_synthetic_grid_script_writes_its_outputs(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_synthetic_grid.py"), "--out", str(tmp_path),
-         "--n", "40", "--clusters", "4", "--epochs", "2", "--dim", "8",
-         "--latent-dim", "4", "--model-latent", "4"],
-        env=env, check=True, capture_output=True,
-    )
+def test_synthetic_grid_script_writes_its_outputs(tmp_path, monkeypatch):
+    run_grid, grids = pipeline.run_grid, []
+
+    def recorded(*args, **kwargs):
+        grids.append(run_grid(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(pipeline, "run_grid", recorded)
+    monkeypatch.setattr(sys, "argv", [
+        str(SCRIPT), "--out", str(tmp_path), "--n", "40", "--clusters", "4", "--epochs", "2",
+        "--dim", "8", "--latent-dim", "4", "--model-latent", "4",
+    ])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
     for name in ("M.csv", "R.csv", "C.csv", "U.csv", "mst.json", "retrieval_summary.csv"):
         assert (tmp_path / name).exists()
-    u = aff.read_matrix_csv(tmp_path / "U.csv", kind=aff.UNDIRECTED_U)
-    assert u.names == ("fa", "fb", "fc", "fd")
+    [grid] = grids
+    for label, matrix in (("M", grid.dam), ("U", grid.uam)):
+        written = aff.read_matrix_csv(tmp_path / f"{label}.csv", kind=matrix.kind)
+        assert written.names == ("fa", "fb", "fc", "fd")
+        assert np.array_equal(written.values, matrix.values)
