@@ -60,8 +60,9 @@ def dam_entry(model: TranslatorModel, paired: PairedSet) -> float:
     """Translation error minus reconstruction error on the given split;
     UnsupportedForBaseline for a model with no reconstruct path."""
     v_t = paired.target.vectors
-    trans, _ = euclid_loss(translate(model, paired.source).vectors, v_t)
+    # reconstruct first: it checks the target dim that euclid_loss relies on
     recon, _ = euclid_loss(reconstruct(model, paired.target).vectors, v_t)
+    trans, _ = euclid_loss(translate(model, paired.source).vectors, v_t)
     return trans - recon
 
 

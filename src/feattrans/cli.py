@@ -70,15 +70,20 @@ def _load_registered(config: dict, name: str) -> fio.FeatureSet:
 
 
 def _merged(args, config: dict, key: str, default, kind: type):
-    """The flag if given, else the config value, else the default, as `kind`."""
+    """The flag if given, else the config value, else the default, as `kind`.
+
+    A config value must be a JSON number: an integer for an int key, an
+    integer or a float for a float key, and never true or false."""
     value = getattr(args, key, None)
     if value is not None:
         return value
     value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise DataError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError):
-        raise DataError(f"config key {key!r} must be a {kind.__name__}, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        raise DataError(f"config key {key!r} is out of range") from None
 
 
 def _train_config(args, config: dict) -> translator.TrainConfig:

@@ -1,18 +1,17 @@
 """Minimal dense-network machinery with exact manual backpropagation.
 
-Everything is float64 numpy. A LayerStack is a chain of affine layers with
-relu/linear activations and an optional final row-wise L2 normalization.
-Gradients are computed analytically, including the normalization Jacobian
-(I/||x|| - x x^T / ||x||^3), and are validated against central finite
-differences in the test suite.
+Everything is float64 numpy. A LayerStack is a chain of affine layers with an
+optional final row-wise L2 normalization. The layout is fixed: relu on every
+layer but the last, which is linear. Gradients are computed analytically,
+including the normalization Jacobian (I/||x|| - x x^T / ||x||^3), and are
+validated against central finite differences in the test suite. The callers
+own the shape checks; nothing here re-validates its arguments.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DataError
 
 _EPS = 1e-12
 
@@ -21,15 +20,6 @@ _EPS = 1e-12
 class DenseLayer:
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
-    activation: str = "relu"  # "relu" | "linear"
-
-    def __post_init__(self):
-        if self.activation not in ("relu", "linear"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise DataError("layer weight/bias shapes inconsistent")
 
     @property
     def in_dim(self) -> int:
@@ -44,11 +34,6 @@ class DenseLayer:
 class LayerStack:
     layers: list[DenseLayer]
     final_l2_normalize: bool = False
-
-    def __post_init__(self):
-        for a, b in zip(self.layers, self.layers[1:]):
-            if a.out_dim != b.in_dim:
-                raise DataError(f"layer dims do not chain: {a.out_dim} -> {b.in_dim}")
 
     @property
     def in_dim(self) -> int:
@@ -77,16 +62,14 @@ def stack_size(dims: tuple[int, ...]) -> int:
 
 def stack_views(flat: np.ndarray, dims: tuple[int, ...], final_l2_normalize: bool) -> LayerStack:
     """Dense stack through `dims` whose weights and biases are views into
-    `flat` (stack_size(dims) elements), each layer's W then b; relu on every
-    layer but the last, which is linear."""
+    `flat` (stack_size(dims) elements), each layer's W then b."""
     layers, start = [], 0
-    for k, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+    for d_in, d_out in zip(dims, dims[1:]):
         w = flat[start : start + d_out * d_in].reshape(d_out, d_in)
         start += d_out * d_in
         b = flat[start : start + d_out]
         start += d_out
-        act = "linear" if k == len(dims) - 2 else "relu"
-        layers.append(DenseLayer(w, b, act))
+        layers.append(DenseLayer(w, b))
     return LayerStack(layers=layers, final_l2_normalize=final_l2_normalize)
 
 
@@ -116,15 +99,14 @@ class Tape:
 
 
 def forward(stack: LayerStack, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != stack.in_dim:
-        raise DataError(f"batch shape {x.shape} does not match stack input dim {stack.in_dim}")
+    x = batch
     inputs, pre_acts = [], []
-    for layer in stack.layers:
+    last = len(stack.layers) - 1
+    for k, layer in enumerate(stack.layers):
         inputs.append(x)
         z = x @ layer.weights.T + layer.bias
         pre_acts.append(z)
-        x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        x = np.maximum(z, 0.0) if k < last else z
     pre_norm = norms = None
     if stack.final_l2_normalize:
         pre_norm = x
@@ -139,15 +121,15 @@ def backward(
     upstream_grad: np.ndarray,
     out: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Exact gradients for forward()'s output w.r.t. parameters and input.
+    """Exact gradients for forward()'s output w.r.t. the parameters.
 
-    Returns (param_grads ordered as stack.parameters(), input_grad). The
-    parameter gradients are written into `out` when it is given.
+    Returns (param_grads ordered as stack.parameters(), g), where g is the
+    gradient at the first layer's affine output; a caller that needs the
+    input gradient takes g @ stack.layers[0].weights. The parameter gradients
+    are written into `out` when it is given.
     """
-    g = np.asarray(upstream_grad, dtype=np.float64)
+    g = upstream_grad
     if stack.final_l2_normalize:
-        if tape.pre_norm is None:
-            raise DataError("tape was produced without final normalization")
         n = np.maximum(tape.norms, _EPS)
         y = tape.pre_norm / n
         # d(x/||x||) applied to g: (g - (g.y) y) / ||x||
@@ -155,14 +137,10 @@ def backward(
     if out is None:
         out = [np.empty_like(p) for p in stack.parameters()]
     for k in range(len(stack.layers) - 1, -1, -1):
-        layer = stack.layers[k]
-        if g.shape != tape.pre_acts[k].shape:
-            raise DataError("stale tape: gradient shape mismatch")
-        if layer.activation == "relu":
-            g = g * (tape.pre_acts[k] > 0)
         np.matmul(g.T, tape.inputs[k], out=out[2 * k])
         np.sum(g, axis=0, out=out[2 * k + 1])
-        g = g @ layer.weights
+        if k:  # back through layer k, then the relu of layer k - 1
+            g = (g @ stack.layers[k].weights) * (tape.pre_acts[k - 1] > 0)
     return out, g
 
 
@@ -172,10 +150,6 @@ def euclid_loss(pred: np.ndarray, tgt: np.ndarray) -> tuple[float, np.ndarray]:
     The gradient at coincident rows is defined as 0 via an epsilon in the
     denominator.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    tgt = np.asarray(tgt, dtype=np.float64)
-    if pred.shape != tgt.shape:
-        raise DataError(f"shape mismatch {pred.shape} vs {tgt.shape}")
     diff = pred - tgt
     dists = np.linalg.norm(diff, axis=1)
     n = pred.shape[0]

@@ -178,7 +178,7 @@ def build(
     target_name: str = "target",
 ) -> TranslatorModel:
     """Construct an untrained translator, with the stacks of _layout() over
-    one flat buffer; every layer is linear at the end and relu elsewhere."""
+    one flat buffer."""
     if source_dim < 1 or target_dim < 1 or (kind == KIND_HAE and latent_dim < 1):
         raise DataError("dims must be >= 1")
     layout = _layout(kind, source_dim, target_dim, latent_dim)
@@ -241,7 +241,7 @@ def _loss_and_grads(
     g *= k
     tail = zip(model.translate_path[1:], grads.translate_path[1:], tail_tapes)
     for stack, g_stack, tape in reversed(list(tail)):
-        _, g = backward(stack, tape, g, g_stack.parameters())
+        g = backward(stack, tape, g, g_stack.parameters())[1] @ stack.layers[0].weights
     g_heads = grads.translate_path[:1] + grads.reconstruct_path[:1]
     for stack, g_stack, tape, g_rows in zip(heads, g_heads, head_tapes, np.split(g, k)):
         backward(stack, tape, g_rows, g_stack.parameters())
@@ -276,9 +276,8 @@ def train(
     n = len(paired)
     perm = rng.permutation(n)
     n_val = max(1, int(round(VAL_FRACTION * n))) if n > 1 else 0
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if train_idx.size == 0:
-        train_idx, val_idx = perm, perm
+    train_idx = perm[n_val:]
+    val_idx = perm[:n_val] if n_val else train_idx  # one pair validates on itself
     vs_all, vt_all = paired.source.vectors, paired.target.vectors
 
     grads = model.on(np.empty_like(model.flat))  # written in full by every step
@@ -298,10 +297,7 @@ def train(
                 raise NumericError(f"non-finite loss at epoch {epoch}")
 
         tr_t, tr_r = _batch_losses(model, vs_all[train_idx], vt_all[train_idx])
-        if val_idx.size:
-            va_t, va_r = _batch_losses(model, vs_all[val_idx], vt_all[val_idx])
-        else:
-            va_t, va_r = tr_t, tr_r
+        va_t, va_r = _batch_losses(model, vs_all[val_idx], vt_all[val_idx])
         log.train_translation.append(tr_t)
         log.train_reconstruction.append(tr_r)
         log.train_total.append(tr_t + tr_r)
@@ -391,13 +387,18 @@ def _read_str(f) -> str:
         raise BadModelFile("model file name is not UTF-8") from None
 
 
+def _activation_bytes(n_layers: int) -> bytes:
+    """A stack's activation bytes: relu (1) on every layer but the last, which
+    is linear (0), the one layout nn_core runs."""
+    return b"\x01" * (n_layers - 1) + b"\x00"
+
+
 def _write_stack(f, stack: LayerStack, payload: np.ndarray) -> None:
     f.write(struct.pack("<I", len(stack.layers)))
     for d in stack.dims:
         f.write(struct.pack("<I", d))
     f.write(struct.pack("<B", 1 if stack.final_l2_normalize else 0))
-    for layer in stack.layers:
-        f.write(struct.pack("<B", 1 if layer.activation == "relu" else 0))
+    f.write(_activation_bytes(len(stack.layers)))
     f.write(payload.astype("<f8", copy=False))
 
 
@@ -407,9 +408,8 @@ def _read_stack_header(f) -> tuple[tuple[int, ...], bool, int]:
     (n_layers,) = struct.unpack("<I", _read_exact(f, 4))
     dims = struct.unpack(f"<{n_layers + 1}I", _read_exact(f, 4 * (n_layers + 1)))
     (final_norm,) = struct.unpack("<B", _read_exact(f, 1))
-    # build() makes every layer relu but the last, which is linear (and no
-    # empty stack)
-    if _read_exact(f, n_layers) != b"\x01" * (n_layers - 1) + b"\x00":
+    # no empty stack: _activation_bytes(0) is one byte long
+    if _read_exact(f, n_layers) != _activation_bytes(n_layers):
         raise BadModelFile("model stack activations are not relu ... relu, linear")
     offset, size = f.tell(), 8 * stack_size(dims)
     _check_fits(f, size)

@@ -70,11 +70,16 @@ def min_spanning_weight(weights: np.ndarray) -> float:
 
 
 def build_stack(dims, final_l2_normalize, rng, last_activation="linear"):
-    """He-initialized stack through `dims` ending in `last_activation`; the
-    gradient checks also run relu-last stacks, which the library never builds."""
+    """He-initialized stack through `dims` whose layer into dims[-1] has
+    `last_activation`. A relu there, which the library's relu ... relu, linear
+    layout never builds, comes from appending an identity layer (weights I,
+    bias 0); either way the stack takes the same draws from `rng`."""
+    if last_activation not in ("linear", "relu"):
+        raise ValueError(f"unknown activation {last_activation!r}")
     stack = nn_core.stack_views(np.empty(nn_core.stack_size(dims)), dims, final_l2_normalize)
-    stack.layers[-1].activation = last_activation
     nn_core.he_init(stack, rng)
+    if last_activation == "relu":
+        stack.layers.append(nn_core.DenseLayer(np.eye(dims[-1]), np.zeros(dims[-1])))
     return stack
 
 

@@ -50,6 +50,16 @@ class TestDamEntry:
         )
         assert abs(aff.dam_entry(model, paired) - manual) < 1e-9
 
+    @pytest.mark.parametrize("source_dim, target_dim", [(4, 3), (3, 4), (3, 1)])
+    def test_wrong_dim_rejected(self, source_dim, target_dim):
+        model = translator.build(3, 3, 2, "hae", seed=2)
+        paired = fio.PairedSet(
+            source=fio.FeatureSet("s", ("a", "b"), np.ones((2, source_dim))),
+            target=fio.FeatureSet("t", ("a", "b"), np.ones((2, target_dim))),
+        )
+        with pytest.raises(DataError, match="dim"):
+            aff.dam_entry(model, paired)
+
     def test_baseline_unsupported(self, self_fixture):
         model = translator.build(32, 32, kind="mlp_baseline")
         with pytest.raises(UnsupportedForBaseline):

@@ -1,0 +1,41 @@
+"""The benchmark's tracer (bench/layers.py) stays bound to the library: every
+function it wraps still exists under its name, and the work counters it
+derives from their arguments still count. `bench/run.py --trace 1` breaks
+otherwise."""
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from feattrans import feature_io as fio, nn_core, retrieval, translator
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_traced_train_translate_evaluate(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    for module_name, *_ in layers.WRAPPED:
+        importlib.import_module(f"feattrans.{module_name}")
+    rng = np.random.default_rng(0)
+    ids = tuple(f"i{k}" for k in range(12))
+    src = fio.l2_normalize(fio.FeatureSet("s", ids, rng.normal(size=(12, 4))))
+    tgt = fio.l2_normalize(fio.FeatureSet("t", ids, rng.normal(size=(12, 4))))
+    gt = fio.GroundTruth({i: {j} for i, j in zip(ids, ids[1:])})
+
+    with layers.traced(spans.Tracer("tier-1")) as tracer:
+        for module_name, fn_name, *_ in layers.WRAPPED:
+            fn = getattr(sys.modules[f"feattrans.{module_name}"], fn_name)
+            assert hasattr(fn, "__wrapped__"), f"{module_name}.{fn_name} is not traced"
+        model, _ = translator.train(
+            translator.build(4, 4, 2, "hae", seed=0),
+            fio.align_pairs(src, tgt),
+            translator.TrainConfig(lr=1e-3, max_epochs=1),
+        )
+        retrieval.evaluate(translator.translate(model, src), tgt, gt)
+
+    for key in ("nn_core.forward.flop", "nn_core.backward.flop", "nn_core.adam_step.bytes"):
+        assert tracer.counts[key] > 0, key
+    assert translator.forward is nn_core.forward  # bindings restored

@@ -98,6 +98,17 @@ def test_translate(workspace, tmp_path):
     assert (tmp_path / "fx2fy.vec").exists()
 
 
+def test_translate_with_model_of_other_source_dim_exits_3(workspace, tmp_path, capsys):
+    model = translator.build(8, 16, 4, seed=0, source_name="fx", target_name="fy")
+    translator.save_model(model, tmp_path / "fx2fy.haet")
+    code = main([
+        "translate", "--config", str(workspace / "data" / "config.json"),
+        "--model", str(tmp_path / "fx2fy.haet"), "--source", "fx", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 3
+    assert "source dim 8" in capsys.readouterr().err
+
+
 def test_eval_reports_difference(workspace, tmp_path, capsys):
     cfg = str(workspace / "data" / "config.json")
     assert main([
@@ -216,9 +227,15 @@ def test_bad_settings_exit_with_code(workspace, tmp_path, capsys, argv, code):
         ({"features": {"fx": "fx.vec", "fy": "fy.vec"}}, "fx"),
         ({"features": {"fx": {"vec": "fx.vec"}}}, "ids"),
         ({"features": {"fx": {"ids": "fx.ids", "vec": 3}}}, "vec"),
+        ({"epochs": True}, "epochs"),
+        ({"batch": 7.9}, "batch"),
+        ({"epochs": "2"}, "epochs"),
+        ({"lr": True}, "lr"),
+        ({"lr": 10**400}, "lr"),
     ],
     ids=["batch-str", "lr-list", "epochs-null", "latent-object", "features-list",
-         "entry-not-object", "entry-without-ids", "entry-vec-not-str"],
+         "entry-not-object", "entry-without-ids", "entry-vec-not-str",
+         "epochs-bool", "batch-float", "epochs-numeric-str", "lr-bool", "lr-int-too-big"],
 )
 def test_bad_config_value_names_its_key(workspace, tmp_path, capsys, change, key):
     config = json.loads((workspace / "data" / "config.json").read_text())

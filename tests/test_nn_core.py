@@ -12,20 +12,21 @@ def random_stack(rng, dims=None, final_l2=False, last_activation="linear"):
 
 class TestForward:
     def test_identity_linear_layer(self):
-        stack = nn.LayerStack([nn.DenseLayer(np.eye(3), np.zeros(3), "linear")])
+        stack = nn.LayerStack([nn.DenseLayer(np.eye(3), np.zeros(3))])
         x = np.array([[1.0, -2.0, 3.0]])
         out, _ = nn.forward(stack, x)
         np.testing.assert_array_equal(out, x)
 
     def test_relu_clips_negatives(self):
-        stack = nn.LayerStack([nn.DenseLayer(np.eye(2), np.zeros(2), "relu")])
+        # relu on the first layer; the second, last one is linear
+        stack = nn.LayerStack([nn.DenseLayer(np.eye(2), np.zeros(2)) for _ in range(2)])
         out, _ = nn.forward(stack, np.array([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out, [[0.0, 2.0]])
 
     def test_final_normalization_hand_example(self):
         # W=[[1,1]], b=0 on input (3,4): pre-norm 7, post-norm 1
         stack = nn.LayerStack(
-            [nn.DenseLayer(np.array([[1.0, 1.0]]), np.zeros(1), "linear")],
+            [nn.DenseLayer(np.array([[1.0, 1.0]]), np.zeros(1))],
             final_l2_normalize=True,
         )
         out, tape = nn.forward(stack, np.array([[3.0, 4.0]]))
@@ -94,7 +95,7 @@ class TestBackward:
         # L2-norm layer on an already-unit input with upstream grad parallel
         # to the input: the projection Jacobian maps it to ~0
         stack = nn.LayerStack(
-            [nn.DenseLayer(np.eye(3), np.zeros(3), "linear")], final_l2_normalize=True
+            [nn.DenseLayer(np.eye(3), np.zeros(3))], final_l2_normalize=True
         )
         x = np.array([[0.6, 0.8, 0.0]])
         _, tape = nn.forward(stack, x)
@@ -113,13 +114,14 @@ class TestBackward:
 
         out, tape = nn.forward(stack, x)
         _, g = nn.euclid_loss(out, tgt)
-        analytic, _ = nn.backward(stack, tape, g)
+        analytic, g_first = nn.backward(stack, tape, g)
+        analytic.append(g_first @ stack.layers[0].weights)  # the input gradient
 
         def loss_fn():
             o, _ = nn.forward(stack, x)
             return nn.euclid_loss(o, tgt)[0]
 
-        numeric = finite_diff_grads(loss_fn, stack.parameters())
+        numeric = finite_diff_grads(loss_fn, stack.parameters() + [x])
         for a, n in zip(analytic, numeric):
             denom = np.maximum(np.abs(n), 1e-6)
             assert np.max(np.abs(a - n) / denom) < 1e-4

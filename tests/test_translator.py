@@ -29,8 +29,6 @@ class TestBuild:
         assert enc_t.dims == (2048, 2048, 2048, 2048, 510)
         assert dec.dims == (510, 2048, 2048, 2048, 2048)
         assert dec.final_l2_normalize
-        assert dec.layers[-1].activation == "linear"
-        assert enc_s.layers[-1].activation == "linear"
 
     def test_narrow_input_architecture(self):
         m = translator.build(512, 512, 510, "hae")
@@ -117,6 +115,19 @@ class TestTrain:
         with pytest.raises(DataError):
             translator.train(model, fio.align_pairs(fs, bad), cfg)
 
+    def test_one_pair_validates_on_its_training_row(self):
+        rng = np.random.default_rng(3)
+        src = fio.l2_normalize(fio.FeatureSet("s", ("a",), rng.normal(size=(1, 4))))
+        tgt = fio.l2_normalize(fio.FeatureSet("t", ("a",), rng.normal(size=(1, 5))))
+        cfg = translator.TrainConfig(lr=1e-3, max_epochs=3, patience=3)
+        _, log = translator.train(
+            translator.build(4, 5, 3, "hae", seed=0), fio.align_pairs(src, tgt), cfg
+        )
+        assert log.epochs_run == 3
+        assert log.val_translation == log.train_translation
+        assert log.val_reconstruction == log.train_reconstruction
+        assert log.val_total == log.train_total
+
     def test_unnormalized_target_rejected(self):
         model = translator.build(4, 4, 3, "hae")
         rng = np.random.default_rng(0)
@@ -183,6 +194,11 @@ class TestTranslate:
         b = translator.translate(rotation_fixture.model, src)
         assert np.array_equal(a.vectors, b.vectors)
 
+    def test_wrong_dim_rejected(self):
+        model = translator.build(4, 5, 3, "hae")
+        with pytest.raises(DataError, match="source dim"):
+            translator.translate(model, fio.FeatureSet("t", ("a",), np.ones((1, 5))))
+
     def test_generalizes_to_holdout(self, rotation_fixture):
         pair = rotation_fixture.holdout_pair
         out = translator.translate(rotation_fixture.model, pair.source)
@@ -205,6 +221,11 @@ class TestReconstruct:
         out = translator.reconstruct(self_fixture.model, tgt)
         err = np.linalg.norm(out.vectors - tgt.vectors, axis=1).mean()
         assert err < 0.1
+
+    def test_wrong_dim_rejected(self):
+        model = translator.build(4, 5, 3, "hae")
+        with pytest.raises(DataError, match="target dim"):
+            translator.reconstruct(model, fio.FeatureSet("s", ("a",), np.ones((1, 4))))
 
     def test_baseline_unsupported(self):
         model = translator.build(8, 8, kind="mlp_baseline")
@@ -340,9 +361,26 @@ class TestModelFileHeaders:
             translator.load_model(tmp_path / "m.haet")
 
 
+def _activation_offsets(raw: bytes) -> list[int]:
+    """The offset of every activation byte in a .haet file, found by walking
+    its stack headers."""
+    pos = 7  # magic, version, kind
+    for _ in range(2):  # source and target names
+        (n,) = struct.unpack_from("<I", raw, pos)
+        pos += 4 + n
+    pos += 4  # latent dim
+    offsets = []
+    while pos < len(raw):
+        (n_layers,) = struct.unpack_from("<I", raw, pos)
+        dims = struct.unpack_from(f"<{n_layers + 1}I", raw, pos + 4)
+        pos += 4 * (n_layers + 2) + 1  # layer count, dims, final-norm byte
+        offsets += range(pos, pos + n_layers)
+        pos += n_layers + 8 * nn.stack_size(dims)
+    return offsets
+
+
 def _structure(model: translator.TranslatorModel):
-    acts = tuple(tuple(l.activation for l in s.layers) for s in model.stacks())
-    return model.kind, model.latent_dim, model.layout(), acts
+    return model.kind, model.latent_dim, model.layout()
 
 
 class TestModelFileFuzz:
@@ -367,6 +405,20 @@ class TestModelFileFuzz:
             (root / "cut.haet").write_bytes(raw[:n])
             with pytest.raises(BadModelFile):
                 translator.load_model(root / "cut.haet")
+
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_every_other_activation_byte_rejected(self, saved, kind):
+        root, models = saved
+        model, raw = models[kind]
+        offsets = _activation_offsets(raw)
+        assert len(offsets) == sum(len(s.layers) for s in model.stacks())
+        for i in offsets:
+            assert raw[i] in (0, 1)
+            swapped = bytearray(raw)
+            swapped[i] ^= 1  # relu <-> linear
+            (root / "act.haet").write_bytes(bytes(swapped))
+            with pytest.raises(BadModelFile, match="activations"):
+                translator.load_model(root / "act.haet")
 
     @settings(max_examples=400, deadline=None)
     @given(kind=st.sampled_from(["hae", "mlp_baseline"]), data=st.data())
