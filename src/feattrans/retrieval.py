@@ -4,6 +4,16 @@ References are ranked by ascending Euclidean distance with lexicographic id
 tie-breaks. AP is the standard non-interpolated variant over the full
 ranking; mAP is reported as a percentage. A query id present among the
 references is excluded from its own ranking.
+
+`evaluate` scores a block of queries at a time. It computes their exact
+difference distances to one cache-sized tile of references at a time, orders
+each row with one `lexsort` by (distance, id rank), and takes each AP from the
+ranks at which the relevant references appear. A distance runs the operations
+of `np.linalg.norm(refs - q, axis=1)` and an AP sums precision@k in rank
+order, so every AP is bit-identical to the one-query-at-a-time definition.
+Working memory is set by fixed byte budgets, not by the set sizes.
+`rank` and `average_precision` are that same kernel, ordering and AP for one
+query.
 """
 from __future__ import annotations
 
@@ -15,6 +25,9 @@ import numpy as np
 from .errors import DataError, UnknownRelevantId
 from .feature_io import FeatureSet, GroundTruth
 from .translator import TranslatorModel, translate
+
+_TILE_BYTES = 1 << 18  # the difference buffer for one tile of references
+_BLOCK_BYTES = 1 << 18  # one block of query-to-reference distances
 
 
 @dataclass(frozen=True)
@@ -30,17 +43,53 @@ class EvalResult:
     n_queries: int
 
 
+def _distances(queries: list[np.ndarray], refs: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every query vector to every reference row, as
+    (len(queries), len(refs)). Each reference tile stays in cache while every
+    query is subtracted from it, squared and summed along the row in place."""
+    n, dim = refs.shape
+    out = np.empty((len(queries), n))
+    rows = max(1, _TILE_BYTES // (8 * dim))
+    diff = np.empty((min(rows, n), dim))
+    for start in range(0, n, rows):
+        tile = refs[start : start + rows]
+        buf = diff[: len(tile)]
+        for q, dist in zip(queries, out[:, start : start + rows]):
+            np.subtract(tile, q, out=buf)
+            np.multiply(buf, buf, out=buf)
+            np.add.reduce(buf, axis=1, out=dist)
+    return np.sqrt(out, out=out)
+
+
+def _id_rank(ids: tuple[str, ...]) -> np.ndarray:
+    """Each id's position in lexicographic order."""
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def _ranked(dist: np.ndarray, id_rank: np.ndarray, own: list[int]) -> list[np.ndarray]:
+    """Each row's reference indices, nearest first with ties by id, without
+    the query's own index (-1 when the query is not a reference)."""
+    order = np.lexsort((np.broadcast_to(id_rank, dist.shape), dist))
+    return [row[row != i] for row, i in zip(order, own)]
+
+
+def _ap(hits: np.ndarray, n_relevant: int) -> float:
+    """AP from the ascending 1-based ranks of the relevant hits: precision@k
+    summed in rank order (a running sum, not a pairwise one), over |relevant|."""
+    precision = np.arange(1, len(hits) + 1) / hits
+    return float(np.add.accumulate(precision)[-1]) / n_relevant
+
+
 def rank(query_id: str, query: np.ndarray, refs: FeatureSet) -> RankingList:
     """The references other than the query's own id, nearest first."""
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (refs.dim,):
         raise DataError(f"query shape {query.shape} does not match reference dim {refs.dim}")
-    dists = np.linalg.norm(refs.vectors - query, axis=1)
-    order = sorted(
-        (i for i in range(len(refs)) if refs.ids[i] != query_id),
-        key=lambda i: (dists[i], refs.ids[i]),
-    )
-    return RankingList(query_id=query_id, ref_ids=tuple(refs.ids[i] for i in order))
+    own = refs.ids.index(query_id) if query_id in refs.ids else -1
+    (row,) = _ranked(_distances([query], refs.vectors), _id_rank(refs.ids), [own])
+    return RankingList(query_id=query_id, ref_ids=tuple(refs.ids[i] for i in row))
 
 
 def average_precision(rl: RankingList, relevant: frozenset[str] | set[str]) -> float:
@@ -51,13 +100,8 @@ def average_precision(rl: RankingList, relevant: frozenset[str] | set[str]) -> f
     for r in sorted(relevant):
         if r not in in_list:
             raise UnknownRelevantId(rl.query_id, r)
-    hits = 0
-    total = 0.0
-    for k, rid in enumerate(rl.ref_ids, start=1):
-        if rid in relevant:
-            hits += 1
-            total += hits / k
-    return total / len(relevant)
+    hits = np.array([k for k, rid in enumerate(rl.ref_ids, start=1) if rid in relevant])
+    return _ap(hits, len(relevant))
 
 
 def evaluate(queries: FeatureSet, refs: FeatureSet, gt: GroundTruth) -> EvalResult:
@@ -65,14 +109,30 @@ def evaluate(queries: FeatureSet, refs: FeatureSet, gt: GroundTruth) -> EvalResu
     qindex = {qid: i for i, qid in enumerate(queries.ids)}
     if queries.dim != refs.dim:
         raise DataError(f"query dim {queries.dim} != reference dim {refs.dim}")
-    per_query: dict[str, float] = {}
-    for qid in sorted(gt.relevant):
+    rindex = {rid: i for i, rid in enumerate(refs.ids)}
+    qids = sorted(gt.relevant)
+    for qid in qids:
         if qid not in qindex:
             raise DataError(f"ground-truth query {qid!r} missing from query feature set")
-        rl = rank(qid, queries.vectors[qindex[qid]], refs)
-        per_query[qid] = average_precision(rl, gt.relevant[qid])
-    if not per_query:
+        for r in sorted(gt.relevant[qid]):
+            if r == qid or r not in rindex:
+                raise UnknownRelevantId(qid, r)
+    if not qids:
         raise DataError("ground truth contains no queries")
+
+    id_rank = _id_rank(refs.ids)
+    is_relevant = np.zeros(len(refs), dtype=bool)
+    block = max(1, _BLOCK_BYTES // (8 * len(refs)))
+    per_query: dict[str, float] = {}
+    for start in range(0, len(qids), block):
+        ids = qids[start : start + block]
+        dist = _distances([queries.vectors[qindex[q]] for q in ids], refs.vectors)
+        rows = _ranked(dist, id_rank, [rindex.get(q, -1) for q in ids])
+        for qid, row in zip(ids, rows):
+            rel = [rindex[r] for r in gt.relevant[qid]]
+            is_relevant[rel] = True
+            per_query[qid] = _ap(np.flatnonzero(is_relevant[row]) + 1, len(rel))
+            is_relevant[rel] = False
     mean_ap = float(np.mean(list(per_query.values())))
     return EvalResult(map=100.0 * mean_ap, per_query_ap=per_query, n_queries=len(per_query))
 

@@ -124,8 +124,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr > 0.0:
-            raise InvalidConfig("lr must be > 0")
+        if not 0.0 < self.lr < np.inf:
+            raise InvalidConfig("lr must be finite and > 0")
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"{name} must be >= 1")

@@ -16,8 +16,9 @@ import numpy as np
 from feattrans import nn_core
 
 
-def ap_enumeration(query_id, query_vec, ref_ids, ref_vecs, relevant) -> float:
-    """Average precision by full enumeration with plain-Python arithmetic."""
+def ranking_enumeration(query_id, query_vec, ref_ids, ref_vecs) -> list[str]:
+    """The reference ids other than query_id, sorted by (distance, id), with
+    distances in plain-Python arithmetic."""
     scored = []
     for rid, vec in zip(ref_ids, ref_vecs):
         if rid == query_id:
@@ -25,8 +26,13 @@ def ap_enumeration(query_id, query_vec, ref_ids, ref_vecs, relevant) -> float:
         d = math.sqrt(sum((a - b) ** 2 for a, b in zip(query_vec, vec)))
         scored.append((d, rid))
     scored.sort()
+    return [rid for _, rid in scored]
+
+
+def ap_enumeration(query_id, query_vec, ref_ids, ref_vecs, relevant) -> float:
+    """Average precision by full enumeration with plain-Python arithmetic."""
     hits, total = 0, 0.0
-    for k, (_, rid) in enumerate(scored, start=1):
+    for k, rid in enumerate(ranking_enumeration(query_id, query_vec, ref_ids, ref_vecs), start=1):
         if rid in relevant:
             hits += 1
             total += hits / k

@@ -199,17 +199,22 @@ def test_affinity_over_baseline_model(workspace, tmp_path, capsys):
         (["train", "--config", "{array}", "--source", "fx", "--target", "fy"], 3),
         (["train", "--config", "{cfg}", "--source", "fx", "--target", "fy", "--batch", "0"], 2),
         (["train", "--config", "{cfg}", "--source", "fx", "--target", "fy", "--epochs", "0"], 2),
+        (["train", "--config", "{inf}", "--source", "fx", "--target", "fy"], 2),
         (["synth", "--n", "101", "--clusters", "5"], 2),
     ],
-    ids=["malformed-config", "non-object-config", "batch-0", "epochs-0", "clusters-not-dividing-n"],
+    ids=["malformed-config", "non-object-config", "batch-0", "epochs-0", "lr-infinity",
+         "clusters-not-dividing-n"],
 )
 def test_bad_settings_exit_with_code(workspace, tmp_path, capsys, argv, code):
     (tmp_path / "bad.json").write_text('{"features": ')
     (tmp_path / "array.json").write_text("[]")
+    config = json.loads((workspace / "data" / "config.json").read_text())
+    (tmp_path / "inf.json").write_text(json.dumps({**config, "lr": float("inf")}))  # "lr": Infinity
     paths = {
         "cfg": str(workspace / "data" / "config.json"),
         "bad": str(tmp_path / "bad.json"),
         "array": str(tmp_path / "array.json"),
+        "inf": str(tmp_path / "inf.json"),
     }
     argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == code

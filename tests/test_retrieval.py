@@ -5,11 +5,40 @@ from hypothesis import strategies as st
 
 from feattrans import feature_io as fio, retrieval
 from feattrans.errors import DataError, UnknownRelevantId
-from oracles import ap_enumeration, map_enumeration
+from oracles import ap_enumeration, map_enumeration, ranking_enumeration
 
 
 def feature_set(name, ids, vecs):
     return fio.FeatureSet(name, tuple(ids), np.asarray(vecs, dtype=float))
+
+
+@st.composite
+def lattice_retrieval(draw):
+    """Integer-lattice vectors in 1-3 dims: many exact distance ties and
+    duplicate vectors, with queries among the references and perhaps one not."""
+    dim = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    ids = draw(st.lists(st.text("abxy", min_size=1, max_size=3), min_size=2, max_size=30, unique=True))
+    vecs = draw(st.lists(point, min_size=len(ids), max_size=len(ids)))
+    qids = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6, unique=True))
+    qvecs = [vecs[ids.index(q)] for q in qids]
+    if draw(st.booleans()):
+        qids.append("q")
+        qvecs.append(draw(point))
+    gt = {
+        q: frozenset(draw(st.lists(st.sampled_from([i for i in ids if i != q]), min_size=1, max_size=5)))
+        for q in qids
+    }
+    return feature_set("q", qids, qvecs), feature_set("refs", ids, vecs), gt
+
+
+def assert_matches_oracle(queries, refs, gt):
+    """Every per-query AP of evaluate against ap_enumeration."""
+    got = retrieval.evaluate(queries, refs, fio.GroundTruth(gt))
+    ref_vecs = refs.vectors.tolist()
+    for qid, vec in zip(queries.ids, queries.vectors.tolist()):
+        want = ap_enumeration(qid, vec, refs.ids, ref_vecs, gt[qid])
+        assert abs(got.per_query_ap[qid] - want) <= 1e-12, qid
 
 
 class TestRank:
@@ -105,6 +134,51 @@ class TestEvaluate:
         refs = feature_set("r", ["a"], [[0.0]])
         with pytest.raises(DataError):
             retrieval.evaluate(refs, refs, fio.GroundTruth({"zz": frozenset({"a"})}))
+
+    @pytest.mark.parametrize(
+        "gt, error, message",
+        [
+            ({"a": {"b", "zz", "yy"}, "m": {"a"}}, UnknownRelevantId, "'yy' for query 'a'"),
+            ({"a": {"b"}, "b": {"b"}, "m": {"a"}}, UnknownRelevantId, "'b' for query 'b'"),
+            ({"a": {"zz"}, "0": {"a"}}, DataError, "query '0' missing"),
+        ],
+        ids=["unknown-id-before-missing-query", "own-id-before-missing-query",
+             "missing-query-before-unknown-id"],
+    )
+    def test_first_fault_in_query_then_id_order_is_raised(self, gt, error, message):
+        refs = feature_set("r", ["a", "b", "c"], [[0.0], [1.0], [2.0]])
+        with pytest.raises(error, match=message):
+            retrieval.evaluate(refs, refs, fio.GroundTruth(gt))
+
+    @given(lattice_retrieval())
+    @settings(max_examples=200, deadline=None)
+    def test_lattice_ties_match_oracle(self, case):
+        queries, refs, gt = case
+        assert_matches_oracle(queries, refs, gt)
+        for qid, vec in zip(queries.ids, queries.vectors):
+            want = ranking_enumeration(qid, vec.tolist(), refs.ids, refs.vectors.tolist())
+            assert retrieval.rank(qid, vec, refs).ref_ids == tuple(want)
+
+    @pytest.mark.parametrize("dim", [16, 1024])
+    def test_tile_and_block_edges_match_oracle(self, dim):
+        # Counts from the byte budgets: two full reference tiles and a partial
+        # one. At 16-d also two full query blocks and a partial one; at 1024-d
+        # a block holds hundreds of queries, too many for the oracle.
+        tile = retrieval._TILE_BYTES // (8 * dim)
+        n_refs = 2 * tile + tile // 2
+        block = retrieval._BLOCK_BYTES // (8 * n_refs)
+        n_queries = min(2 * block + block // 2, 16)
+        assert n_refs % tile and n_queries % block
+        rng = np.random.default_rng(dim)
+        ids = [f"r{k:05d}" for k in range(n_refs)]
+        # lattice points: exact distances, with ties across tiles
+        refs = feature_set("refs", ids, rng.integers(-3, 4, size=(n_refs, dim)))
+        qrows = rng.choice(n_refs, size=n_queries, replace=False)
+        queries = feature_set("q", [ids[i] for i in qrows], refs.vectors[qrows])
+        gt = {}
+        for q in queries.ids:
+            gt[q] = frozenset(rng.choice([i for i in ids if i != q], size=int(rng.integers(1, 6)), replace=False))
+        assert_matches_oracle(queries, refs, gt)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)

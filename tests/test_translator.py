@@ -99,7 +99,15 @@ class TestTrain:
         assert np.array_equal(best.flat, again.flat)
 
     @pytest.mark.parametrize(
-        "setting", [{"lr": 0.0}, {"batch_size": 0}, {"max_epochs": 0}, {"patience": 0}]
+        "setting",
+        [
+            {"lr": 0.0},
+            {"batch_size": 0},
+            {"max_epochs": 0},
+            {"patience": 0},
+            {"lr": float("inf")},
+            {"lr": float("nan")},
+        ],
     )
     def test_out_of_range_setting_rejected(self, setting):
         with pytest.raises(InvalidConfig):
