@@ -23,7 +23,7 @@ from .errors import (
     ZeroVector,
 )
 
-_NORM_TOL = 1e-6
+NORM_TOL = 1e-6  # how far from 1 a row norm may be and still count as unit
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class FeatureSet:
             raise NonFiniteValue(bad + 1)
         if self.normalized and len(self.ids):
             norms = np.linalg.norm(vecs, axis=1)
-            if np.any(np.abs(norms - 1.0) > _NORM_TOL):
+            if np.any(np.abs(norms - 1.0) > NORM_TOL):
                 bad = int(np.argmax(np.abs(norms - 1.0)))
                 raise DataError(
                     f"row {bad} ({self.ids[bad]!r}) flagged normalized but has norm {norms[bad]}"

@@ -1,14 +1,13 @@
 """Hybrid auto-encoder translators between feature spaces.
 
-A translator is a *translate path* of layer stacks from the source space to
-the target space plus an optional *reconstruct path* from the target space
-back to itself. The hybrid auto-encoder (HAE) has the paths (source encoder,
-decoder) and (target encoder, decoder), which share one decoder object.
-Training minimizes the sum over the paths of the mean Euclidean distance to
-the targets: the translation error plus the reconstruction error. At
-inference only the translate path runs. The MLP baseline is a translate path
-of one direct regression stack and no reconstruct path, so it trains on the
-translation error alone.
+A translator is its layer stacks in .haet order: (source encoder, target
+encoder, decoder) for the hybrid auto-encoder (HAE), or the one regression
+stack of the MLP baseline. The *translate path* (source encoder, decoder)
+and the *reconstruct path* (target encoder, decoder) are derived from them
+and run the one decoder. Training minimizes the sum over the paths of the
+mean Euclidean distance to the targets: the translation error plus the
+reconstruction error. At inference only the translate path runs. The
+baseline's reconstruct path is empty, so it trains on translation alone.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from .errors import (
     NumericError,
     UnsupportedForBaseline,
 )
-from .feature_io import FeatureSet, PairedSet
+from .feature_io import NORM_TOL, FeatureSet, PairedSet
 from .nn_core import (
     AdamState,
     LayerStack,
@@ -55,39 +54,45 @@ Layout = tuple[tuple[tuple[int, ...], bool], ...]
 class TranslatorModel:
     source_name: str
     target_name: str
-    latent_dim: int
     flat: np.ndarray  # every parameter, in .haet order; the stacks hold views into it
-    translate_path: tuple[LayerStack, ...]
-    reconstruct_path: tuple[LayerStack, ...] = ()  # shares all but its first stack
+    stacks: tuple[LayerStack, ...]  # (enc_s, enc_t, dec) or (mlp,), in .haet order
+
+    @property
+    def translate_path(self) -> tuple[LayerStack, ...]:
+        return self.stacks[:1] + self.stacks[2:]
+
+    @property
+    def reconstruct_path(self) -> tuple[LayerStack, ...]:
+        return self.stacks[1:]  # empty for the baseline
 
     @property
     def kind(self) -> str:
-        return KIND_HAE if self.reconstruct_path else KIND_MLP
+        return KIND_HAE if len(self.stacks) > 1 else KIND_MLP
+
+    @property
+    def latent_dim(self) -> int:
+        return self.stacks[0].out_dim if self.kind == KIND_HAE else 0
 
     @property
     def source_dim(self) -> int:
-        return self.translate_path[0].in_dim
+        return self.stacks[0].in_dim
 
     @property
     def target_dim(self) -> int:
-        return self.translate_path[-1].out_dim
-
-    def stacks(self) -> tuple[LayerStack, ...]:
-        """Each stack once, in .haet order: encoder(s) first, then the rest."""
-        return self.translate_path[:1] + self.reconstruct_path[:1] + self.translate_path[1:]
+        return self.stacks[-1].out_dim
 
     def layout(self) -> Layout:
-        return tuple((s.dims, s.final_l2_normalize) for s in self.stacks())
+        return tuple((s.dims, s.final_l2_normalize) for s in self.stacks)
 
     def on(self, flat: np.ndarray) -> "TranslatorModel":
         """A model of this one's names and layout over another flat buffer."""
-        return _on_flat(self.source_name, self.target_name, self.latent_dim, self.layout(), flat)
+        return _on_flat(self.source_name, self.target_name, self.layout(), flat)
 
     def copy(self) -> "TranslatorModel":
         return self.on(self.flat.copy())  # the shared decoder stays shared
 
     def parameters(self) -> list[np.ndarray]:
-        return [p for s in self.stacks() for p in s.parameters()]
+        return [p for s in self.stacks for p in s.parameters()]
 
 
 def _payloads(flat: np.ndarray, layout: Layout) -> list[np.ndarray]:
@@ -99,20 +104,15 @@ def _payloads(flat: np.ndarray, layout: Layout) -> list[np.ndarray]:
 def _on_flat(
     source_name: str,
     target_name: str,
-    latent_dim: int,
     layout: Layout,
     flat: np.ndarray,
 ) -> TranslatorModel:
-    """A model whose stacks, (mlp,) or (enc_s, enc_t, dec) as in
-    TranslatorModel.stacks(), are laid out one after another in `flat`."""
+    """A model whose stacks are laid out one after another in `flat`."""
     stacks = tuple(
         stack_views(payload, dims, final_norm)
         for (dims, final_norm), payload in zip(layout, _payloads(flat, layout))
     )
-    return TranslatorModel(
-        source_name, target_name, latent_dim, flat,
-        translate_path=stacks[:1] + stacks[2:], reconstruct_path=stacks[1:],
-    )
+    return TranslatorModel(source_name, target_name, flat, stacks)
 
 
 @dataclass(frozen=True)
@@ -182,12 +182,10 @@ def build(
     if source_dim < 1 or target_dim < 1 or (kind == KIND_HAE and latent_dim < 1):
         raise DataError("dims must be >= 1")
     layout = _layout(kind, source_dim, target_dim, latent_dim)
-    if kind == KIND_MLP:
-        latent_dim = 0
     flat = np.empty(sum(stack_size(dims) for dims, _ in layout))
-    model = _on_flat(source_name, target_name, latent_dim, layout, flat)
+    model = _on_flat(source_name, target_name, layout, flat)
     rng = np.random.default_rng(seed)
-    for stack in model.stacks():
+    for stack in model.stacks:
         he_init(stack, rng)
     return model
 
@@ -214,21 +212,18 @@ def _loss_and_grads(
     model: TranslatorModel,
     vs: np.ndarray,
     vt: np.ndarray,
-    grads: TranslatorModel | None = None,
-) -> tuple[float, list[np.ndarray]]:
-    """Total loss on one batch and its gradient, ordered as model.parameters().
+    grads: TranslatorModel,
+) -> float:
+    """Total loss on one batch; its gradient is written into `grads`, a model
+    shaped like `model` over a gradient buffer (model.on()).
 
-    The first stack of each path (enc_s on vs, enc_t on vt; or the baseline's
-    one stack) runs on its own input, and the stacks the paths share (the HAE
-    decoder) run once on the k stacked outputs against k stacked copies of
-    vt. That loss is the mean over k·B rows, so k times it, and its gradient,
-    is the sum of the k per-path means. Each gradient is written once into
-    `grads`, a model shaped like `model` over a gradient buffer (model.on()),
-    allocated here if not given.
+    The heads, stacks[:2] (enc_s on vs, enc_t on vt; or the baseline's one
+    stack), run on their own inputs, and the shared tail, stacks[2:] (the HAE
+    decoder), runs once on the k stacked head outputs against k stacked
+    copies of vt. That loss is the mean over k·B rows, so k times it, and its
+    gradient, is the sum of the k per-path means.
     """
-    if grads is None:
-        grads = model.on(np.empty_like(model.flat))
-    heads = model.translate_path[:1] + model.reconstruct_path[:1]
+    heads, tail = model.stacks[:2], model.stacks[2:]
     k = len(heads)
     head_tapes, latents = [], []
     for stack, x in zip(heads, (vs, vt)):
@@ -236,21 +231,19 @@ def _loss_and_grads(
         head_tapes.append(tape)
         latents.append(z)
     tail_tapes: list = []
-    out = _run(model.translate_path[1:], np.concatenate(latents), tail_tapes)
+    out = _run(tail, np.concatenate(latents), tail_tapes)
     loss, g = euclid_loss(out, np.concatenate([vt] * k))
     g *= k
-    tail = zip(model.translate_path[1:], grads.translate_path[1:], tail_tapes)
-    for stack, g_stack, tape in reversed(list(tail)):
+    for stack, g_stack, tape in reversed(list(zip(tail, grads.stacks[2:], tail_tapes))):
         g = backward(stack, tape, g, g_stack.parameters())[1] @ stack.layers[0].weights
-    g_heads = grads.translate_path[:1] + grads.reconstruct_path[:1]
-    for stack, g_stack, tape, g_rows in zip(heads, g_heads, head_tapes, np.split(g, k)):
+    for stack, g_stack, tape, g_rows in zip(heads, grads.stacks[:2], head_tapes, np.split(g, k)):
         backward(stack, tape, g_rows, g_stack.parameters())
-    return k * loss, grads.parameters()
+    return k * loss
 
 
 def _check_unit_norm(fs: FeatureSet) -> None:
     norms = np.linalg.norm(fs.vectors, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    if np.any(np.abs(norms - 1.0) > NORM_TOL):
         raise DataError(
             f"target feature set {fs.name!r} must be L2-normalized before training"
         )
@@ -291,7 +284,7 @@ def train(
         order = rng.permutation(train_idx)
         for start in range(0, order.size, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            total, _ = _loss_and_grads(model, vs_all[idx], vt_all[idx], grads)
+            total = _loss_and_grads(model, vs_all[idx], vt_all[idx], grads)
             adam_step([model.flat], [grads.flat], state)  # in place, through the views
             if not np.isfinite(total):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
@@ -318,42 +311,29 @@ def train(
     return best, log
 
 
-def _check_nonzero_rows(out: np.ndarray, inputs: FeatureSet) -> None:
+def _infer(path: tuple[LayerStack, ...], fs: FeatureSet, side: str, name: str) -> FeatureSet:
+    """Run `fs` through `path`, whose input is the model's `side` dim."""
+    if fs.dim != path[0].in_dim:
+        raise DataError(f"input dim {fs.dim} does not match model {side} dim {path[0].in_dim}")
+    out = _run(path, fs.vectors)
     # an all-dead ReLU path leaves the L2-normalized output at exactly zero
     norms = np.linalg.norm(out, axis=1)
     if np.any(norms == 0.0):
-        bad = inputs.ids[int(np.argmin(norms))]
+        bad = fs.ids[int(np.argmin(norms))]
         raise NumericError(f"model produced an all-zero output row for id {bad!r}")
+    return FeatureSet(name=name, ids=fs.ids, vectors=out, normalized=True)
 
 
 def translate(model: TranslatorModel, src: FeatureSet) -> FeatureSet:
     """Map source features into the target space; output rows are unit-norm."""
-    if src.dim != model.source_dim:
-        raise DataError(f"input dim {src.dim} does not match model source dim {model.source_dim}")
-    out = _run(model.translate_path, src.vectors)
-    _check_nonzero_rows(out, src)
-    return FeatureSet(
-        name=f"{model.source_name}2{model.target_name}",
-        ids=src.ids,
-        vectors=out,
-        normalized=True,
-    )
+    return _infer(model.translate_path, src, "source", f"{model.source_name}2{model.target_name}")
 
 
 def reconstruct(model: TranslatorModel, tgt: FeatureSet) -> FeatureSet:
     """Auto-encode target features through the reconstruct path."""
     if not model.reconstruct_path:
         raise UnsupportedForBaseline()
-    if tgt.dim != model.target_dim:
-        raise DataError(f"input dim {tgt.dim} does not match model target dim {model.target_dim}")
-    out = _run(model.reconstruct_path, tgt.vectors)
-    _check_nonzero_rows(out, tgt)
-    return FeatureSet(
-        name=f"{model.target_name}_reconstructed",
-        ids=tgt.ids,
-        vectors=out,
-        normalized=True,
-    )
+    return _infer(model.reconstruct_path, tgt, "target", f"{model.target_name}_reconstructed")
 
 
 _MAGIC = b"HAET"
@@ -425,7 +405,7 @@ def save_model(model: TranslatorModel, path) -> None:
         _write_str(f, model.source_name)
         _write_str(f, model.target_name)
         f.write(struct.pack("<I", model.latent_dim))
-        for stack, payload in zip(model.stacks(), _payloads(model.flat, model.layout())):
+        for stack, payload in zip(model.stacks, _payloads(model.flat, model.layout())):
             _write_stack(f, stack, payload)
 
 
@@ -462,4 +442,4 @@ def load_model(path) -> TranslatorModel:
                 raise BadModelFile("truncated model file")
             if not np.isfinite(payload).all():
                 raise BadModelFile(f"non-finite parameter in model stack {k + 1}")
-    return _on_flat(source_name, target_name, latent_dim, layout, flat)
+    return _on_flat(source_name, target_name, layout, flat)

@@ -127,6 +127,16 @@ class TestNormalization:
         np.testing.assert_allclose(r1.values, r2.values, atol=1e-9)
 
 
+class TestUndirectedMatrix:
+    def test_rejects_asymmetry_accepts_exact_symmetry(self):
+        values = np.array([[0.0, 0.5], [0.5 + 1e-9, 0.0]])
+        with pytest.raises(DataError, match="symmetric"):
+            aff.AffinityMatrix(names=("a", "b"), values=values, kind=aff.UNDIRECTED_U)
+        values[1, 0] = 0.5
+        u = aff.AffinityMatrix(names=("a", "b"), values=values, kind=aff.UNDIRECTED_U)
+        assert u.entry("b", "a") == 0.5
+
+
 class TestUam:
     def test_symmetric_2x2(self):
         names = ("a", "b")

@@ -109,6 +109,31 @@ def test_translate_with_model_of_other_source_dim_exits_3(workspace, tmp_path, c
     assert "source dim 8" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+def test_train_diverging_exits_4(workspace, tmp_path, capsys):
+    code = main([
+        "train", "--config", str(workspace / "data" / "config.json"), "--source", "fx",
+        "--target", "fy", "--latent", "8", "--lr", "1e300", "--epochs", "2",
+        "--out", str(tmp_path),
+    ])
+    assert code == 4
+    assert "numeric failure: non-finite loss" in capsys.readouterr().err
+
+
+def test_translate_all_zero_output_exits_4(workspace, tmp_path, capsys):
+    model = translator.load_model(workspace / "models" / "fx2fy.haet")
+    last = model.stacks[-1].layers[-1]
+    last.weights[:] = 0.0
+    last.bias[:] = 0.0
+    translator.save_model(model, tmp_path / "fx2fy.haet")
+    code = main([
+        "translate", "--config", str(workspace / "data" / "config.json"),
+        "--model", str(tmp_path / "fx2fy.haet"), "--source", "fx", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 4
+    assert "all-zero output row" in capsys.readouterr().err
+
+
 def test_eval_reports_difference(workspace, tmp_path, capsys):
     cfg = str(workspace / "data" / "config.json")
     assert main([

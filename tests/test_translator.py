@@ -14,6 +14,7 @@ from feattrans.errors import (
     BadModelFile,
     DataError,
     InvalidConfig,
+    NumericError,
     UnsupportedForBaseline,
 )
 from oracles import finite_diff_grads
@@ -170,7 +171,9 @@ class TestLossAndGrads:
         vt = rng.normal(size=(6, 5))
         vt /= np.linalg.norm(vt, axis=1, keepdims=True)
 
-        total, analytic = translator._loss_and_grads(model, vs, vt)
+        grads = model.on(np.empty_like(model.flat))
+        total = translator._loss_and_grads(model, vs, vt, grads)
+        analytic = grads.parameters()
         assert abs(total - self._objective(model, vs, vt)) < 1e-12
         numeric = finite_diff_grads(
             lambda: self._objective(model, vs, vt), model.parameters()
@@ -240,6 +243,18 @@ class TestReconstruct:
         fs = fio.l2_normalize(fio.FeatureSet("t", ("a",), np.ones((1, 8))))
         with pytest.raises(UnsupportedForBaseline):
             translator.reconstruct(model, fs)
+
+
+@pytest.mark.parametrize("run, dim", [(translator.translate, 4), (translator.reconstruct, 5)])
+def test_all_zero_output_row_is_numeric_error(run, dim):
+    # a zeroed last decoder layer makes every output row exactly zero
+    model = translator.build(4, 5, 3, "hae", seed=0)
+    last = model.stacks[-1].layers[-1]
+    last.weights[:] = 0.0
+    last.bias[:] = 0.0
+    fs = fio.FeatureSet("x", ("a", "b"), np.ones((2, dim)))
+    with pytest.raises(NumericError, match="all-zero output row for id 'a'"):
+        run(model, fs)
 
 
 class TestSerialization:
@@ -419,7 +434,7 @@ class TestModelFileFuzz:
         root, models = saved
         model, raw = models[kind]
         offsets = _activation_offsets(raw)
-        assert len(offsets) == sum(len(s.layers) for s in model.stacks())
+        assert len(offsets) == sum(len(s.layers) for s in model.stacks)
         for i in offsets:
             assert raw[i] in (0, 1)
             swapped = bytearray(raw)
