@@ -67,8 +67,7 @@ def main() -> None:
     u = grid.uam
     for label, matrix in (("M", grid.dam), ("R", grid.row_norm), ("C", grid.col_norm), ("U", u)):
         affinity.write_matrix_csv(matrix, args.out / f"{label}.csv")
-    mst.export(grid.tree, "dot", args.out / "mst.dot")
-    mst.export(grid.tree, "json", args.out / "mst.json")
+    mst.export(grid.tree, args.out)
 
     with open(args.out / "retrieval_summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

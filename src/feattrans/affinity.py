@@ -83,35 +83,26 @@ def build_dam(
     return AffinityMatrix(names=names, values=values, kind=DIRECTED_M)
 
 
-def _minmax(values: np.ndarray, axis: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    lo = values.min(axis=axis, keepdims=True)
-    hi = values.max(axis=axis, keepdims=True)
-    span = hi - lo
-    degenerate = np.nonzero(span.ravel() == 0.0)[0]
-    span = np.where(span == 0.0, 1.0, span)
-    out = (values - lo) / span
-    if degenerate.size:
-        if axis == 1:
-            out[degenerate, :] = 0.0
-        else:
-            out[:, degenerate] = 0.0
-    return out, tuple(int(k) for k in degenerate)
+def _minmax(m: AffinityMatrix, axis: int, kind: str) -> AffinityMatrix:
+    """Min-max normalize a directed matrix along `axis` into `kind`. Its values
+    are finite, so a constant row or column gives values - lo == +0.0, zeros."""
+    if m.kind != DIRECTED_M:
+        raise DataError(f"expected a directed matrix, got kind {m.kind!r}")
+    lo = m.values.min(axis=axis, keepdims=True)
+    span = m.values.max(axis=axis, keepdims=True) - lo
+    degenerate = tuple(int(k) for k in np.nonzero(span.ravel() == 0.0)[0])
+    out = (m.values - lo) / np.where(span == 0.0, 1.0, span)
+    return AffinityMatrix(names=m.names, values=out, kind=kind, degenerate=degenerate)
 
 
 def normalize_rows(m: AffinityMatrix) -> AffinityMatrix:
     """Min-max normalize each row to [0, 1]; constant rows map to zeros."""
-    if m.kind != DIRECTED_M:
-        raise DataError(f"expected a directed matrix, got kind {m.kind!r}")
-    out, degenerate = _minmax(m.values.copy(), axis=1)
-    return AffinityMatrix(names=m.names, values=out, kind=ROW_NORM_R, degenerate=degenerate)
+    return _minmax(m, axis=1, kind=ROW_NORM_R)
 
 
 def normalize_cols(m: AffinityMatrix) -> AffinityMatrix:
     """Column-wise analogue of normalize_rows."""
-    if m.kind != DIRECTED_M:
-        raise DataError(f"expected a directed matrix, got kind {m.kind!r}")
-    out, degenerate = _minmax(m.values.copy(), axis=0)
-    return AffinityMatrix(names=m.names, values=out, kind=COL_NORM_C, degenerate=degenerate)
+    return _minmax(m, axis=0, kind=COL_NORM_C)
 
 
 def uam(r: AffinityMatrix, c: AffinityMatrix) -> AffinityMatrix:

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -98,17 +99,12 @@ def _train_config(args, config: dict) -> translator.TrainConfig:
 
 
 def _write_train_log(tlog: translator.TrainLog, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(
-            "epoch,train_translation,train_reconstruction,train_total,"
-            "val_translation,val_reconstruction,val_total\n"
-        )
-        for e in range(tlog.epochs_run):
-            f.write(
-                f"{e},{tlog.train_translation[e]!r},{tlog.train_reconstruction[e]!r},"
-                f"{tlog.train_total[e]!r},{tlog.val_translation[e]!r},"
-                f"{tlog.val_reconstruction[e]!r},{tlog.val_total[e]!r}\n"
-            )
+    columns = ("train_translation", "train_reconstruction", "train_total",
+               "val_translation", "val_reconstruction", "val_total")
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["epoch", *columns])
+        w.writerows(zip(range(tlog.epochs_run), *(getattr(tlog, c) for c in columns)))
 
 
 def cmd_synth(args) -> int:
@@ -243,8 +239,7 @@ def cmd_mst(args) -> int:
     result = mst_mod.kruskal(u)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    mst_mod.export(result, "dot", out / "mst.dot")
-    mst_mod.export(result, "json", out / "mst.json")
+    mst_mod.export(result, out)
     print(f"MST: {len(result.edges)} edges, total weight {result.total_weight:.6f} -> {out}")
     return EXIT_OK
 

@@ -2,15 +2,16 @@
 
 Edges are the upper-triangle entries of the undirected affinity matrix.
 Ties are broken by lexicographic name pair so the result is deterministic.
-Exports to DOT (edge length/label = weight) and JSON.
+export() writes it as mst.dot (edge length/label = weight) and mst.json.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 from .affinity import UNDIRECTED_U, AffinityMatrix
-from .errors import DataError, NotUndirected
+from .errors import NotUndirected
 
 
 @dataclass(frozen=True)
@@ -49,26 +50,22 @@ def kruskal(u: AffinityMatrix) -> MstResult:
     )
 
 
-def export(mst: MstResult, fmt: str, path) -> None:
-    if fmt == "dot":
-        lines = ["graph affinity {"]
-        for name in mst.nodes:
-            lines.append(f'  "{name}";')
-        for a, b, w in mst.edges:
-            lines.append(f'  "{a}" -- "{b}" [len={w!r}, label="{w:.3f}"];')
-        lines.append("}")
-        text = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    elif fmt == "json":
-        payload = {
-            "nodes": list(mst.nodes),
-            "edges": [{"a": a, "b": b, "w": w} for a, b, w in mst.edges],
-            "total_weight": mst.total_weight,
-        }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-    else:
-        raise DataError(f"unknown export format {fmt!r}")
-
+def export(mst: MstResult, out_dir) -> None:
+    """Write mst.dot and mst.json into the existing directory `out_dir`."""
+    out_dir = Path(out_dir)
+    lines = ["graph affinity {"]
+    for name in mst.nodes:
+        lines.append(f'  "{name}";')
+    for a, b, w in mst.edges:
+        lines.append(f'  "{a}" -- "{b}" [len={w!r}, label="{w:.3f}"];')
+    lines.append("}")
+    with open(out_dir / "mst.dot", "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+    payload = {
+        "nodes": list(mst.nodes),
+        "edges": [{"a": a, "b": b, "w": w} for a, b, w in mst.edges],
+        "total_weight": mst.total_weight,
+    }
+    with open(out_dir / "mst.json", "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")

@@ -4,7 +4,8 @@ Everything is float64 numpy. A LayerStack is a chain of affine layers with an
 optional final row-wise L2 normalization. The layout is fixed: relu on every
 layer but the last, which is linear. Gradients are computed analytically,
 including the normalization Jacobian (I/||x|| - x x^T / ||x||^3), and are
-validated against central finite differences in the test suite. The callers
+validated against central finite differences in the test suite. A tape holds
+the layer inputs and a normalizing stack's output and row norms. The callers
 own the shape checks; nothing here re-validates its arguments.
 """
 from __future__ import annotations
@@ -90,29 +91,26 @@ def he_init(stack: LayerStack, rng: np.random.Generator) -> None:
 
 @dataclass
 class Tape:
-    """Cached activations from one forward pass, consumed by backward()."""
+    """What backward() needs from one forward pass."""
 
-    inputs: list[np.ndarray]  # input to each layer
-    pre_acts: list[np.ndarray]  # affine outputs before activation
-    pre_norm: np.ndarray | None  # stack output before L2 normalization
-    norms: np.ndarray | None  # row norms of pre_norm
+    inputs: list[np.ndarray]  # input to each layer; relu outputs past the first
+    out: np.ndarray | None  # the L2-normalized output
+    norms: np.ndarray | None  # row norms before normalization, clamped at _EPS
 
 
 def forward(stack: LayerStack, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
     x = batch
-    inputs, pre_acts = [], []
+    inputs = []
     last = len(stack.layers) - 1
     for k, layer in enumerate(stack.layers):
         inputs.append(x)
         z = x @ layer.weights.T + layer.bias
-        pre_acts.append(z)
         x = np.maximum(z, 0.0) if k < last else z
-    pre_norm = norms = None
+    out = norms = None
     if stack.final_l2_normalize:
-        pre_norm = x
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        x = x / np.maximum(norms, _EPS)
-    return x, Tape(inputs=inputs, pre_acts=pre_acts, pre_norm=pre_norm, norms=norms)
+        norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), _EPS)
+        x = out = x / norms
+    return x, Tape(inputs=inputs, out=out, norms=norms)
 
 
 def backward(
@@ -130,8 +128,7 @@ def backward(
     """
     g = upstream_grad
     if stack.final_l2_normalize:
-        n = np.maximum(tape.norms, _EPS)
-        y = tape.pre_norm / n
+        y, n = tape.out, tape.norms
         # d(x/||x||) applied to g: (g - (g.y) y) / ||x||
         g = (g - np.sum(g * y, axis=1, keepdims=True) * y) / n
     if out is None:
@@ -139,8 +136,8 @@ def backward(
     for k in range(len(stack.layers) - 1, -1, -1):
         np.matmul(g.T, tape.inputs[k], out=out[2 * k])
         np.sum(g, axis=0, out=out[2 * k + 1])
-        if k:  # back through layer k, then the relu of layer k - 1
-            g = (g @ stack.layers[k].weights) * (tape.pre_acts[k - 1] > 0)
+        if k:  # back through layer k, then the relu feeding it: max(z, 0) > 0 iff z > 0
+            g = (g @ stack.layers[k].weights) * (tape.inputs[k] > 0)
     return out, g
 
 

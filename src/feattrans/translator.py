@@ -199,44 +199,40 @@ def _run(path: tuple[LayerStack, ...], x: np.ndarray, tapes: list | None = None)
     return x
 
 
+def _forward(
+    model: TranslatorModel, vs: np.ndarray, vt: np.ndarray, tapes: list | None = None
+) -> np.ndarray:
+    """Every path's output on one batch, one row block per path. The heads,
+    stacks[:2] (enc_s on vs, enc_t on vt; or the baseline's one stack), run on
+    their own inputs, then the shared tail, stacks[2:] (the HAE decoder), runs
+    once on their stacked outputs. The tapes are appended in stack order."""
+    latents = [_run((stack,), x, tapes) for stack, x in zip(model.stacks[:2], (vs, vt))]
+    return _run(model.stacks[2:], np.concatenate(latents), tapes)
+
+
 def _batch_losses(model: TranslatorModel, vs: np.ndarray, vt: np.ndarray) -> tuple[float, float]:
-    """(translation error, reconstruction error) on one batch, no gradients."""
-    trans, _ = euclid_loss(_run(model.translate_path, vs), vt)
-    if not model.reconstruct_path:
-        return trans, 0.0
-    recon, _ = euclid_loss(_run(model.reconstruct_path, vt), vt)
-    return trans, recon
+    """(translation error, reconstruction error) on one batch, no gradients;
+    the baseline's reconstruction error is 0.0."""
+    blocks = np.split(_forward(model, vs, vt), len(model.stacks[:2]))
+    losses = [euclid_loss(rows, vt)[0] for rows in blocks]
+    return losses[0], losses[1] if len(losses) > 1 else 0.0
 
 
 def _loss_and_grads(
-    model: TranslatorModel,
-    vs: np.ndarray,
-    vt: np.ndarray,
-    grads: TranslatorModel,
+    model: TranslatorModel, vs: np.ndarray, vt: np.ndarray, grads: TranslatorModel
 ) -> float:
     """Total loss on one batch; its gradient is written into `grads`, a model
-    shaped like `model` over a gradient buffer (model.on()).
-
-    The heads, stacks[:2] (enc_s on vs, enc_t on vt; or the baseline's one
-    stack), run on their own inputs, and the shared tail, stacks[2:] (the HAE
-    decoder), runs once on the k stacked head outputs against k stacked
-    copies of vt. That loss is the mean over k·B rows, so k times it, and its
-    gradient, is the sum of the k per-path means.
-    """
-    heads, tail = model.stacks[:2], model.stacks[2:]
-    k = len(heads)
-    head_tapes, latents = [], []
-    for stack, x in zip(heads, (vs, vt)):
-        z, tape = forward(stack, x)
-        head_tapes.append(tape)
-        latents.append(z)
-    tail_tapes: list = []
-    out = _run(tail, np.concatenate(latents), tail_tapes)
-    loss, g = euclid_loss(out, np.concatenate([vt] * k))
+    shaped like `model` over a gradient buffer (model.on()). _forward's k row
+    blocks are scored against k stacked copies of vt: k times that mean over
+    k·B rows, and its gradient, is the sum of the k per-path means."""
+    k = len(model.stacks[:2])
+    tapes: list = []
+    loss, g = euclid_loss(_forward(model, vs, vt, tapes), np.concatenate([vt] * k))
     g *= k
-    for stack, g_stack, tape in reversed(list(zip(tail, grads.stacks[2:], tail_tapes))):
+    stacks = list(zip(model.stacks, grads.stacks, tapes))
+    for stack, g_stack, tape in reversed(stacks[2:]):
         g = backward(stack, tape, g, g_stack.parameters())[1] @ stack.layers[0].weights
-    for stack, g_stack, tape, g_rows in zip(heads, grads.stacks[:2], head_tapes, np.split(g, k)):
+    for (stack, g_stack, tape), g_rows in zip(stacks[:2], np.split(g, k)):
         backward(stack, tape, g_rows, g_stack.parameters())
     return k * loss
 
@@ -280,33 +276,35 @@ def train(
     best_val = np.inf
     since_best = 0
 
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(train_idx)
-        for start in range(0, order.size, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            total = _loss_and_grads(model, vs_all[idx], vt_all[idx], grads)
-            adam_step([model.flat], [grads.flat], state)  # in place, through the views
-            if not np.isfinite(total):
-                raise NumericError(f"non-finite loss at epoch {epoch}")
+    # a diverging run overflows silently: the NumericError below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.max_epochs):
+            order = rng.permutation(train_idx)
+            for start in range(0, order.size, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                total = _loss_and_grads(model, vs_all[idx], vt_all[idx], grads)
+                adam_step([model.flat], [grads.flat], state)  # in place, through the views
+                if not np.isfinite(total):
+                    raise NumericError(f"non-finite loss at epoch {epoch}")
 
-        tr_t, tr_r = _batch_losses(model, vs_all[train_idx], vt_all[train_idx])
-        va_t, va_r = _batch_losses(model, vs_all[val_idx], vt_all[val_idx])
-        log.train_translation.append(tr_t)
-        log.train_reconstruction.append(tr_r)
-        log.train_total.append(tr_t + tr_r)
-        log.val_translation.append(va_t)
-        log.val_reconstruction.append(va_r)
-        log.val_total.append(va_t + va_r)
+            tr_t, tr_r = _batch_losses(model, vs_all[train_idx], vt_all[train_idx])
+            va_t, va_r = _batch_losses(model, vs_all[val_idx], vt_all[val_idx])
+            log.train_translation.append(tr_t)
+            log.train_reconstruction.append(tr_r)
+            log.train_total.append(tr_t + tr_r)
+            log.val_translation.append(va_t)
+            log.val_reconstruction.append(va_r)
+            log.val_total.append(va_t + va_r)
 
-        if va_t + va_r < best_val:
-            best_val = va_t + va_r
-            best.flat[:] = model.flat
-            log.best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+            if va_t + va_r < best_val:
+                best_val = va_t + va_r
+                best.flat[:] = model.flat
+                log.best_epoch = epoch
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
 
     return best, log
 

@@ -35,7 +35,10 @@ def _smooth_point(stack, rng, dims):
         x = rng.normal(size=(4, dims[0]))
         tgt = rng.normal(size=(4, dims[-1]))
         out, tape = nn_core.forward(stack, x)
-        margins = [np.abs(pre).min() for pre in tape.pre_acts[:-1]]  # the relu layers
+        margins = [  # the relu layers' affine outputs, as forward computed them
+            np.abs(x_in @ layer.weights.T + layer.bias).min()
+            for x_in, layer in zip(tape.inputs[:-1], stack.layers)
+        ]
         if margins and min(margins) < 1e-2:
             continue
         if tape.norms is not None and tape.norms.min() < 0.1:

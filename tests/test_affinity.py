@@ -95,11 +95,22 @@ class TestNormalization:
         np.testing.assert_allclose(r.values[0], [0.0, 0.5, 1.0])
         assert r.degenerate == ()
 
-    def test_constant_row_degenerate(self):
-        m = directed([[3.0, 3.0], [0.0, 1.0]])
-        r = aff.normalize_rows(m)
-        np.testing.assert_array_equal(r.values[0], [0.0, 0.0])
-        assert r.degenerate == (0,)
+    @pytest.mark.parametrize(
+        "normalize, values, axis, k",
+        [
+            pytest.param(aff.normalize_rows, [[3.0, 3.0], [0.0, 1.0]], 0, 0, id="row"),
+            pytest.param(
+                aff.normalize_cols,
+                [[0.0, 1.0, -2.5], [1.0, 4.0, -2.5], [2.0, 0.5, -2.5]], 1, 2, id="col",
+            ),
+        ],
+    )
+    def test_constant_row_degenerate(self, normalize, values, axis, k):
+        out = normalize(directed(values))
+        line = np.take(out.values, k, axis=axis)
+        np.testing.assert_array_equal(line, np.zeros(len(values)))
+        assert not np.signbit(line).any()  # +0.0, as written to the CSV
+        assert out.degenerate == (k,)
 
     def test_col_hand_example(self):
         m = directed([[2.0, 0.0], [5.0, 1.0]])

@@ -2,13 +2,14 @@ import itertools
 import json
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from feattrans import affinity as aff
-from feattrans import feature_io as fio, translator
+from feattrans import feature_io as fio, retrieval, translator
 from feattrans.cli import main
 
 
@@ -109,13 +110,14 @@ def test_translate_with_model_of_other_source_dim_exits_3(workspace, tmp_path, c
     assert "source dim 8" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
 def test_train_diverging_exits_4(workspace, tmp_path, capsys):
-    code = main([
-        "train", "--config", str(workspace / "data" / "config.json"), "--source", "fx",
-        "--target", "fy", "--latent", "8", "--lr", "1e300", "--epochs", "2",
-        "--out", str(tmp_path),
-    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the exit code reports it; numpy stays silent
+        code = main([
+            "train", "--config", str(workspace / "data" / "config.json"), "--source", "fx",
+            "--target", "fy", "--latent", "8", "--lr", "1e300", "--epochs", "2",
+            "--out", str(tmp_path),
+        ])
     assert code == 4
     assert "numeric failure: non-finite loss" in capsys.readouterr().err
 
@@ -145,6 +147,34 @@ def test_eval_reports_difference(workspace, tmp_path, capsys):
     assert "translated mAP(%)" in out
     assert "difference" in out
     assert (tmp_path / "fx2fy.eval.csv").exists()
+
+
+def test_eval_queries_replace_target_queries(workspace, tmp_path):
+    data = workspace / "data"
+    config = json.loads((data / "config.json").read_text())
+    fy = fio.load_feature_set(data / "fy.vec", data / "fy.ids", "fy")
+    v = np.random.default_rng(5).normal(size=fy.vectors.shape)
+    fq = fio.FeatureSet(name="fq", ids=fy.ids, vectors=v / np.linalg.norm(v, axis=1, keepdims=True))
+    fio.save_feature_set(fq, tmp_path / "fq.vec", tmp_path / "fq.ids")
+    config["features"]["fq"] = {"vec": str(tmp_path / "fq.vec"), "ids": str(tmp_path / "fq.ids")}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    model_path = workspace / "models" / "fx2fy.haet"
+    for out, queries in (("with", ["--queries", "fq"]), ("without", [])):
+        assert main([
+            "eval", "--config", str(tmp_path / "config.json"), "--model", str(model_path),
+            "--source", "fx", "--target", "fy", *queries, "--out", str(tmp_path / out),
+        ]) == 0
+
+    expected = retrieval.cross_feature_evaluate(
+        translator.load_model(model_path),
+        fio.load_feature_set(data / "fx.vec", data / "fx.ids", "fx"),
+        fio.load_feature_set(tmp_path / "fq.vec", tmp_path / "fq.ids", "fq"),
+        fio.load_ground_truth(config["gt"]),
+    )
+    retrieval.write_eval_csv(expected, tmp_path / "expected.csv")
+    written = (tmp_path / "with" / "fx2fy.eval.csv").read_bytes()
+    assert written == (tmp_path / "expected.csv").read_bytes()
+    assert written != (tmp_path / "without" / "fx2fy.eval.csv").read_bytes()
 
 
 def test_affinity_writes_four_matrices(workspace, tmp_path):

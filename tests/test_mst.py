@@ -89,15 +89,15 @@ class TestKruskal:
 class TestExport:
     def test_dot_edge_count(self, tmp_path):
         result = mst.kruskal(TRIANGLE)
-        mst.export(result, "dot", tmp_path / "t.dot")
-        text = (tmp_path / "t.dot").read_text()
+        mst.export(result, tmp_path)
+        text = (tmp_path / "mst.dot").read_text()
         assert text.count(" -- ") == 2
         assert 'label="0.100"' in text
 
     def test_json_round_trip(self, tmp_path):
         result = mst.kruskal(TRIANGLE)
-        mst.export(result, "json", tmp_path / "t.json")
-        with open(tmp_path / "t.json", encoding="utf-8") as f:
+        mst.export(result, tmp_path)
+        with open(tmp_path / "mst.json", encoding="utf-8") as f:
             back = json.load(f)
         assert tuple(back["nodes"]) == result.nodes
         assert tuple((e["a"], e["b"], e["w"]) for e in back["edges"]) == result.edges
@@ -106,15 +106,16 @@ class TestExport:
     def test_byte_identical_across_runs(self, tmp_path):
         rng = np.random.default_rng(0)
         u = random_u(rng, tuple("abcdefg"))
-        for fmt in ("dot", "json"):
-            mst.export(mst.kruskal(u), fmt, tmp_path / f"one.{fmt}")
-            mst.export(mst.kruskal(u), fmt, tmp_path / f"two.{fmt}")
-            assert (tmp_path / f"one.{fmt}").read_bytes() == (tmp_path / f"two.{fmt}").read_bytes()
+        for run in ("one", "two"):
+            (tmp_path / run).mkdir()
+            mst.export(mst.kruskal(u), tmp_path / run)
+        for name in ("mst.dot", "mst.json"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     def test_json_contents(self, tmp_path):
         result = mst.kruskal(TRIANGLE)
-        mst.export(result, "json", tmp_path / "t.json")
-        payload = json.loads((tmp_path / "t.json").read_text())
+        mst.export(result, tmp_path)
+        payload = json.loads((tmp_path / "mst.json").read_text())
         assert payload["nodes"] == ["a", "b", "c"]
         assert abs(payload["total_weight"] - 0.3) < 1e-15
         assert all(set(e) == {"a", "b", "w"} for e in payload["edges"])

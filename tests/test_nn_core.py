@@ -30,7 +30,7 @@ class TestForward:
             final_l2_normalize=True,
         )
         out, tape = nn.forward(stack, np.array([[3.0, 4.0]]))
-        assert tape.pre_norm[0, 0] == 7.0
+        assert tape.norms[0, 0] == 7.0
         assert out[0, 0] == 1.0
 
     def test_unit_row_norms(self):

@@ -183,6 +183,28 @@ class TestLossAndGrads:
             assert a.shape == n.shape
             assert np.max(np.abs(a - n) / np.maximum(np.abs(n), 1e-6)) < 1e-4
 
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_batch_losses_match_public_paths(self, kind):
+        """The epoch-end losses, from the step's stacked forward, equal the
+        losses of translate() and reconstruct() run one path at a time."""
+        model = translator.build(6, 5, 3, kind, seed=2)
+        rng = np.random.default_rng(11)
+        ids = tuple(f"v{i}" for i in range(9))
+        vs = rng.normal(size=(9, 6))
+        vt = rng.normal(size=(9, 5))
+        vt /= np.linalg.norm(vt, axis=1, keepdims=True)
+        src = fio.FeatureSet(name="s", ids=ids, vectors=vs)
+        tgt = fio.FeatureSet(name="t", ids=ids, vectors=vt)
+
+        trans, recon = translator._batch_losses(model, vs, vt)
+        expected = nn.euclid_loss(translator.translate(model, src).vectors, vt)[0]
+        assert trans == pytest.approx(expected, rel=1e-12, abs=0)
+        if kind == "hae":
+            expected = nn.euclid_loss(translator.reconstruct(model, tgt).vectors, vt)[0]
+            assert recon == pytest.approx(expected, rel=1e-12, abs=0)
+        else:
+            assert recon == 0.0 and type(recon) is float
+
 
 class TestTranslate:
     def test_shape_and_name_contract(self, rotation_fixture):
