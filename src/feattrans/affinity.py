@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, MissingPair
+from .errors import DataError, MissingPair, UnsupportedForBaseline
 from .feature_io import PairedSet
-from .nn_core import euclid_loss
-from .translator import TranslatorModel, reconstruct, translate
+from .translator import TranslatorModel, _batch_losses, _check_dim
 
 DIRECTED_M = "directed_M"
 ROW_NORM_R = "row_norm_R"
@@ -59,10 +58,11 @@ class AffinityMatrix:
 def dam_entry(model: TranslatorModel, paired: PairedSet) -> float:
     """Translation error minus reconstruction error on the given split;
     UnsupportedForBaseline for a model with no reconstruct path."""
-    v_t = paired.target.vectors
-    # reconstruct first: it checks the target dim that euclid_loss relies on
-    recon, _ = euclid_loss(reconstruct(model, paired.target).vectors, v_t)
-    trans, _ = euclid_loss(translate(model, paired.source).vectors, v_t)
+    if not model.reconstruct_path:
+        raise UnsupportedForBaseline()
+    _check_dim(model.reconstruct_path, paired.target, "target")
+    _check_dim(model.translate_path, paired.source, "source")
+    trans, recon = _batch_losses(model, paired.source.vectors, paired.target.vectors, paired.order)
     return trans - recon
 
 

@@ -10,6 +10,10 @@ own the shape checks; nothing here re-validates its arguments.
 """
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +145,13 @@ def backward(
     return out, g
 
 
+def _mean_distance(diff: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean over rows of the Euclidean norm of `diff` (pred - tgt), and the
+    row norms: euclid_loss's value without its gradient."""
+    dists = np.linalg.norm(diff, axis=1)
+    return float(dists.mean()), dists
+
+
 def euclid_loss(pred: np.ndarray, tgt: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean over rows of the (unsquared) Euclidean distance, plus its gradient.
 
@@ -148,18 +159,44 @@ def euclid_loss(pred: np.ndarray, tgt: np.ndarray) -> tuple[float, np.ndarray]:
     denominator.
     """
     diff = pred - tgt
-    dists = np.linalg.norm(diff, axis=1)
-    n = pred.shape[0]
-    grad = diff / (dists[:, None] + _EPS) / n
-    return float(dists.mean()), grad
+    loss, dists = _mean_distance(diff)
+    grad = diff / (dists[:, None] + _EPS) / pred.shape[0]
+    return loss, grad
 
 
-# Elements per slice of adam_step's update: its scratch stays in cache and
-# no temporary the size of the parameters is ever allocated.
+# Elements per slice of an Adam update: its scratch stays in cache and no
+# temporary the size of the parameters is ever allocated. Each share of a
+# split update is a whole number of these slices.
 ADAM_CHUNK = 1 << 15
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+# adam_step cuts an array into one share per worker, each a whole number of
+# chunks, when a share holds at least this many elements; a smaller array is
+# updated inline. numpy drops the GIL inside each chunk's ufuncs, so the
+# shares run in parallel.
+_ADAM_SPLIT_MIN = 4 * ADAM_CHUNK
+_ADAM_WORKERS = len(os.sched_getaffinity(0))
+_adam_pool: ThreadPoolExecutor | None = None  # runs every share but the first
+_adam_pool_lock = threading.Lock()
+
+
+def _drop_adam_pool() -> None:
+    # a forked child has no copy of the parent's pool threads
+    global _adam_pool, _adam_pool_lock
+    _adam_pool, _adam_pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_adam_pool)
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _adam_pool
+    with _adam_pool_lock:
+        if _adam_pool is None:
+            _adam_pool = ThreadPoolExecutor(_ADAM_WORKERS - 1, thread_name_prefix="adam")
+        return _adam_pool
 
 
 @dataclass
@@ -180,37 +217,64 @@ class AdamState:
         )
 
 
+def _adam_range(p, g, m, v, lo: int, hi: int, c2: float, step_size: float) -> None:
+    """The Adam update of elements [lo, hi) of the raveled arrays, in place,
+    one ADAM_CHUNK slice at a time through its own chunk scratch; hi is a
+    multiple of ADAM_CHUNK past lo, or the arrays' end."""
+    scratch = np.empty(min(ADAM_CHUNK, hi - lo))
+    for a in range(lo, hi, ADAM_CHUNK):
+        pc, gc, mc, vc = (x[a : a + ADAM_CHUNK] for x in (p, g, m, v))
+        s = scratch[: pc.size]
+        mc *= BETA1  # m = BETA1 m + (1 - BETA1) g
+        np.multiply(gc, 1 - BETA1, out=s)
+        mc += s
+        vc *= BETA2  # v = BETA2 v + (1 - BETA2) g^2
+        np.multiply(gc, 1 - BETA2, out=s)
+        s *= gc
+        vc += s
+        np.divide(vc, c2, out=s)  # p -= (lr / c1) m / (sqrt(v / c2) + eps)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        np.divide(mc, s, out=s)
+        s *= step_size
+        pc -= s
+
+
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
 ) -> list[np.ndarray]:
     """One in-place Adam update (Kingma & Ba 2015, Alg. 1); returns params.
 
     Each array is updated in ADAM_CHUNK-element slices of its raveled view,
-    so params and moments must be C-contiguous.
+    so params and moments must be C-contiguous. An array whose chunk-aligned
+    share per worker (one per usable core) reaches _ADAM_SPLIT_MIN elements
+    is cut into those contiguous shares: the caller's thread updates the
+    first and a thread pool the rest. A smaller array is updated inline and
+    starts no thread. Every element sees the same operations with the same
+    scalars either way, so the result is bit-identical to an inline update.
     """
     state.step += 1
     t = state.step
     c2 = 1 - BETA2**t
     step_size = state.lr / (1 - BETA1**t)
-    scratch = np.empty(min(ADAM_CHUNK, max((p.size for p in params), default=0)))
     for arrays in zip(params, grads, state.m, state.v):
         if not all(a.flags.c_contiguous for a in arrays):
             raise ValueError("adam_step needs C-contiguous arrays")
         p, g, m, v = (a.reshape(-1) for a in arrays)
-        for lo in range(0, p.size, ADAM_CHUNK):
-            pc, gc, mc, vc = (a[lo : lo + ADAM_CHUNK] for a in (p, g, m, v))
-            s = scratch[: pc.size]
-            mc *= BETA1  # m = BETA1 m + (1 - BETA1) g
-            np.multiply(gc, 1 - BETA1, out=s)
-            mc += s
-            vc *= BETA2  # v = BETA2 v + (1 - BETA2) g^2
-            np.multiply(gc, 1 - BETA2, out=s)
-            s *= gc
-            vc += s
-            np.divide(vc, c2, out=s)  # p -= (lr / c1) m / (sqrt(v / c2) + eps)
-            np.sqrt(s, out=s)
-            s += ADAM_EPS
-            np.divide(mc, s, out=s)
-            s *= step_size
-            pc -= s
+        n = p.size
+        share = -(-n // (ADAM_CHUNK * _ADAM_WORKERS)) * ADAM_CHUNK
+        cuts = [*range(0, n, share), n] if share >= _ADAM_SPLIT_MIN else [0, n]
+        # each pooled share runs in a copy of the caller's context, which
+        # holds numpy's errstate
+        rest = [
+            _pool().submit(
+                contextvars.copy_context().run, _adam_range, p, g, m, v, lo, hi, c2, step_size
+            )
+            for lo, hi in zip(cuts[1:-1], cuts[2:])
+        ]
+        try:
+            _adam_range(p, g, m, v, cuts[0], cuts[1], c2, step_size)
+        finally:  # no share may still be writing once adam_step returns or raises
+            for future in rest:
+                future.result()
     return params

@@ -30,6 +30,7 @@ from .feature_io import NORM_TOL, FeatureSet, PairedSet
 from .nn_core import (
     AdamState,
     LayerStack,
+    _mean_distance,
     adam_step,
     backward,
     euclid_loss,
@@ -210,11 +211,17 @@ def _forward(
     return _run(model.stacks[2:], np.concatenate(latents), tapes)
 
 
-def _batch_losses(model: TranslatorModel, vs: np.ndarray, vt: np.ndarray) -> tuple[float, float]:
+def _batch_losses(
+    model: TranslatorModel, vs: np.ndarray, vt: np.ndarray, ids: tuple[str, ...] | None = None
+) -> tuple[float, float]:
     """(translation error, reconstruction error) on one batch, no gradients;
-    the baseline's reconstruction error is 0.0."""
+    the baseline's reconstruction error is 0.0. Given the batch's ids, an
+    all-zero output row raises NumericError, reconstruction rows first."""
     blocks = np.split(_forward(model, vs, vt), len(model.stacks[:2]))
-    losses = [euclid_loss(rows, vt)[0] for rows in blocks]
+    if ids is not None:
+        for rows in reversed(blocks):
+            _check_nonzero_rows(rows, ids)
+    losses = [_mean_distance(rows - vt)[0] for rows in blocks]
     return losses[0], losses[1] if len(losses) > 1 else 0.0
 
 
@@ -309,16 +316,25 @@ def train(
     return best, log
 
 
-def _infer(path: tuple[LayerStack, ...], fs: FeatureSet, side: str, name: str) -> FeatureSet:
-    """Run `fs` through `path`, whose input is the model's `side` dim."""
+def _check_dim(path: tuple[LayerStack, ...], fs: FeatureSet, side: str) -> None:
+    """`fs` must have the input dim of `path`, the model's `side` dim."""
     if fs.dim != path[0].in_dim:
         raise DataError(f"input dim {fs.dim} does not match model {side} dim {path[0].in_dim}")
-    out = _run(path, fs.vectors)
+
+
+def _check_nonzero_rows(out: np.ndarray, ids: tuple[str, ...]) -> None:
     # an all-dead ReLU path leaves the L2-normalized output at exactly zero
     norms = np.linalg.norm(out, axis=1)
     if np.any(norms == 0.0):
-        bad = fs.ids[int(np.argmin(norms))]
+        bad = ids[int(np.argmin(norms))]
         raise NumericError(f"model produced an all-zero output row for id {bad!r}")
+
+
+def _infer(path: tuple[LayerStack, ...], fs: FeatureSet, side: str, name: str) -> FeatureSet:
+    """Run `fs` through `path`, whose input is the model's `side` dim."""
+    _check_dim(path, fs, side)
+    out = _run(path, fs.vectors)
+    _check_nonzero_rows(out, fs.ids)
     return FeatureSet(name=name, ids=fs.ids, vectors=out, normalized=True)
 
 

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from feattrans import affinity as aff
 from feattrans import feature_io as fio, nn_core, translator
-from feattrans.errors import DataError, MissingPair, UnsupportedForBaseline
+from feattrans.errors import DataError, MissingPair, NumericError, UnsupportedForBaseline
 
 # integer-valued entries keep min-max spans well away from float noise
 matrix_strategy = arrays(
@@ -58,6 +58,30 @@ class TestDamEntry:
             target=fio.FeatureSet("t", ("a", "b"), np.ones((2, target_dim))),
         )
         with pytest.raises(DataError, match="dim"):
+            aff.dam_entry(model, paired)
+
+    def test_target_dim_checked_first(self):
+        model = translator.build(3, 3, 2, "hae", seed=2)
+        paired = fio.PairedSet(
+            source=fio.FeatureSet("s", ("a", "b"), np.ones((2, 4))),
+            target=fio.FeatureSet("t", ("a", "b"), np.ones((2, 4))),
+        )
+        with pytest.raises(DataError, match="model target dim"):
+            aff.dam_entry(model, paired)
+
+    def test_all_zero_output_row_is_numeric_error(self):
+        # identity-like layers: a path's output row is zero exactly where its
+        # input's first coordinate is <= 0; the translation's zero row is 'a'
+        # and the reconstruction's, which is reported first, is 'b'
+        model = translator.build(2, 2, 1, "hae", seed=0)
+        for layer in (l for stack in model.stacks for l in stack.layers):
+            layer.weights[:] = np.eye(*layer.weights.shape)
+            layer.bias[:] = 0.0
+        paired = fio.PairedSet(
+            source=fio.FeatureSet("s", ("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]])),
+            target=fio.FeatureSet("t", ("a", "b"), np.array([[1.0, 0.0], [0.0, 1.0]])),
+        )
+        with pytest.raises(NumericError, match="all-zero output row for id 'b'"):
             aff.dam_entry(model, paired)
 
     def test_baseline_unsupported(self, self_fixture):

@@ -39,3 +39,30 @@ def test_traced_train_translate_evaluate(monkeypatch):
     for key in ("nn_core.forward.flop", "nn_core.backward.flop", "nn_core.adam_step.bytes"):
         assert tracer.counts[key] > 0, key
     assert translator.forward is nn_core.forward  # bindings restored
+
+
+def test_traced_split_adam_counts_each_step_once(monkeypatch):
+    """A model large enough for adam_step to split across workers still
+    shows one traced adam_step call per step, counting 7 passes over its
+    parameters, so the per-layer Adam metrics keep their meaning."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(nn_core, "_ADAM_WORKERS", 2)
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    rng = np.random.default_rng(1)
+    ids = tuple(f"i{k}" for k in range(40))  # 36 train rows: 3 steps of 16 per epoch
+    src = fio.l2_normalize(fio.FeatureSet("s", ids, rng.normal(size=(40, 256))))
+    tgt = fio.l2_normalize(fio.FeatureSet("t", ids, rng.normal(size=(40, 256))))
+    model = translator.build(256, 256, 64, "hae", seed=0)
+    assert model.flat.size >= 2 * nn_core._ADAM_SPLIT_MIN  # two shares, one pooled
+
+    with layers.traced(spans.Tracer("tier-1")) as tracer:
+        _, log = translator.train(
+            model, fio.align_pairs(src, tgt),
+            translator.TrainConfig(lr=1e-3, batch_size=16, max_epochs=2),
+        )
+
+    steps = 3 * log.epochs_run
+    assert log.epochs_run == 2
+    assert spans.summarize(tracer.spans)["nn_core.adam_step"]["calls"] == steps
+    assert tracer.counts["nn_core.adam_step.bytes"] == 7 * 8 * model.flat.size * steps

@@ -1,3 +1,6 @@
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -186,3 +189,70 @@ class TestAdamMatchesTextbook:
         state = nn.AdamState.init([np.zeros((4, 2))], lr=1e-3)
         with pytest.raises(ValueError, match="contiguous"):
             nn.adam_step([p], [np.ones((4, 2))], state)
+
+
+def _split_steps(monkeypatch, workers, n, steps=20):
+    """p, m, v after `steps` Adam steps on an n-vector at `workers` workers."""
+    monkeypatch.setattr(nn, "_ADAM_WORKERS", workers)
+    rng = np.random.default_rng(7)
+    p = [rng.normal(size=n)]
+    state = nn.AdamState.init(p, lr=1e-3)
+    for _ in range(steps):
+        nn.adam_step(p, [rng.normal(size=n)], state)
+    return p[0], state.m[0], state.v[0]
+
+
+def _split_step_in_child():
+    p = [np.zeros(9 * nn.ADAM_CHUNK + 5)]
+    nn.adam_step(p, [np.ones_like(p[0])], nn.AdamState.init(p, lr=1e-3))
+    if not np.all(p[0] < 0):
+        raise SystemExit(1)
+
+
+class TestAdamSplit:
+    N = 9 * nn.ADAM_CHUNK + 5  # the last share is ragged at 2 and 3 workers
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_bit_identical_to_one_worker(self, monkeypatch, workers):
+        want = _split_steps(monkeypatch, 1, self.N)
+        got = _split_steps(monkeypatch, workers, self.N)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_split_matches_textbook(self, monkeypatch):
+        monkeypatch.setattr(nn, "_ADAM_WORKERS", 3)
+        rng = np.random.default_rng(8)
+        params = [rng.normal(size=self.N)]
+        grads = [[rng.normal(size=self.N)] for _ in range(20)]
+        want = adam_textbook(params, grads, lr=1e-3)
+        state = nn.AdamState.init(params, lr=1e-3)
+        for g in grads:
+            nn.adam_step(params, g, state)
+        assert np.max(np.abs(params[0] - want[0])) <= 1e-12 * np.max(np.abs(want[0]))
+
+    def test_pooled_share_keeps_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(nn, "_ADAM_WORKERS", 2)
+        p = [np.zeros(self.N)]
+        g = np.zeros(self.N)
+        g[-1] = np.inf  # in the pooled share; inf / inf is invalid
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            nn.adam_step(p, [g], nn.AdamState.init(p, lr=1e-3))
+
+    def test_small_array_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(nn, "_adam_pool", None)
+        threads = threading.active_count()
+        # the largest array 2 workers leave inline: 3 chunks per share
+        _split_steps(monkeypatch, 2, 2 * (nn._ADAM_SPLIT_MIN - nn.ADAM_CHUNK), steps=2)
+        assert nn._adam_pool is None
+        assert threading.active_count() == threads
+
+    def test_forked_child_runs_a_split_step(self, monkeypatch):
+        _split_steps(monkeypatch, 2, self.N, steps=1)  # the parent's pool has a thread
+        child = multiprocessing.get_context("fork").Process(target=_split_step_in_child)
+        child.start()
+        child.join(timeout=60)
+        try:
+            assert not child.is_alive(), "forked child hung in adam_step"
+            assert child.exitcode == 0
+        finally:
+            child.kill()
