@@ -10,9 +10,7 @@ own the shape checks; nothing here re-validates its arguments.
 """
 from __future__ import annotations
 
-import contextvars
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -172,31 +170,15 @@ ADAM_CHUNK = 1 << 15
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-# adam_step cuts an array into one share per worker, each a whole number of
-# chunks, when a share holds at least this many elements; a smaller array is
-# updated inline. numpy drops the GIL inside each chunk's ufuncs, so the
-# shares run in parallel.
+# adam_step cuts an array into one share of whole chunks per usable core when
+# a share holds at least _ADAM_SPLIT_MIN elements; numpy drops the GIL inside
+# each chunk's ufuncs, so the shares run in parallel. A thread must earn its
+# start: on 2 cores a split step took 1.0-1.4x the inline time at 2-4 chunks,
+# 0.8-1.1x at 8 and 0.6x at 32, so a smaller array is updated inline.
 _ADAM_SPLIT_MIN = 4 * ADAM_CHUNK
-_ADAM_WORKERS = len(os.sched_getaffinity(0))
-_adam_pool: ThreadPoolExecutor | None = None  # runs every share but the first
-_adam_pool_lock = threading.Lock()
-
-
-def _drop_adam_pool() -> None:
-    # a forked child has no copy of the parent's pool threads
-    global _adam_pool, _adam_pool_lock
-    _adam_pool, _adam_pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_drop_adam_pool)
-
-
-def _pool() -> ThreadPoolExecutor:
-    global _adam_pool
-    with _adam_pool_lock:
-        if _adam_pool is None:
-            _adam_pool = ThreadPoolExecutor(_ADAM_WORKERS - 1, thread_name_prefix="adam")
-        return _adam_pool
+_ADAM_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 @dataclass
@@ -240,6 +222,13 @@ def _adam_range(p, g, m, v, lo: int, hi: int, c2: float, step_size: float) -> No
         pc -= s
 
 
+def _adam_share(err: dict, *args) -> None:
+    # a started share runs under the caller's errstate, which numpy 1.x keeps
+    # per thread
+    with np.errstate(**err):
+        _adam_range(*args)
+
+
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
 ) -> list[np.ndarray]:
@@ -249,9 +238,10 @@ def adam_step(
     so params and moments must be C-contiguous. An array whose chunk-aligned
     share per worker (one per usable core) reaches _ADAM_SPLIT_MIN elements
     is cut into those contiguous shares: the caller's thread updates the
-    first and a thread pool the rest. A smaller array is updated inline and
-    starts no thread. Every element sees the same operations with the same
-    scalars either way, so the result is bit-identical to an inline update.
+    first and a thread started for this call each other one. A smaller array
+    is updated inline and starts no thread. Every element sees the same
+    operations with the same scalars either way, so the result is
+    bit-identical to an inline update.
     """
     state.step += 1
     t = state.step
@@ -263,18 +253,19 @@ def adam_step(
         p, g, m, v = (a.reshape(-1) for a in arrays)
         n = p.size
         share = -(-n // (ADAM_CHUNK * _ADAM_WORKERS)) * ADAM_CHUNK
-        cuts = [*range(0, n, share), n] if share >= _ADAM_SPLIT_MIN else [0, n]
-        # each pooled share runs in a copy of the caller's context, which
-        # holds numpy's errstate
-        rest = [
-            _pool().submit(
-                contextvars.copy_context().run, _adam_range, p, g, m, v, lo, hi, c2, step_size
-            )
-            for lo, hi in zip(cuts[1:-1], cuts[2:])
-        ]
-        try:
-            _adam_range(p, g, m, v, cuts[0], cuts[1], c2, step_size)
-        finally:  # no share may still be writing once adam_step returns or raises
-            for future in rest:
-                future.result()
+        if share >= n or share < _ADAM_SPLIT_MIN:
+            _adam_range(p, g, m, v, 0, n, c2, step_size)
+            continue
+        cuts = [*range(share, n, share), n]
+        err = np.geterr()
+        # leaving the block waits for every started share, so none still
+        # writes once adam_step returns or raises
+        with ThreadPoolExecutor(len(cuts) - 1) as pool:
+            rest = [
+                pool.submit(_adam_share, err, p, g, m, v, lo, hi, c2, step_size)
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+            _adam_range(p, g, m, v, 0, share, c2, step_size)
+        for future in rest:
+            future.result()
     return params

@@ -54,7 +54,7 @@ def test_traced_split_adam_counts_each_step_once(monkeypatch):
     src = fio.l2_normalize(fio.FeatureSet("s", ids, rng.normal(size=(40, 256))))
     tgt = fio.l2_normalize(fio.FeatureSet("t", ids, rng.normal(size=(40, 256))))
     model = translator.build(256, 256, 64, "hae", seed=0)
-    assert model.flat.size >= 2 * nn_core._ADAM_SPLIT_MIN  # two shares, one pooled
+    assert model.flat.size >= 2 * nn_core._ADAM_SPLIT_MIN  # two shares, one on a started thread
 
     with layers.traced(spans.Tracer("tier-1")) as tracer:
         _, log = translator.train(

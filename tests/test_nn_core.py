@@ -1,6 +1,3 @@
-import multiprocessing
-import threading
-
 import numpy as np
 import pytest
 
@@ -202,13 +199,6 @@ def _split_steps(monkeypatch, workers, n, steps=20):
     return p[0], state.m[0], state.v[0]
 
 
-def _split_step_in_child():
-    p = [np.zeros(9 * nn.ADAM_CHUNK + 5)]
-    nn.adam_step(p, [np.ones_like(p[0])], nn.AdamState.init(p, lr=1e-3))
-    if not np.all(p[0] < 0):
-        raise SystemExit(1)
-
-
 class TestAdamSplit:
     N = 9 * nn.ADAM_CHUNK + 5  # the last share is ragged at 2 and 3 workers
 
@@ -230,29 +220,21 @@ class TestAdamSplit:
             nn.adam_step(params, g, state)
         assert np.max(np.abs(params[0] - want[0])) <= 1e-12 * np.max(np.abs(want[0]))
 
-    def test_pooled_share_keeps_the_callers_errstate(self, monkeypatch):
+    def test_started_share_keeps_the_callers_errstate(self, monkeypatch):
         monkeypatch.setattr(nn, "_ADAM_WORKERS", 2)
         p = [np.zeros(self.N)]
         g = np.zeros(self.N)
-        g[-1] = np.inf  # in the pooled share; inf / inf is invalid
+        g[-1] = np.inf  # in the started share; inf / inf is invalid
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             nn.adam_step(p, [g], nn.AdamState.init(p, lr=1e-3))
 
     def test_small_array_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(nn, "_adam_pool", None)
-        threads = threading.active_count()
-        # the largest array 2 workers leave inline: 3 chunks per share
-        _split_steps(monkeypatch, 2, 2 * (nn._ADAM_SPLIT_MIN - nn.ADAM_CHUNK), steps=2)
-        assert nn._adam_pool is None
-        assert threading.active_count() == threads
+        def no_threads(*args):
+            raise AssertionError("adam_step started a thread")
 
-    def test_forked_child_runs_a_split_step(self, monkeypatch):
-        _split_steps(monkeypatch, 2, self.N, steps=1)  # the parent's pool has a thread
-        child = multiprocessing.get_context("fork").Process(target=_split_step_in_child)
-        child.start()
-        child.join(timeout=60)
-        try:
-            assert not child.is_alive(), "forked child hung in adam_step"
-            assert child.exitcode == 0
-        finally:
-            child.kill()
+        monkeypatch.setattr(nn, "ThreadPoolExecutor", no_threads)
+        # the largest array 2 workers leave inline: 3 chunks per share
+        largest = 2 * (nn._ADAM_SPLIT_MIN - nn.ADAM_CHUNK)
+        _split_steps(monkeypatch, 2, largest, steps=2)
+        with pytest.raises(AssertionError, match="started a thread"):
+            _split_steps(monkeypatch, 2, largest + 1, steps=1)
