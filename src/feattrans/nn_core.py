@@ -176,9 +176,34 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # start: on 2 cores a split step took 1.0-1.4x the inline time at 2-4 chunks,
 # 0.8-1.1x at 8 and 0.6x at 32, so a smaller array is updated inline.
 _ADAM_SPLIT_MIN = 4 * ADAM_CHUNK
-_ADAM_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split(fn, items: list) -> list:
+    """[fn(x) for x in items], cut into contiguous shares, one per usable core
+    (_WORKERS) and at most one per item. The caller's thread runs the first
+    share and threads started for this call the others, under the caller's
+    np.geterr(); one share starts no thread. A share's exception is re-raised,
+    and every share has finished when _split returns or raises."""
+    k = min(_WORKERS, len(items))
+    if k <= 1:
+        return [fn(x) for x in items]
+    cuts = [len(items) * j // k for j in range(k + 1)]
+    shares = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    err = np.geterr()
+
+    def run(share):
+        # numpy 1.x keeps errstate per thread, 2.x per context
+        with np.errstate(**err):
+            return [fn(x) for x in share]
+
+    # leaving the block waits for every started share
+    with ThreadPoolExecutor(k - 1) as pool:
+        rest = [pool.submit(run, share) for share in shares[1:]]
+        out = [fn(x) for x in shares[0]]
+    for future in rest:
+        out += future.result()
+    return out
 
 
 @dataclass
@@ -222,13 +247,6 @@ def _adam_range(p, g, m, v, lo: int, hi: int, c2: float, step_size: float) -> No
         pc -= s
 
 
-def _adam_share(err: dict, *args) -> None:
-    # a started share runs under the caller's errstate, which numpy 1.x keeps
-    # per thread
-    with np.errstate(**err):
-        _adam_range(*args)
-
-
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
 ) -> list[np.ndarray]:
@@ -237,11 +255,10 @@ def adam_step(
     Each array is updated in ADAM_CHUNK-element slices of its raveled view,
     so params and moments must be C-contiguous. An array whose chunk-aligned
     share per worker (one per usable core) reaches _ADAM_SPLIT_MIN elements
-    is cut into those contiguous shares: the caller's thread updates the
-    first and a thread started for this call each other one. A smaller array
-    is updated inline and starts no thread. Every element sees the same
-    operations with the same scalars either way, so the result is
-    bit-identical to an inline update.
+    is cut into those contiguous shares, which _split runs across the cores.
+    A smaller array is updated inline and starts no thread. Every element
+    sees the same operations with the same scalars either way, so the result
+    is bit-identical to an inline update.
     """
     state.step += 1
     t = state.step
@@ -251,21 +268,7 @@ def adam_step(
         if not all(a.flags.c_contiguous for a in arrays):
             raise ValueError("adam_step needs C-contiguous arrays")
         p, g, m, v = (a.reshape(-1) for a in arrays)
-        n = p.size
-        share = -(-n // (ADAM_CHUNK * _ADAM_WORKERS)) * ADAM_CHUNK
-        if share >= n or share < _ADAM_SPLIT_MIN:
-            _adam_range(p, g, m, v, 0, n, c2, step_size)
-            continue
-        cuts = [*range(share, n, share), n]
-        err = np.geterr()
-        # leaving the block waits for every started share, so none still
-        # writes once adam_step returns or raises
-        with ThreadPoolExecutor(len(cuts) - 1) as pool:
-            rest = [
-                pool.submit(_adam_share, err, p, g, m, v, lo, hi, c2, step_size)
-                for lo, hi in zip(cuts, cuts[1:])
-            ]
-            _adam_range(p, g, m, v, 0, share, c2, step_size)
-        for future in rest:
-            future.result()
+        share = -(-p.size // (ADAM_CHUNK * _WORKERS)) * ADAM_CHUNK
+        cuts = [*range(0, p.size, share), p.size] if share >= _ADAM_SPLIT_MIN else [0, p.size]
+        _split(lambda r: _adam_range(p, g, m, v, *r, c2, step_size), list(zip(cuts, cuts[1:])))
     return params

@@ -5,13 +5,14 @@ tie-breaks. AP is the standard non-interpolated variant over the full
 ranking; mAP is reported as a percentage. A query id present among the
 references is excluded from its own ranking.
 
-`evaluate` scores a block of queries at a time. It computes their exact
-difference distances to one cache-sized tile of references at a time, orders
-each row with one `lexsort` by (distance, id rank), and takes each AP from the
-ranks at which the relevant references appear. A distance runs the operations
-of `np.linalg.norm(refs - q, axis=1)` and an AP sums precision@k in rank
-order, so every AP is bit-identical to the one-query-at-a-time definition.
-Working memory is set by fixed byte budgets, not by the set sizes.
+`evaluate` scores blocks of queries across the usable cores. For a block it
+computes the exact difference distances to one cache-sized tile of references
+at a time, orders each row by (distance, id) with a sort over the references
+in id order, and takes each AP from the ranks at which the relevant
+references appear. A distance runs the operations of
+`np.linalg.norm(refs - q, axis=1)` and an AP sums precision@k in rank order,
+so every AP and the mAP are bit-identical to the one-query-at-a-time,
+one-thread definition. Working memory is set by fixed byte budgets per block.
 `rank` and `average_precision` are that same kernel, ordering and AP for one
 query.
 """
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import DataError, UnknownRelevantId
 from .feature_io import FeatureSet, GroundTruth
+from .nn_core import _split
 from .translator import TranslatorModel, translate
 
 _TILE_BYTES = 1 << 18  # the difference buffer for one tile of references
@@ -61,18 +63,22 @@ def _distances(queries: list[np.ndarray], refs: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _id_rank(ids: tuple[str, ...]) -> np.ndarray:
-    """Each id's position in lexicographic order."""
-    ranks = np.empty(len(ids), dtype=np.intp)
-    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return ranks
+def _id_order(ids: tuple[str, ...]) -> np.ndarray:
+    """The indices of the ids in lexicographic id order."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
 
-def _ranked(dist: np.ndarray, id_rank: np.ndarray, own: list[int]) -> list[np.ndarray]:
+def _ranked(dist: np.ndarray, id_order: np.ndarray, own: list[int]) -> list[np.ndarray]:
     """Each row's reference indices, nearest first with ties by id, without
-    the query's own index (-1 when the query is not a reference)."""
-    order = np.lexsort((np.broadcast_to(id_rank, dist.shape), dist))
-    return [row[row != i] for row, i in zip(order, own)]
+    the query's own index (-1 when the query is not a reference). Over
+    columns in id order, a row without equal distances has one order, which
+    the unstable sort finds; a stable sort leaves any other row's ties by id."""
+    d = dist[:, id_order]
+    order = np.argsort(d, axis=1)
+    s = np.take_along_axis(d, order, axis=1)
+    tied = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
+    order[tied] = np.argsort(d[tied], axis=1, kind="stable")
+    return [row[row != i] for row, i in zip(id_order[order], own)]
 
 
 def _ap(hits: np.ndarray, n_relevant: int) -> float:
@@ -88,7 +94,7 @@ def rank(query_id: str, query: np.ndarray, refs: FeatureSet) -> RankingList:
     if query.shape != (refs.dim,):
         raise DataError(f"query shape {query.shape} does not match reference dim {refs.dim}")
     own = refs.ids.index(query_id) if query_id in refs.ids else -1
-    (row,) = _ranked(_distances([query], refs.vectors), _id_rank(refs.ids), [own])
+    (row,) = _ranked(_distances([query], refs.vectors), _id_order(refs.ids), [own])
     return RankingList(query_id=query_id, ref_ids=tuple(refs.ids[i] for i in row))
 
 
@@ -120,19 +126,23 @@ def evaluate(queries: FeatureSet, refs: FeatureSet, gt: GroundTruth) -> EvalResu
     if not qids:
         raise DataError("ground truth contains no queries")
 
-    id_rank = _id_rank(refs.ids)
-    is_relevant = np.zeros(len(refs), dtype=bool)
-    block = max(1, _BLOCK_BYTES // (8 * len(refs)))
-    per_query: dict[str, float] = {}
-    for start in range(0, len(qids), block):
-        ids = qids[start : start + block]
+    id_order = _id_order(refs.ids)
+
+    def block_aps(ids: list[str]) -> list[float]:
         dist = _distances([queries.vectors[qindex[q]] for q in ids], refs.vectors)
-        rows = _ranked(dist, id_rank, [rindex.get(q, -1) for q in ids])
+        rows = _ranked(dist, id_order, [rindex.get(q, -1) for q in ids])
+        is_relevant = np.zeros(len(refs), dtype=bool)
+        aps = []
         for qid, row in zip(ids, rows):
             rel = [rindex[r] for r in gt.relevant[qid]]
             is_relevant[rel] = True
-            per_query[qid] = _ap(np.flatnonzero(is_relevant[row]) + 1, len(rel))
+            aps.append(_ap(np.flatnonzero(is_relevant[row]) + 1, len(rel)))
             is_relevant[rel] = False
+        return aps
+
+    block = max(1, _BLOCK_BYTES // (8 * len(refs)))
+    blocks = [qids[start : start + block] for start in range(0, len(qids), block)]
+    per_query = dict(zip(qids, (ap for aps in _split(block_aps, blocks) for ap in aps)))
     mean_ap = float(np.mean(list(per_query.values())))
     return EvalResult(map=100.0 * mean_ap, per_query_ap=per_query, n_queries=len(per_query))
 

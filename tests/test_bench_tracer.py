@@ -4,6 +4,7 @@ derives from their arguments still count. `bench/run.py --trace 1` breaks
 otherwise."""
 import importlib
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ def test_traced_split_adam_counts_each_step_once(monkeypatch):
     shows one traced adam_step call per step, counting 7 passes over its
     parameters, so the per-layer Adam metrics keep their meaning."""
     monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.setattr(nn_core, "_ADAM_WORKERS", 2)
+    monkeypatch.setattr(nn_core, "_WORKERS", 2)
     layers = importlib.import_module("layers")
     spans = importlib.import_module("spans")
     rng = np.random.default_rng(1)
@@ -66,3 +67,36 @@ def test_traced_split_adam_counts_each_step_once(monkeypatch):
     assert log.epochs_run == 2
     assert spans.summarize(tracer.spans)["nn_core.adam_step"]["calls"] == steps
     assert tracer.counts["nn_core.adam_step.bytes"] == 7 * 8 * model.flat.size * steps
+
+
+def test_traced_split_evaluate_is_one_span_on_the_callers_thread(monkeypatch):
+    """An evaluate whose query blocks are scored on two threads still shows
+    one retrieval.evaluate span, and no span opens on a started thread, whose
+    calls would corrupt the tracer's single stack of open spans."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(nn_core, "_WORKERS", 2)
+    monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * 40 * 4)  # 4 queries a block
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    threads = []
+
+    class ThreadedSpan(spans.Span):
+        def __init__(self, *args):
+            super().__init__(*args)
+            threads.append(threading.get_ident())
+
+    monkeypatch.setattr(spans, "Span", ThreadedSpan)
+    started = []
+    pool = nn_core.ThreadPoolExecutor
+    monkeypatch.setattr(nn_core, "ThreadPoolExecutor", lambda *a: started.append(a) or pool(*a))
+    rng = np.random.default_rng(2)
+    ids = tuple(f"i{k:02d}" for k in range(40))
+    fs = fio.FeatureSet("s", ids, rng.normal(size=(40, 8)))
+    gt = fio.GroundTruth({i: {j} for i, j in zip(ids, ids[1:])})
+
+    with layers.traced(spans.Tracer("tier-1")) as tracer:
+        retrieval.evaluate(fs, fs, gt)
+
+    assert started  # the blocks were shared out
+    assert [s.name for s in tracer.spans] == ["retrieval.evaluate"]
+    assert threads == [threading.get_ident()]

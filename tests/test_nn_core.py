@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -190,7 +192,7 @@ class TestAdamMatchesTextbook:
 
 def _split_steps(monkeypatch, workers, n, steps=20):
     """p, m, v after `steps` Adam steps on an n-vector at `workers` workers."""
-    monkeypatch.setattr(nn, "_ADAM_WORKERS", workers)
+    monkeypatch.setattr(nn, "_WORKERS", workers)
     rng = np.random.default_rng(7)
     p = [rng.normal(size=n)]
     state = nn.AdamState.init(p, lr=1e-3)
@@ -210,7 +212,7 @@ class TestAdamSplit:
             assert np.array_equal(a, b)
 
     def test_split_matches_textbook(self, monkeypatch):
-        monkeypatch.setattr(nn, "_ADAM_WORKERS", 3)
+        monkeypatch.setattr(nn, "_WORKERS", 3)
         rng = np.random.default_rng(8)
         params = [rng.normal(size=self.N)]
         grads = [[rng.normal(size=self.N)] for _ in range(20)]
@@ -221,10 +223,17 @@ class TestAdamSplit:
         assert np.max(np.abs(params[0] - want[0])) <= 1e-12 * np.max(np.abs(want[0]))
 
     def test_started_share_keeps_the_callers_errstate(self, monkeypatch):
-        monkeypatch.setattr(nn, "_ADAM_WORKERS", 2)
+        monkeypatch.setattr(nn, "_WORKERS", 2)
+        caller = threading.get_ident()
+
+        def invalid_off_caller(x):  # 0 / 0 is invalid
+            return np.divide(x, x) if threading.get_ident() != caller else x
+
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            nn._split(invalid_off_caller, [np.ones(1), np.zeros(1)])
         p = [np.zeros(self.N)]
         g = np.zeros(self.N)
-        g[-1] = np.inf  # in the started share; inf / inf is invalid
+        g[-1] = np.inf  # in adam_step's started share; inf / inf is invalid
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             nn.adam_step(p, [g], nn.AdamState.init(p, lr=1e-3))
 
@@ -238,3 +247,35 @@ class TestAdamSplit:
         _split_steps(monkeypatch, 2, largest, steps=2)
         with pytest.raises(AssertionError, match="started a thread"):
             _split_steps(monkeypatch, 2, largest + 1, steps=1)
+        assert nn._split(np.negative, [np.ones(3)])[0].tolist() == [-1.0] * 3  # one item
+        with pytest.raises(AssertionError, match="started a thread"):
+            nn._split(np.negative, [np.ones(3), np.ones(3)])
+
+
+class TestSplit:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_results_in_input_order_and_caller_runs_the_first_share(self, monkeypatch, workers):
+        monkeypatch.setattr(nn, "_WORKERS", workers)
+        threads = {}
+
+        def tagged(x):
+            threads[x] = threading.get_ident()
+            return x * x
+
+        assert nn._split(tagged, list(range(7))) == [x * x for x in range(7)]
+        first = 7 // min(workers, 7)  # the first share's items
+        assert {x for x, t in threads.items() if t == threading.get_ident()} == set(range(first))
+
+    def test_started_share_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(nn, "_WORKERS", 3)
+        before = threading.active_count()
+        caller = threading.get_ident()
+
+        def fail_off_caller(x):
+            if threading.get_ident() != caller and x == 4:
+                raise KeyError("share")
+            return x
+
+        with pytest.raises(KeyError, match="share"):
+            nn._split(fail_off_caller, list(range(6)))
+        assert threading.active_count() == before
