@@ -153,8 +153,17 @@ def load_feature_set(vec_path, ids_path, name: str) -> FeatureSet:
     return FeatureSet(name=name, ids=tuple(ids), vectors=vectors)
 
 
+def _check_writable(ids, forbidden: str, path) -> None:
+    """DataError naming the first id, empty or holding a `forbidden` character,
+    that the line-based file at `path` could not read back as written."""
+    for i in ids:
+        if not i or any(c in i for c in forbidden):
+            raise DataError(f"{path}: id {i!r} cannot be written (empty or holds one of {forbidden!r})")
+
+
 def save_feature_set(fs: FeatureSet, vec_path, ids_path) -> None:
     """Write the binary vector file and sidecar ids file."""
+    _check_writable(fs.ids, "\n\r", ids_path)
     records = np.empty((len(fs), 1 + fs.dim), "<f4")
     records.view("<u4")[:, 0] = fs.dim
     records[:, 1:] = fs.vectors
@@ -183,6 +192,8 @@ def load_ground_truth(path) -> GroundTruth:
 
 
 def save_ground_truth(gt: GroundTruth, path) -> None:
+    for query in sorted(gt.relevant):
+        _check_writable([query, *sorted(gt.relevant[query])], "\n\r\t,", path)
     with open(path, "w", encoding="utf-8") as f:
         for query in sorted(gt.relevant):
             f.write(query + "\t" + ",".join(sorted(gt.relevant[query])) + "\n")

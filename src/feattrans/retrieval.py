@@ -5,16 +5,17 @@ tie-breaks. AP is the standard non-interpolated variant over the full
 ranking; mAP is reported as a percentage. A query id present among the
 references is excluded from its own ranking.
 
-`evaluate` scores blocks of queries across the usable cores. For a block it
-computes the exact difference distances to one cache-sized tile of references
-at a time, orders each row by (distance, id) with a sort over the references
-in id order, and takes each AP from the ranks at which the relevant
-references appear. A distance runs the operations of
-`np.linalg.norm(refs - q, axis=1)` and an AP sums precision@k in rank order,
-so every AP and the mAP are bit-identical to the one-query-at-a-time,
-one-thread definition. Working memory is set by fixed byte budgets per block.
-`rank` and `average_precision` are that same kernel, ordering and AP for one
-query.
+`evaluate` scores blocks of queries across the usable cores. For a block, one
+BLAS product gives each squared distance as ||q||^2 + ||r||^2 - 2 q.r, and one
+sort per row over the references in id order orders them by it. Neighbours in
+that order more than `_margin` apart have exact distances in the same strict
+order; each run of neighbours within it gets exact distances, by the
+operations of `np.linalg.norm(refs - q, axis=1)`, and is sorted by (distance,
+id). Each AP comes from the ranks at which the relevant references appear and
+sums precision@k in rank order, so every AP and the mAP are bit-identical to
+the one-query-at-a-time, one-thread definition. Working memory is set by fixed
+byte budgets per block. `rank` and `average_precision` are that same ordering
+and AP for one query.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .feature_io import FeatureSet, GroundTruth
 from .nn_core import _split
 from .translator import TranslatorModel, translate
 
-_TILE_BYTES = 1 << 18  # the difference buffer for one tile of references
+_TILE_BYTES = 1 << 18  # the difference buffer for one tile of exact distances
 _BLOCK_BYTES = 1 << 18  # one block of query-to-reference distances
 
 
@@ -45,21 +46,34 @@ class EvalResult:
     n_queries: int
 
 
-def _distances(queries: list[np.ndarray], refs: np.ndarray) -> np.ndarray:
-    """Euclidean distance of every query vector to every reference row, as
-    (len(queries), len(refs)). Each reference tile stays in cache while every
-    query is subtracted from it, squared and summed along the row in place."""
-    n, dim = refs.shape
-    out = np.empty((len(queries), n))
-    rows = max(1, _TILE_BYTES // (8 * dim))
-    diff = np.empty((min(rows, n), dim))
-    for start in range(0, n, rows):
-        tile = refs[start : start + rows]
-        buf = diff[: len(tile)]
-        for q, dist in zip(queries, out[:, start : start + rows]):
-            np.subtract(tile, q, out=buf)
-            np.multiply(buf, buf, out=buf)
-            np.add.reduce(buf, axis=1, out=dist)
+def _margin(q_sq: np.ndarray, ref_sq_max: float, dim: int) -> np.ndarray:
+    """The gap between neighbours in BLAS-form order above which their exact
+    distances are strictly ordered the same way, per query row.
+
+    To first order in u = 2^-53, with eta = 2^-1074, n = dim and
+    S = 4(||q||^2 + max ||r||^2) >= 2(||q|| + ||r||)^2, a squared distance
+    D = ||r - q||^2 is missed by at most (n + 2) u S/2 + 2n eta in the BLAS form
+    (three n-term sums in any order, FMA or not, and two additions) and by
+    (n + 2) u S/2 + n eta/2 in the exact form (differences, squares, n - 1
+    additions of non-negative terms). So neighbours a < b with b - a > 2 e_blas
+    + 2 e_exact + 2 u S have exact sums x < y with y - x > 4 u y, so
+    sqrt(y) - sqrt(x) > 2 u sqrt(y), an ulp of that normal root: the rounded
+    roots are strictly ordered too. That bound, (2n + 6) u S + 5n eta, is below
+    m / 1.6 at any n. A finite S keeps every BLAS-form value and gap finite
+    (||q||^2 + max ||r||^2 <= MAX/4); an inf or NaN S makes m inf or NaN."""
+    return 8 * (dim + 8) * (2.0**-53 * (4 * (q_sq + ref_sq_max)) + 2.0**-1074)
+
+
+def _exact(queries: np.ndarray, refs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Distance of queries[rows[k]] to refs[cols[k]] for each k, by the operations
+    of np.linalg.norm(refs[cols] - q, axis=1), a _TILE_BYTES tile at a time."""
+    out = np.empty(len(rows))
+    step = max(1, _TILE_BYTES // (8 * refs.shape[1]))
+    for lo in range(0, len(rows), step):
+        diff = refs[cols[lo : lo + step]]
+        np.subtract(diff, queries[rows[lo : lo + step]], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1, out=out[lo : lo + step])
     return np.sqrt(out, out=out)
 
 
@@ -68,16 +82,22 @@ def _id_order(ids: tuple[str, ...]) -> np.ndarray:
     return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
 
-def _ranked(dist: np.ndarray, id_order: np.ndarray, own: list[int]) -> list[np.ndarray]:
-    """Each row's reference indices, nearest first with ties by id, without
-    the query's own index (-1 when the query is not a reference). Over
-    columns in id order, a row without equal distances has one order, which
-    the unstable sort finds; a stable sort leaves any other row's ties by id."""
-    d = dist[:, id_order]
-    order = np.argsort(d, axis=1)
-    s = np.take_along_axis(d, order, axis=1)
-    tied = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
-    order[tied] = np.argsort(d[tied], axis=1, kind="stable")
+def _ranked(queries: np.ndarray, refs: np.ndarray, ref_sq: np.ndarray, id_order: np.ndarray,
+            own: list[int]) -> list[np.ndarray]:
+    """Each query row's reference indices by (exact distance, id), without the
+    query's own index (-1 if none). One GEMM orders each row; each run of
+    neighbours no more than _margin apart gets exact distances and is re-sorted."""
+    with np.errstate(all="ignore"):
+        q_sq = np.einsum("ij,ij->i", queries, queries)[:, None]
+        d = (queries @ refs.T * -2 + ref_sq + q_sq)[:, id_order]
+        order = np.argsort(d, axis=1)
+        gap = np.diff(np.take_along_axis(d, order, axis=1), axis=1)
+        # joined[i, p]: position p of row i is in one run with position p - 1
+        joined = np.pad(~(gap > _margin(q_sq, ref_sq.max(), refs.shape[1])), ((0, 0), (1, 1)))
+    rows, pos = np.nonzero(joined[:, :-1] | joined[:, 1:])
+    ranks = order[rows, pos]
+    dist = _exact(queries, refs, rows, id_order[ranks])
+    order[rows, pos] = ranks[np.lexsort((ranks, dist, np.cumsum(~joined[rows, pos])))]
     return [row[row != i] for row, i in zip(id_order[order], own)]
 
 
@@ -94,7 +114,8 @@ def rank(query_id: str, query: np.ndarray, refs: FeatureSet) -> RankingList:
     if query.shape != (refs.dim,):
         raise DataError(f"query shape {query.shape} does not match reference dim {refs.dim}")
     own = refs.ids.index(query_id) if query_id in refs.ids else -1
-    (row,) = _ranked(_distances([query], refs.vectors), _id_order(refs.ids), [own])
+    ref_sq = np.einsum("ij,ij->i", refs.vectors, refs.vectors)  # einsum never warns
+    (row,) = _ranked(query[None], refs.vectors, ref_sq, _id_order(refs.ids), [own])
     return RankingList(query_id=query_id, ref_ids=tuple(refs.ids[i] for i in row))
 
 
@@ -127,10 +148,11 @@ def evaluate(queries: FeatureSet, refs: FeatureSet, gt: GroundTruth) -> EvalResu
         raise DataError("ground truth contains no queries")
 
     id_order = _id_order(refs.ids)
+    ref_sq = np.einsum("ij,ij->i", refs.vectors, refs.vectors)  # einsum never warns
 
     def block_aps(ids: list[str]) -> list[float]:
-        dist = _distances([queries.vectors[qindex[q]] for q in ids], refs.vectors)
-        rows = _ranked(dist, id_order, [rindex.get(q, -1) for q in ids])
+        block = queries.vectors[[qindex[q] for q in ids]]
+        rows = _ranked(block, refs.vectors, ref_sq, id_order, [rindex.get(q, -1) for q in ids])
         is_relevant = np.zeros(len(refs), dtype=bool)
         aps = []
         for qid, row in zip(ids, rows):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -293,6 +294,26 @@ class TestSave:
         write_vec_file(tmp_path / "y.vec", fs.vectors)
         assert (tmp_path / "x.vec").read_bytes() == (tmp_path / "y.vec").read_bytes()
 
+
+    @pytest.mark.parametrize("bad", ["", "x\ny", "x\ry"])
+    def test_id_the_ids_file_cannot_hold_rejected_before_writing(self, tmp_path, bad):
+        fs = fio.FeatureSet("x", ("ok", bad), np.zeros((2, 3)))
+        with pytest.raises(DataError, match=re.escape(repr(bad))):
+            fio.save_feature_set(fs, tmp_path / "x.vec", tmp_path / "x.ids")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ids_with_tab_and_comma_round_trip(self, tmp_path):
+        fs = fio.FeatureSet("x", ("a\tb", "c,d"), np.zeros((2, 3)))
+        fio.save_feature_set(fs, tmp_path / "x.vec", tmp_path / "x.ids")
+        assert fio.load_feature_set(tmp_path / "x.vec", tmp_path / "x.ids", "x").ids == fs.ids
+
+    @pytest.mark.parametrize("bad", ["", "a\nb", "a\rb", "a\tb", "a,b"])
+    @pytest.mark.parametrize("role", ["query", "relevant"])
+    def test_ground_truth_id_the_file_cannot_hold_rejected_before_writing(self, tmp_path, bad, role):
+        rel = {"q": frozenset({"r", bad})} if role == "relevant" else {bad: frozenset({"r"})}
+        with pytest.raises(DataError, match=re.escape(repr(bad))):
+            fio.save_ground_truth(fio.GroundTruth(rel), tmp_path / "gt.tsv")
+        assert list(tmp_path.iterdir()) == []
 
 class TestTake:
     def test_rows_in_requested_order(self):

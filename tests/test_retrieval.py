@@ -1,4 +1,6 @@
+import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +260,146 @@ class TestEvaluate:
             after = retrieval.evaluate(queries, extra, fio.GroundTruth(gt))
             for q in before.per_query_ap:
                 assert after.per_query_ap[q] <= before.per_query_ap[q] + 1e-12
+
+
+def near_tie_set(rng, n, dim):
+    """n normal reference vectors with planted exact duplicates, one-ulp
+    neighbours (np.nextafter in one coordinate) and mirror pairs about
+    another reference (near-equal exact distances whose BLAS form differs).
+    Returns the query vectors (a third of the references, then one vector
+    that is not a reference), the reference vectors and the query rows."""
+    vecs = rng.normal(size=(n, dim))
+    for a, b, c in rng.integers(0, n, size=(n // 4, 3)):
+        vecs[b] = vecs[a]
+        vecs[b, c % dim] = np.nextafter(vecs[a, c % dim], np.inf)
+    for a, b, c in rng.integers(0, n, size=(n // 4, 3)):
+        vecs[c] = 2 * vecs[a] - vecs[b]
+    for a, b in rng.integers(0, n, size=(n // 8, 2)):
+        vecs[b] = vecs[a]
+    qrows = rng.choice(n, size=n // 3, replace=False)
+    return np.vstack([vecs[qrows], rng.normal(size=(1, dim))]), vecs, qrows
+
+
+def proven_case(rng, qvecs, vecs, qrows):
+    """FeatureSets, with ids out of index order, and a ground truth for
+    `proven_order_matches_exact`."""
+    ids = [f"r{k:04d}" for k in rng.permutation(len(vecs))]
+    qids = [ids[i] for i in qrows] + ["zq"]
+    gt = {q: frozenset(rng.choice([i for i in ids if i != q], size=3, replace=False)) for q in qids}
+    return feature_set("q", qids, qvecs), feature_set("refs", ids, vecs), gt
+
+
+def exact_ranking(query_id, query, refs):
+    """The definition: ids other than query_id by (distance, id), a distance
+    being a row of np.linalg.norm(refs - q, axis=1)."""
+    dist = np.linalg.norm(refs.vectors - query, axis=1)
+    return tuple(i for _, i in sorted(zip(dist.tolist(), refs.ids)) if i != query_id)
+
+
+def proven_order_matches_exact(queries, refs, gt):
+    """rank for every query equals exact_ranking, and evaluate equals the same
+    call with every gap treated as close (_margin inf), which computes every
+    exact distance and sorts each row by (distance, id) alone: AP reprs, dict
+    order and mAP bits. Nothing warns."""
+
+    def scores():
+        result = retrieval.evaluate(queries, refs, fio.GroundTruth(gt))
+        return [(q, repr(ap)) for q, ap in result.per_query_ap.items()], struct.pack("<d", result.map)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, vec in zip(queries.ids, queries.vectors):
+            assert retrieval.rank(q, vec, refs).ref_ids == exact_ranking(q, vec, refs), q
+        got = scores()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "_margin", lambda *args: np.inf)
+            assert got == scores()
+
+
+class TestProvenOrder:
+    @pytest.mark.parametrize("dim", [1, 32, 2048])
+    def test_random_and_near_ties(self, dim):
+        rng = np.random.default_rng(dim)
+        proven_order_matches_exact(*proven_case(rng, *near_tie_set(rng, 150 if dim < 2048 else 60, dim)))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    def test_underflow_scales(self, scale):
+        # 1e-300: every square underflows to 0. 1e-160: the squares are
+        # subnormal, so both forms' errors are set by the absolute term.
+        rng = np.random.default_rng(160)
+        qvecs, vecs, qrows = near_tie_set(rng, 150, 32)
+        proven_order_matches_exact(*proven_case(rng, scale * qvecs, scale * vecs, qrows))
+
+    def test_overflowing_norms(self):
+        # At 1e155 along one axis some norms and 2q.r overflow to +-inf while
+        # no difference squared does, so the margin is inf and next to a
+        # finite BLAS-form value sits an infinite one.
+        rng = np.random.default_rng(155)
+        vecs = 1e155 * rng.uniform(0.05, 0.18, size=(150, 1))
+        vecs[1::7] = vecs[::7]
+        qrows = rng.choice(150, size=50, replace=False)
+        proven_order_matches_exact(*proven_case(rng, np.vstack([vecs[qrows], vecs[:1]]), vecs, qrows))
+
+    def test_norms_at_1e300(self):
+        # A shared 1e300 coordinate: every norm overflows, no difference does.
+        rng = np.random.default_rng(300)
+        qvecs, vecs, qrows = near_tie_set(rng, 90, 8)
+        wide = [np.hstack([np.full((len(v), 1), 1e300), v]) for v in (qvecs, vecs)]
+        proven_order_matches_exact(*proven_case(rng, *wide, qrows))
+
+    @given(lattice_retrieval(), st.sampled_from([0.0, 2.0**27 + 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_lattice(self, case, offset):
+        # Exact ties. Shifted by 2^27 the distances stay exact, but the BLAS
+        # form rounds, so it orders ties at random and every gap is close.
+        queries, refs, gt = case
+        shift = lambda fs: feature_set(fs.name, fs.ids, fs.vectors + offset)
+        proven_order_matches_exact(shift(queries), shift(refs), gt)
+
+    def test_rank_near_duplicate_pair(self):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            a = rng.normal(size=16)
+            b = a.copy()
+            c = rng.integers(16)
+            b[c] = np.nextafter(a[c], -np.inf)
+            refs = feature_set("r", ["b", "a", "c"], [b, a, rng.normal(size=16)])
+            queries = feature_set("q", ["q"], [a + 1e-3 * rng.normal(size=16)])
+            proven_order_matches_exact(queries, refs, {"q": frozenset({"a"})})
+
+
+class TestExactFallbackCost:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Each call's exact-distance count per query row of its block."""
+        calls = []
+        exact = retrieval._exact
+
+        def counting(queries, refs, rows, cols):
+            calls.append(np.bincount(rows, minlength=len(queries)))
+            return exact(queries, refs, rows, cols)
+
+        monkeypatch.setattr(retrieval, "_exact", counting)
+        return calls
+
+    def _set(self, vecs):
+        ids = [f"v{k:03d}" for k in range(len(vecs))]
+        gt = fio.GroundTruth({q: frozenset({ids[(k + 2) % len(ids)]}) for k, q in enumerate(ids)})
+        fs = feature_set("s", ids, vecs)
+        return fs, gt
+
+    def test_well_separated_set_computes_none(self, counted):
+        fs, gt = self._set(np.random.default_rng(8).normal(size=(800, 2048)))
+        retrieval.evaluate(fs, fs, gt)
+        assert sum(c.sum() for c in counted) == 0
+
+    def test_duplicate_pair_computes_two_a_row(self, counted):
+        vecs = np.random.default_rng(8).normal(size=(800, 2048))
+        vecs[1] = vecs[0]
+        fs, gt = self._set(vecs)
+        retrieval.evaluate(fs, fs, gt)
+        per_row = np.concatenate(counted)
+        assert len(per_row) == 800 and (per_row == 2).all()
 
 
 class TestCrossFeatureEvaluate:
