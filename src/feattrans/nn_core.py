@@ -5,8 +5,10 @@ optional final row-wise L2 normalization. The layout is fixed: relu on every
 layer but the last, which is linear. Gradients are computed analytically,
 including the normalization Jacobian (I/||x|| - x x^T / ||x||^3), and are
 validated against central finite differences in the test suite. A tape holds
-the layer inputs and a normalizing stack's output and row norms. The callers
-own the shape checks; nothing here re-validates its arguments.
+the layer inputs and a normalizing stack's output and row norms. Bias, relu and
+normalization act in place on each GEMM's output, which forward() writes into
+out[k] when given (not sharing the layer's input), so a pass that keeps no tape
+can reuse memory. The callers own the shape checks; nothing is re-validated.
 """
 from __future__ import annotations
 
@@ -100,19 +102,21 @@ class Tape:
     norms: np.ndarray | None  # row norms before normalization, clamped at _EPS
 
 
-def forward(stack: LayerStack, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
+def forward(stack: LayerStack, batch: np.ndarray, out=None) -> tuple[np.ndarray, Tape]:
     x = batch
     inputs = []
     last = len(stack.layers) - 1
     for k, layer in enumerate(stack.layers):
         inputs.append(x)
-        z = x @ layer.weights.T + layer.bias
-        x = np.maximum(z, 0.0) if k < last else z
-    out = norms = None
+        x = x @ layer.weights.T if out is None else np.matmul(x, layer.weights.T, out=out[k])
+        x += layer.bias
+        if k < last:
+            np.maximum(x, 0.0, out=x)
+    norms = None
     if stack.final_l2_normalize:
-        norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), _EPS)
-        x = out = x / norms
-    return x, Tape(inputs=inputs, out=out, norms=norms)
+        norms = np.maximum(_row_norms(x)[:, None], _EPS)
+        x /= norms
+    return x, Tape(inputs=inputs, out=None if norms is None else x, norms=norms)
 
 
 def backward(
@@ -132,22 +136,30 @@ def backward(
     if stack.final_l2_normalize:
         y, n = tape.out, tape.norms
         # d(x/||x||) applied to g: (g - (g.y) y) / ||x||
-        g = (g - np.sum(g * y, axis=1, keepdims=True) * y) / n
+        t = np.add.reduce(g * y, axis=1, keepdims=True) * y
+        g = np.divide(np.subtract(g, t, out=t), n, out=t)
     if out is None:
         out = [np.empty_like(p) for p in stack.parameters()]
     for k in range(len(stack.layers) - 1, -1, -1):
         np.matmul(g.T, tape.inputs[k], out=out[2 * k])
-        np.sum(g, axis=0, out=out[2 * k + 1])
+        np.add.reduce(g, axis=0, out=out[2 * k + 1])
         if k:  # back through layer k, then the relu feeding it: max(z, 0) > 0 iff z > 0
-            g = (g @ stack.layers[k].weights) * (tape.inputs[k] > 0)
+            g = g @ stack.layers[k].weights
+            np.multiply(g, tape.inputs[k] > 0, out=g)
     return out, g
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) of a real array by its own operations, without
+    its wrapper and conj() copy."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def _mean_distance(diff: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean over rows of the Euclidean norm of `diff` (pred - tgt), and the
     row norms: euclid_loss's value without its gradient."""
-    dists = np.linalg.norm(diff, axis=1)
-    return float(dists.mean()), dists
+    dists = _row_norms(diff)
+    return float(np.add.reduce(dists) / dists.size), dists
 
 
 def euclid_loss(pred: np.ndarray, tgt: np.ndarray) -> tuple[float, np.ndarray]:
@@ -156,9 +168,10 @@ def euclid_loss(pred: np.ndarray, tgt: np.ndarray) -> tuple[float, np.ndarray]:
     The gradient at coincident rows is defined as 0 via an epsilon in the
     denominator.
     """
-    diff = pred - tgt
-    loss, dists = _mean_distance(diff)
-    grad = diff / (dists[:, None] + _EPS) / pred.shape[0]
+    grad = pred - tgt
+    loss, dists = _mean_distance(grad)
+    grad /= (dists + _EPS)[:, None]
+    grad /= pred.shape[0]
     return loss, grad
 
 
@@ -180,11 +193,11 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 
 
 def _split(fn, items: list) -> list:
-    """[fn(x) for x in items], cut into contiguous shares, one per usable core
-    (_WORKERS) and at most one per item. The caller's thread runs the first
-    share and threads started for this call the others, under the caller's
-    np.geterr(); one share starts no thread. A share's exception is re-raised,
-    and every share has finished when _split returns or raises."""
+    """adam_step's [fn(x) for x in items], cut into contiguous shares, one per
+    usable core (_WORKERS) and at most one per item. The caller's thread runs
+    the first share and threads started for this call the others, under the
+    caller's np.geterr(); one share starts no thread. A share's exception is
+    re-raised, and every share has finished when _split returns or raises."""
     k = min(_WORKERS, len(items))
     if k <= 1:
         return [fn(x) for x in items]

@@ -5,17 +5,18 @@ tie-breaks. AP is the standard non-interpolated variant over the full
 ranking; mAP is reported as a percentage. A query id present among the
 references is excluded from its own ranking.
 
-`evaluate` scores blocks of queries across the usable cores. For a block, one
-BLAS product gives each squared distance as ||q||^2 + ||r||^2 - 2 q.r, and one
-sort per row over the references in id order orders them by it. Neighbours in
-that order more than `_margin` apart have exact distances in the same strict
-order; each run of neighbours within it gets exact distances, by the
-operations of `np.linalg.norm(refs - q, axis=1)`, and is sorted by (distance,
-id). Each AP comes from the ranks at which the relevant references appear and
-sums precision@k in rank order, so every AP and the mAP are bit-identical to
-the one-query-at-a-time, one-thread definition. Working memory is set by fixed
-byte budgets per block. `rank` and `average_precision` are that same ordering
-and AP for one query.
+`evaluate` scores blocks of queries on the caller's thread, whose BLAS calls
+already use every core. For a block, one BLAS product gives each squared
+distance as ||q||^2 + ||r||^2 - 2 q.r, and one sort per row over the
+references in id order orders them by it. Neighbours in that order more than
+`_margin` apart have exact distances in the same strict order; each run of
+neighbours within it gets exact distances, by the operations of
+`np.linalg.norm(refs - q, axis=1)`, and is sorted by (distance, id). Each AP
+comes from the ranks at which the relevant references appear and sums
+precision@k in rank order, so every AP and the mAP are bit-identical to the
+one-query-at-a-time definition. Working memory is set by fixed byte budgets
+per block. `rank` and `average_precision` are that same ordering and AP for
+one query.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import numpy as np
 
 from .errors import DataError, UnknownRelevantId
 from .feature_io import FeatureSet, GroundTruth
-from .nn_core import _split
 from .translator import TranslatorModel, translate
 
 _TILE_BYTES = 1 << 18  # the difference buffer for one tile of exact distances
@@ -164,7 +164,7 @@ def evaluate(queries: FeatureSet, refs: FeatureSet, gt: GroundTruth) -> EvalResu
 
     block = max(1, _BLOCK_BYTES // (8 * len(refs)))
     blocks = [qids[start : start + block] for start in range(0, len(qids), block)]
-    per_query = dict(zip(qids, (ap for aps in _split(block_aps, blocks) for ap in aps)))
+    per_query = dict(zip(qids, (ap for ids in blocks for ap in block_aps(ids))))
     mean_ap = float(np.mean(list(per_query.values())))
     return EvalResult(map=100.0 * mean_ap, per_query_ap=per_query, n_queries=len(per_query))
 

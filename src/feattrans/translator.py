@@ -31,6 +31,7 @@ from .nn_core import (
     AdamState,
     LayerStack,
     _mean_distance,
+    _row_norms,
     adam_step,
     backward,
     euclid_loss,
@@ -191,18 +192,15 @@ def build(
     return model
 
 
-def _run(path: tuple[LayerStack, ...], x: np.ndarray, tapes: list | None = None) -> np.ndarray:
-    """Feed x through each stack of a path, appending the tapes if asked."""
+def _run(path: tuple[LayerStack, ...], x: np.ndarray, tapes: list) -> np.ndarray:
+    """Feed x through each stack of a path, appending the tapes."""
     for stack in path:
         x, tape = forward(stack, x)
-        if tapes is not None:
-            tapes.append(tape)
+        tapes.append(tape)
     return x
 
 
-def _forward(
-    model: TranslatorModel, vs: np.ndarray, vt: np.ndarray, tapes: list | None = None
-) -> np.ndarray:
+def _forward(model: TranslatorModel, vs: np.ndarray, vt: np.ndarray, tapes: list) -> np.ndarray:
     """Every path's output on one batch, one row block per path. The heads,
     stacks[:2] (enc_s on vs, enc_t on vt; or the baseline's one stack), run on
     their own inputs, then the shared tail, stacks[2:] (the HAE decoder), runs
@@ -211,17 +209,45 @@ def _forward(
     return _run(model.stacks[2:], np.concatenate(latents), tapes)
 
 
-def _batch_losses(
-    model: TranslatorModel, vs: np.ndarray, vt: np.ndarray, ids: tuple[str, ...] | None = None
-) -> tuple[float, float]:
-    """(translation error, reconstruction error) on one batch, no gradients;
-    the baseline's reconstruction error is 0.0. Given the batch's ids, an
-    all-zero output row raises NumericError, reconstruction rows first."""
-    blocks = np.split(_forward(model, vs, vt), len(model.stacks[:2]))
+def _scratch(stacks: tuple[LayerStack, ...], rows: int) -> np.ndarray:
+    """_untaped's two arrays of `rows` rows (every head's) by the widest layer."""
+    return np.empty((2, rows, max(w for s in stacks for w in s.dims[1:])))
+
+
+def _untaped(heads: tuple, xs: tuple, tail: tuple, scratch: np.ndarray | None = None) -> np.ndarray:
+    """_forward's output without a tape. The layers go alternately into the two
+    scratch arrays, a head's in its own row block, so none overwrites its input;
+    a head's last layer writes its row block of the tail's input. Returns a view."""
+    rows = sum(map(len, xs))
+    scratch = _scratch((*heads, *tail), rows) if scratch is None else scratch
+    flat, width = scratch.reshape(2, -1), scratch.shape[2]
+    def layer(k, start, n, w):  # n rows of width w in scratch[k % 2], from head row `start` on
+        return flat[k % 2, start * width : start * width + n * w].reshape(n, w)
+    x, start, k = layer(0, 0, rows, heads[0].out_dim), 0, 1  # x in scratch[0], so k = 1 next
+    for stack, rows_in in zip(heads, xs):
+        n, depth = len(rows_in), len(stack.layers)
+        outs = [layer(depth - 1 - j, start, n, w) for j, w in enumerate(stack.dims[1:-1])]
+        forward(stack, rows_in, [*outs, x[start : start + n]])
+        start += n
+    for stack in tail:
+        x = forward(stack, x, [layer(k + j, 0, rows, w) for j, w in enumerate(stack.dims[1:])])[0]
+        k += len(stack.layers)
+    return x
+
+
+def _batch_losses(model: TranslatorModel, vs: np.ndarray, vt: np.ndarray,
+                  ids: tuple[str, ...] | None = None, scratch: np.ndarray | None = None
+                  ) -> tuple[float, float]:
+    """(translation error, reconstruction error) on one batch, no gradients,
+    in `scratch` if given; the baseline's reconstruction error is 0.0. Given the
+    ids, an all-zero output row raises NumericError, reconstruction rows first."""
+    heads, n = model.stacks[:2], len(vt)
+    out = _untaped(heads, (vs, vt)[: len(heads)], model.stacks[2:], scratch)
+    blocks = [out[i * n : (i + 1) * n] for i in range(len(heads))]
     if ids is not None:
         for rows in reversed(blocks):
             _check_nonzero_rows(rows, ids)
-    losses = [_mean_distance(rows - vt)[0] for rows in blocks]
+    losses = [_mean_distance(np.subtract(rows, vt, out=rows))[0] for rows in blocks]
     return losses[0], losses[1] if len(losses) > 1 else 0.0
 
 
@@ -239,13 +265,13 @@ def _loss_and_grads(
     stacks = list(zip(model.stacks, grads.stacks, tapes))
     for stack, g_stack, tape in reversed(stacks[2:]):
         g = backward(stack, tape, g, g_stack.parameters())[1] @ stack.layers[0].weights
-    for (stack, g_stack, tape), g_rows in zip(stacks[:2], np.split(g, k)):
-        backward(stack, tape, g_rows, g_stack.parameters())
+    for i, (stack, g_stack, tape) in enumerate(stacks[:2]):
+        backward(stack, tape, g[i * len(vt) : (i + 1) * len(vt)], g_stack.parameters())
     return k * loss
 
 
 def _check_unit_norm(fs: FeatureSet) -> None:
-    norms = np.linalg.norm(fs.vectors, axis=1)
+    norms = _row_norms(fs.vectors)
     if np.any(np.abs(norms - 1.0) > NORM_TOL):
         raise DataError(
             f"target feature set {fs.name!r} must be L2-normalized before training"
@@ -275,6 +301,8 @@ def train(
     train_idx = perm[n_val:]
     val_idx = perm[:n_val] if n_val else train_idx  # one pair validates on itself
     vs_all, vt_all = paired.source.vectors, paired.target.vectors
+    passes = [(vs_all[idx], vt_all[idx]) for idx in (train_idx, val_idx)]  # the epoch-end rows
+    scratch = _scratch(model.stacks, len(model.stacks[:2]) * max(map(len, (train_idx, val_idx))))
 
     grads = model.on(np.empty_like(model.flat))  # written in full by every step
     state = AdamState.init([model.flat], lr=cfg.lr)
@@ -294,8 +322,7 @@ def train(
                 if not np.isfinite(total):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
 
-            tr_t, tr_r = _batch_losses(model, vs_all[train_idx], vt_all[train_idx])
-            va_t, va_r = _batch_losses(model, vs_all[val_idx], vt_all[val_idx])
+            (tr_t, tr_r), (va_t, va_r) = (_batch_losses(model, *p, scratch=scratch) for p in passes)
             log.train_translation.append(tr_t)
             log.train_reconstruction.append(tr_r)
             log.train_total.append(tr_t + tr_r)
@@ -324,7 +351,7 @@ def _check_dim(path: tuple[LayerStack, ...], fs: FeatureSet, side: str) -> None:
 
 def _check_nonzero_rows(out: np.ndarray, ids: tuple[str, ...]) -> None:
     # an all-dead ReLU path leaves the L2-normalized output at exactly zero
-    norms = np.linalg.norm(out, axis=1)
+    norms = _row_norms(out)
     if np.any(norms == 0.0):
         bad = ids[int(np.argmin(norms))]
         raise NumericError(f"model produced an all-zero output row for id {bad!r}")
@@ -333,7 +360,7 @@ def _check_nonzero_rows(out: np.ndarray, ids: tuple[str, ...]) -> None:
 def _infer(path: tuple[LayerStack, ...], fs: FeatureSet, side: str, name: str) -> FeatureSet:
     """Run `fs` through `path`, whose input is the model's `side` dim."""
     _check_dim(path, fs, side)
-    out = _run(path, fs.vectors)
+    out = _untaped(path[:1], (fs.vectors,), path[1:]).copy()  # frees the scratch
     _check_nonzero_rows(out, fs.ids)
     return FeatureSet(name=name, ids=fs.ids, vectors=out, normalized=True)
 

@@ -56,6 +56,90 @@ class TestForward:
             nn.forward(stack, np.zeros((2, 5)))
 
 
+def expression_forward(stack, batch):
+    """forward()'s arithmetic as expressions, a fresh array for each."""
+    x = batch
+    for k, layer in enumerate(stack.layers):
+        z = x @ layer.weights.T + layer.bias
+        x = np.maximum(z, 0.0) if k < len(stack.layers) - 1 else z
+    if stack.final_l2_normalize:
+        x = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), nn._EPS)
+    return x
+
+
+def expression_backward(stack, tape, g):
+    """backward()'s arithmetic as expressions: the parameter gradients and
+    the gradient at the first layer's affine output."""
+    if stack.final_l2_normalize:
+        y = tape.out
+        g = (g - np.sum(g * y, axis=1, keepdims=True) * y) / tape.norms
+    grads = [None] * (2 * len(stack.layers))
+    for k in range(len(stack.layers) - 1, -1, -1):
+        grads[2 * k], grads[2 * k + 1] = g.T @ tape.inputs[k], np.sum(g, axis=0)
+        if k:
+            g = (g @ stack.layers[k].weights) * (tape.inputs[k] > 0)
+    return grads, g
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceArithmetic:
+    """forward, backward and euclid_loss work in place, with the bits of the
+    expressions they replace."""
+
+    @pytest.mark.parametrize("final_l2", [False, True])
+    def test_forward_into_out_is_bit_identical(self, final_l2):
+        rng = np.random.default_rng(20)
+        stack = random_stack(rng, dims=(8, 6, 9, 5), final_l2=final_l2)
+        x = rng.normal(size=(7, 8))
+        want, _ = nn.forward(stack, x)
+        outs = [np.full((7, w), np.nan) for w in stack.dims[1:]]
+        got, tape = nn.forward(stack, x, outs)
+        assert got is outs[-1]  # the result is the last layer's array
+        assert same_bits(got, want) and same_bits(want, expression_forward(stack, x))
+        assert tape.inputs[1:] == outs[:-1]
+        assert (tape.out is got) == final_l2
+
+    @pytest.mark.parametrize("final_l2", [False, True])
+    def test_backward_and_loss_bit_identical_to_expressions(self, final_l2):
+        rng = np.random.default_rng(21)
+        stack = random_stack(rng, dims=(8, 6, 9, 5), final_l2=final_l2)
+        x = rng.normal(size=(7, 8))
+        tgt = rng.normal(size=(7, 5))
+        out, tape = nn.forward(stack, x)
+        loss, g = nn.euclid_loss(out, tgt)
+        diff = out - tgt
+        dists = np.linalg.norm(diff, axis=1)
+        assert loss == float(dists.mean())
+        assert same_bits(g, diff / (dists[:, None] + nn._EPS) / 7)
+        upstream = g.copy()
+        grads, g_first = nn.backward(stack, tape, g)
+        assert same_bits(g, upstream)  # the caller's gradient is left alone
+        want, want_first = expression_backward(stack, tape, g)
+        assert all(same_bits(a, b) for a, b in zip(grads, want))
+        assert same_bits(g_first, want_first)
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.random.default_rng(22).normal(size=(6, 5)) * 1e-300,  # squares underflow
+            np.random.default_rng(23).normal(size=(6, 5)) * 1e300,  # squares overflow
+            np.zeros((3, 4)),
+            np.array([[np.nan, 1.0], [np.inf, -np.inf], [np.nan, np.inf], [0.0, -0.0]]),
+            np.arange(-6, 6).reshape(4, 3) * 5e-324,  # subnormals
+            np.empty((0, 3)),
+        ],
+        ids=["1e-300", "1e300", "zeros", "nan-inf", "subnormal", "no-rows"],
+    )
+    def test_bit_identical_to_linalg_norm(self, rows):
+        with np.errstate(all="ignore"):
+            assert same_bits(nn._row_norms(rows), np.linalg.norm(rows, axis=1))
+
+
 class TestEuclidLoss:
     def test_coincident_points(self):
         x = np.ones((3, 4))

@@ -1,5 +1,5 @@
 import struct
-import sys
+import threading
 import warnings
 
 import numpy as np
@@ -171,11 +171,10 @@ class TestEvaluate:
             assert retrieval.rank(qid, vec, refs).ref_ids == tuple(want)
 
     @pytest.mark.parametrize("dim", [16, 1024])
-    def test_tile_and_block_edges_match_oracle(self, monkeypatch, dim):
+    def test_tile_and_block_edges_match_oracle(self, dim):
         # Counts from the byte budgets: two full reference tiles and a partial
-        # one. At 16-d also two full query blocks and a partial one, scored at
-        # 1, 2 and 3 workers; at 1024-d a block holds hundreds of queries, too
-        # many for the oracle.
+        # one. At 16-d also two full query blocks and a partial one; at 1024-d
+        # a block holds hundreds of queries, too many for the oracle.
         tile = retrieval._TILE_BYTES // (8 * dim)
         n_refs = 2 * tile + tile // 2
         block = retrieval._BLOCK_BYTES // (8 * n_refs)
@@ -191,46 +190,36 @@ class TestEvaluate:
         for q in queries.ids:
             gt[q] = frozenset(rng.choice([i for i in ids if i != q], size=int(rng.integers(1, 6)), replace=False))
         want = oracle_aps(queries, refs, gt)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(nn_core, "_WORKERS", workers)
-            got = retrieval.evaluate(queries, refs, fio.GroundTruth(gt)).per_query_ap
-            assert all(abs(got[q] - want[q]) <= 1e-12 for q in want), workers
+        got = retrieval.evaluate(queries, refs, fio.GroundTruth(gt)).per_query_ap
+        assert all(abs(got[q] - want[q]) <= 1e-12 for q in want)
 
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_split_blocks_bit_identical_to_one_worker(self, monkeypatch, workers):
+    def test_blocks_bit_identical_to_one_block(self, monkeypatch):
         rng = np.random.default_rng(5)
         ids = [f"v{k:03d}" for k in rng.permutation(800)]
         fs = feature_set("s", ids, rng.normal(size=(800, 32)))
         # 7k + 1 and 13k + 5 never equal k mod 800: no query is its own hit
         gt = fio.GroundTruth({q: frozenset({ids[(7 * k + 1) % 800], ids[(13 * k + 5) % 800]})
                               for k, q in enumerate(ids)})
-        assert 800 // (retrieval._BLOCK_BYTES // (8 * 800)) >= 2 * workers  # two or more blocks a share
-        monkeypatch.setattr(nn_core, "_WORKERS", 1)
+        assert 800 // (retrieval._BLOCK_BYTES // (8 * 800)) >= 4  # several blocks
+        got = retrieval.evaluate(fs, fs, gt)
+        monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * 800 * 800)  # one block
         want = retrieval.evaluate(fs, fs, gt)
-        monkeypatch.setattr(nn_core, "_WORKERS", workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # hand the GIL over often: a shared scratch would show
-        try:
-            got = retrieval.evaluate(fs, fs, gt)
-        finally:
-            sys.setswitchinterval(interval)
         assert list(got.per_query_ap.items()) == list(want.per_query_ap.items())
         assert got.map == want.map
 
-    def test_single_block_starts_no_thread(self, monkeypatch):
+    def test_evaluate_starts_no_thread(self, monkeypatch):
         def no_threads(*args):
             raise AssertionError("evaluate started a thread")
 
         monkeypatch.setattr(nn_core, "_WORKERS", 2)
-        monkeypatch.setattr(nn_core, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
         rng = np.random.default_rng(6)
         ids = [f"v{k:03d}" for k in range(80)]
         fs = feature_set("s", ids, rng.normal(size=(80, 8)))
         gt = fio.GroundTruth({q: frozenset({ids[(k + 1) % 80]}) for k, q in enumerate(ids)})
         retrieval.evaluate(fs, fs, gt)  # 80 queries fit one block of 80 references
-        monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * 80 * 40)  # two blocks
-        with pytest.raises(AssertionError, match="started a thread"):
-            retrieval.evaluate(fs, fs, gt)
+        monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * 80 * 10)  # eight blocks
+        retrieval.evaluate(fs, fs, gt)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)

@@ -206,6 +206,93 @@ class TestLossAndGrads:
             assert recon == 0.0 and type(recon) is float
 
 
+def fresh_untaped(heads, xs, tail, scratch=None):
+    """The untaped pass through fresh arrays: each head by nn.forward, then
+    the tail on their concatenated outputs."""
+    x = np.concatenate([nn.forward(stack, x)[0] for stack, x in zip(heads, xs)])
+    for stack in tail:
+        x = nn.forward(stack, x)[0]
+    return x
+
+
+def random_pairs(n, source_dim, target_dim, seed):
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"v{i:03d}" for i in range(n))
+    src = fio.FeatureSet("s", ids, rng.normal(size=(n, source_dim)))
+    tgt = fio.l2_normalize(fio.FeatureSet("t", ids, rng.normal(size=(n, target_dim))))
+    return src, tgt
+
+
+class TestUntapedPass:
+    """The epoch-end loss pass, dam_entry and translate/reconstruct keep no tape
+    and run their layers in two reused scratch arrays, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    @pytest.mark.parametrize("n", [1, 2, 101])
+    def test_train_bit_identical_to_fresh_arrays(self, monkeypatch, kind, n):
+        # at n = 101, 91 training rows in batches of 8 leave a remainder of 3
+        src, tgt = random_pairs(n, 12, 10, seed=n)
+        cfg = translator.TrainConfig(lr=1e-3, batch_size=8, max_epochs=4, patience=4, seed=1)
+
+        def run():
+            model = translator.build(12, 10, 14, kind, seed=3)  # latent wider than the inputs
+            best, log = translator.train(model, fio.align_pairs(src, tgt), cfg)
+            return model.flat.tobytes(), best.flat.tobytes(), dataclasses.asdict(log)
+
+        got = run()
+        monkeypatch.setattr(translator, "_untaped", fresh_untaped)
+        assert run() == got
+
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_inference_bit_identical_to_fresh_arrays(self, monkeypatch, kind):
+        src, tgt = random_pairs(30, 12, 10, seed=4)
+        model = translator.build(12, 10, 14, kind, seed=5)
+        paths = [translator.translate] + ([translator.reconstruct] if kind == "hae" else [])
+        inputs = [src, tgt]
+        got = [path(model, fs).vectors for path, fs in zip(paths, inputs)]
+        losses = translator._batch_losses(model, src.vectors, tgt.vectors, src.ids)
+        monkeypatch.setattr(translator, "_untaped", fresh_untaped)
+        want = [path(model, fs).vectors for path, fs in zip(paths, inputs)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert translator._batch_losses(model, src.vectors, tgt.vectors, src.ids) == losses
+        assert all(v.flags.owndata for v in got)  # translate's rows are not a scratch view
+
+    def test_no_layer_writes_over_its_input_or_another_heads_rows(self, monkeypatch):
+        src, tgt = random_pairs(9, 6, 5, seed=6)
+        model = translator.build(6, 5, 9, "hae", seed=2)
+        calls = []
+
+        def spy(stack, batch, out=None):
+            for k, (o, x) in enumerate(zip(out, [batch, *out[:-1]])):
+                assert not np.shares_memory(o, x), k
+            calls.append(out)
+            return nn.forward(stack, batch, out)
+
+        monkeypatch.setattr(translator, "forward", spy)
+        translator._batch_losses(model, src.vectors, tgt.vectors)
+        (*_, s_rows), t_outs, _ = calls
+        assert not any(np.shares_memory(o, s_rows) for o in t_outs)
+        calls.clear()
+        translator.translate(model, src)
+        assert len(calls) == 2
+
+    def test_translate_peak_memory_is_the_scratch_and_the_output(self):
+        rows, dim = 800, 256
+        src, _ = random_pairs(rows, dim, 1, seed=7)
+        model = translator.build(dim, dim, dim, "hae", seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = translator.translate(model, src)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two scratch arrays of rows x the widest layer, and the result
+        assert peak - base <= (2 * rows * dim + rows * dim) * 8 * 1.1
+        assert held - base <= rows * dim * 8 * 1.1  # the result alone outlives the call
+        assert out.vectors.shape == (rows, dim)
+
+
 class TestTranslate:
     def test_shape_and_name_contract(self, rotation_fixture):
         src = rotation_fixture.data.feature_sets["a"]
