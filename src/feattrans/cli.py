@@ -119,7 +119,7 @@ def cmd_synth(args) -> int:
         members=tuple(members),
         noise_sigma=args.noise,
         n_clusters=args.clusters,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     result = synth.generate(spec)
     out = Path(args.out)

@@ -192,33 +192,6 @@ _ADAM_SPLIT_MIN = 4 * ADAM_CHUNK
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _split(fn, items: list) -> list:
-    """adam_step's [fn(x) for x in items], cut into contiguous shares, one per
-    usable core (_WORKERS) and at most one per item. The caller's thread runs
-    the first share and threads started for this call the others, under the
-    caller's np.geterr(); one share starts no thread. A share's exception is
-    re-raised, and every share has finished when _split returns or raises."""
-    k = min(_WORKERS, len(items))
-    if k <= 1:
-        return [fn(x) for x in items]
-    cuts = [len(items) * j // k for j in range(k + 1)]
-    shares = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    err = np.geterr()
-
-    def run(share):
-        # numpy 1.x keeps errstate per thread, 2.x per context
-        with np.errstate(**err):
-            return [fn(x) for x in share]
-
-    # leaving the block waits for every started share
-    with ThreadPoolExecutor(k - 1) as pool:
-        rest = [pool.submit(run, share) for share in shares[1:]]
-        out = [fn(x) for x in shares[0]]
-    for future in rest:
-        out += future.result()
-    return out
-
-
 @dataclass
 class AdamState:
     """Bias-corrected Adam over a flat list of parameter arrays."""
@@ -266,12 +239,14 @@ def adam_step(
     """One in-place Adam update (Kingma & Ba 2015, Alg. 1); returns params.
 
     Each array is updated in ADAM_CHUNK-element slices of its raveled view,
-    so params and moments must be C-contiguous. An array whose chunk-aligned
-    share per worker (one per usable core) reaches _ADAM_SPLIT_MIN elements
-    is cut into those contiguous shares, which _split runs across the cores.
-    A smaller array is updated inline and starts no thread. Every element
-    sees the same operations with the same scalars either way, so the result
-    is bit-identical to an inline update.
+    so params and moments must be C-contiguous. An array is cut into one
+    contiguous share of whole chunks per usable core (_WORKERS) when a share
+    holds at least _ADAM_SPLIT_MIN elements and there are two or more: the
+    caller's thread updates the first share, threads started for this call
+    the others under the caller's np.geterr(), and a share's exception is
+    re-raised once every share has finished. Otherwise the array is updated
+    inline and no thread starts. Every element sees the same operations with
+    the same scalars either way, so the result is bit-identical.
     """
     state.step += 1
     t = state.step
@@ -282,6 +257,20 @@ def adam_step(
             raise ValueError("adam_step needs C-contiguous arrays")
         p, g, m, v = (a.reshape(-1) for a in arrays)
         share = -(-p.size // (ADAM_CHUNK * _WORKERS)) * ADAM_CHUNK
-        cuts = [*range(0, p.size, share), p.size] if share >= _ADAM_SPLIT_MIN else [0, p.size]
-        _split(lambda r: _adam_range(p, g, m, v, *r, c2, step_size), list(zip(cuts, cuts[1:])))
+        if not _ADAM_SPLIT_MIN <= share < p.size:
+            _adam_range(p, g, m, v, 0, p.size, c2, step_size)
+            continue
+        err = np.geterr()
+
+        def run(lo):
+            # numpy 1.x keeps errstate per thread, 2.x per context
+            with np.errstate(**err):
+                _adam_range(p, g, m, v, lo, min(lo + share, p.size), c2, step_size)
+
+        # leaving the block waits for every started share
+        with ThreadPoolExecutor(-(-p.size // share) - 1) as pool:
+            rest = [pool.submit(run, lo) for lo in range(share, p.size, share)]
+            _adam_range(p, g, m, v, 0, share, c2, step_size)
+        for future in rest:
+            future.result()
     return params

@@ -60,7 +60,6 @@ class SynthSpec:
 class SynthResult:
     feature_sets: dict[str, FeatureSet]
     ground_truth: GroundTruth
-    latents: np.ndarray  # (n_vectors, latent_dim) shared latent draws
     cluster_of: dict[str, int]
 
 
@@ -111,6 +110,5 @@ def generate(spec: SynthSpec) -> SynthResult:
     return SynthResult(
         feature_sets=feature_sets,
         ground_truth=GroundTruth(relevant=relevant),
-        latents=latents,
         cluster_of={ids[i]: int(assign[i]) for i in range(spec.n_vectors)},
     )

@@ -181,8 +181,10 @@ def build(
 ) -> TranslatorModel:
     """Construct an untrained translator, with the stacks of _layout() over
     one flat buffer."""
-    if source_dim < 1 or target_dim < 1 or (kind == KIND_HAE and latent_dim < 1):
+    if source_dim < 1 or target_dim < 1:
         raise DataError("dims must be >= 1")
+    if kind == KIND_HAE and latent_dim < 1:
+        raise InvalidConfig("latent dim must be >= 1")
     layout = _layout(kind, source_dim, target_dim, latent_dim)
     flat = np.empty(sum(stack_size(dims) for dims, _ in layout))
     model = _on_flat(source_name, target_name, layout, flat)

@@ -256,20 +256,25 @@ def test_affinity_over_baseline_model(workspace, tmp_path, capsys):
         (["train", "--config", "{cfg}", "--source", "fx", "--target", "fy", "--epochs", "0"], 2),
         (["train", "--config", "{inf}", "--source", "fx", "--target", "fy"], 2),
         (["synth", "--n", "101", "--clusters", "5"], 2),
+        (["train", "--config", "{cfg}", "--source", "fx", "--target", "fy", "--latent", "0"], 2),
+        (["train", "--config", "{cfg}", "--source", "fx", "--target", "fy", "--latent", "-1"], 2),
+        (["train", "--config", "{latent0}", "--source", "fx", "--target", "fy"], 2),
     ],
     ids=["malformed-config", "non-object-config", "batch-0", "epochs-0", "lr-infinity",
-         "clusters-not-dividing-n"],
+         "clusters-not-dividing-n", "latent-0", "latent-negative", "config-latent-0"],
 )
 def test_bad_settings_exit_with_code(workspace, tmp_path, capsys, argv, code):
     (tmp_path / "bad.json").write_text('{"features": ')
     (tmp_path / "array.json").write_text("[]")
     config = json.loads((workspace / "data" / "config.json").read_text())
     (tmp_path / "inf.json").write_text(json.dumps({**config, "lr": float("inf")}))  # "lr": Infinity
+    (tmp_path / "latent0.json").write_text(json.dumps({**config, "latent": 0}))
     paths = {
         "cfg": str(workspace / "data" / "config.json"),
         "bad": str(tmp_path / "bad.json"),
         "array": str(tmp_path / "array.json"),
         "inf": str(tmp_path / "inf.json"),
+        "latent0": str(tmp_path / "latent0.json"),
     }
     argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == code

@@ -306,20 +306,32 @@ class TestAdamSplit:
             nn.adam_step(params, g, state)
         assert np.max(np.abs(params[0] - want[0])) <= 1e-12 * np.max(np.abs(want[0]))
 
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_caller_runs_the_first_share_and_started_threads_the_others(self, monkeypatch, workers):
+        threads = {}
+        adam_range = nn._adam_range
+
+        def tagged(p, g, m, v, lo, hi, *scalars):
+            threads[lo] = threading.get_ident()
+            adam_range(p, g, m, v, lo, hi, *scalars)
+
+        monkeypatch.setattr(nn, "_adam_range", tagged)
+        monkeypatch.setattr(nn, "_ADAM_SPLIT_MIN", nn.ADAM_CHUNK)  # split at 8 workers too
+        _split_steps(monkeypatch, workers, self.N, steps=1)
+        share = -(-self.N // (nn.ADAM_CHUNK * workers)) * nn.ADAM_CHUNK
+        assert sorted(threads) == list(range(0, self.N, share))  # 5 shares at 8 workers
+        caller = threading.get_ident()
+        assert [lo for lo, t in threads.items() if t == caller] == [0]
+
     def test_started_share_keeps_the_callers_errstate(self, monkeypatch):
         monkeypatch.setattr(nn, "_WORKERS", 2)
-        caller = threading.get_ident()
-
-        def invalid_off_caller(x):  # 0 / 0 is invalid
-            return np.divide(x, x) if threading.get_ident() != caller else x
-
-        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            nn._split(invalid_off_caller, [np.ones(1), np.zeros(1)])
+        before = threading.active_count()
         p = [np.zeros(self.N)]
         g = np.zeros(self.N)
         g[-1] = np.inf  # in adam_step's started share; inf / inf is invalid
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             nn.adam_step(p, [g], nn.AdamState.init(p, lr=1e-3))
+        assert threading.active_count() == before  # every started share has finished
 
     def test_small_array_starts_no_thread(self, monkeypatch):
         def no_threads(*args):
@@ -331,35 +343,4 @@ class TestAdamSplit:
         _split_steps(monkeypatch, 2, largest, steps=2)
         with pytest.raises(AssertionError, match="started a thread"):
             _split_steps(monkeypatch, 2, largest + 1, steps=1)
-        assert nn._split(np.negative, [np.ones(3)])[0].tolist() == [-1.0] * 3  # one item
-        with pytest.raises(AssertionError, match="started a thread"):
-            nn._split(np.negative, [np.ones(3), np.ones(3)])
-
-
-class TestSplit:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_results_in_input_order_and_caller_runs_the_first_share(self, monkeypatch, workers):
-        monkeypatch.setattr(nn, "_WORKERS", workers)
-        threads = {}
-
-        def tagged(x):
-            threads[x] = threading.get_ident()
-            return x * x
-
-        assert nn._split(tagged, list(range(7))) == [x * x for x in range(7)]
-        first = 7 // min(workers, 7)  # the first share's items
-        assert {x for x, t in threads.items() if t == threading.get_ident()} == set(range(first))
-
-    def test_started_share_exception_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(nn, "_WORKERS", 3)
-        before = threading.active_count()
-        caller = threading.get_ident()
-
-        def fail_off_caller(x):
-            if threading.get_ident() != caller and x == 4:
-                raise KeyError("share")
-            return x
-
-        with pytest.raises(KeyError, match="share"):
-            nn._split(fail_off_caller, list(range(6)))
-        assert threading.active_count() == before
+        _split_steps(monkeypatch, 1, 2 * nn._ADAM_SPLIT_MIN, steps=2)  # one share
