@@ -2,9 +2,9 @@
 """End-to-end synthetic experiment: generate a four-member feature grid
 (two homologous views of one latent space plus two independent families),
 train a translator for every ordered pair with feattrans.pipeline.run_grid,
-and write the models, the directed/normalized/undirected affinity matrices,
-the minimum spanning tree, and a retrieval summary comparing direct vs
-translated mAP.
+which writes each model as its pair finishes, and write the directed,
+normalized and undirected affinity matrices, the minimum spanning tree, and a
+retrieval summary comparing direct vs translated mAP.
 
 Usage:
     python3 scripts/run_synthetic_grid.py --out runs/grid
@@ -58,11 +58,10 @@ def main() -> None:
     cfg = translator.TrainConfig(lr=args.lr, max_epochs=args.epochs, patience=args.epochs, seed=0)
     grid = pipeline.run_grid(
         data.feature_sets, data.ground_truth, names, cfg,
-        model_seed=args.model_seed, latent_dim=args.model_latent,
+        model_seed=args.model_seed, latent_dim=args.model_latent, out_dir=args.out,
     )
-    for (s, t), model in grid.models.items():
-        translator.save_model(model, args.out / f"{s}2{t}.haet")
-        print(f"trained {s}->{t}: best epoch {grid.logs[(s, t)].best_epoch}")
+    for (s, t), log in grid.logs.items():
+        print(f"trained {s}->{t}: best epoch {log.best_epoch}")
 
     u = grid.uam
     for label, matrix in (("M", grid.dam), ("R", grid.row_norm), ("C", grid.col_norm), ("U", u)):

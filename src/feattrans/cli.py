@@ -17,7 +17,7 @@ from pathlib import Path
 from . import affinity as aff
 from . import feature_io as fio
 from . import mst as mst_mod
-from . import retrieval, synth, translator
+from . import pipeline, retrieval, synth, translator
 from .errors import DataError, InvalidConfig, MissingPair, NumericError
 
 EXIT_OK = 0
@@ -205,24 +205,19 @@ def cmd_eval(args) -> int:
 
 def cmd_affinity(args) -> int:
     config = _load_config(args.config)
-    names = args.names.split(",") if args.names else sorted(_registry(config))
-    if len(names) < 2:
-        raise DataError("affinity needs at least two feature-set names")
-    if len(set(names)) != len(names):
-        raise DataError(f"duplicate feature-set names in --names {args.names}")
+    names = tuple(args.names.split(",") if args.names else sorted(_registry(config)))
+    sets = {n: _load_registered(config, n) for n in dict.fromkeys(names)}
+    pipeline.check_names(sets, names)
     models_dir = Path(args.models_dir)
-    sets = {n: _load_registered(config, n) for n in names}
 
     def entry(s: str, t: str) -> float:
-        path = models_dir / f"{s}2{t}.haet"
+        path = models_dir / pipeline.model_file(s, t)
         if not path.exists():
             raise MissingPair(s, t)
         model = translator.load_model(path)
         return aff.dam_entry(model, fio.align_pairs(sets[s], fio.l2_normalize(sets[t])))
 
-    # each model is loaded when its entry is due, so one is alive at a time
-    values = [[entry(s, t) for t in names] for s in names]
-    m = aff.AffinityMatrix(names=tuple(names), values=values, kind=aff.DIRECTED_M)
+    m = aff.directed_matrix(names, entry)
     r = aff.normalize_rows(m)
     c = aff.normalize_cols(m)
     u = aff.uam(r, c)
@@ -295,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("affinity", help="build M/R/C/U matrices from trained models")
+    p = sub.add_parser(
+        "affinity",
+        help="build M/R/C/U matrices from trained models, with M measured on whichever "
+             "sets are registered (pipeline.run_grid measures M on held-out ids)",
+    )
     p.add_argument("--config")
     p.add_argument("--models-dir", required=True)
     p.add_argument("--names", help="comma list; defaults to all registry names")

@@ -50,14 +50,19 @@ def kruskal(u: AffinityMatrix) -> MstResult:
     )
 
 
+def _dot_id(name: str) -> str:
+    """`name` as a quoted DOT id, its backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export(mst: MstResult, out_dir) -> None:
     """Write mst.dot and mst.json into the existing directory `out_dir`."""
     out_dir = Path(out_dir)
     lines = ["graph affinity {"]
     for name in mst.nodes:
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_dot_id(name)};")
     for a, b, w in mst.edges:
-        lines.append(f'  "{a}" -- "{b}" [len={w!r}, label="{w:.3f}"];')
+        lines.append(f'  {_dot_id(a)} -- {_dot_id(b)} [len={w!r}, label="{w:.3f}"];')
     lines.append("}")
     with open(out_dir / "mst.dot", "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

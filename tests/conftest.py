@@ -5,6 +5,7 @@ acceptance suite and the module tests reuse the same converged models.
 """
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 from dataclasses import dataclass
@@ -114,8 +115,26 @@ GRID_CFG = translator.TrainConfig(
 
 
 @pytest.fixture(scope="session")
-def grid_fixture() -> pipeline.GridResult:
+def grid_dir(tmp_path_factory) -> Path:
+    """Where grid_fixture writes its 16 .haet models."""
+    return tmp_path_factory.mktemp("grid")
+
+
+@pytest.fixture(scope="session")
+def grid_fixture(grid_dir) -> pipeline.GridResult:
     data = synth.generate(GRID_SPEC)
     return pipeline.run_grid(
-        data.feature_sets, data.ground_truth, GRID_NAMES, GRID_CFG, model_seed=1, latent_dim=24
+        data.feature_sets, data.ground_truth, GRID_NAMES, GRID_CFG, model_seed=1, latent_dim=24,
+        out_dir=grid_dir,
     )
+
+
+def load_grid(grid_dir: Path):
+    """grid_fixture's models, loaded from grid_dir, and the held-out pairs its
+    M was measured on, both keyed by (source, target)."""
+    sets = synth.generate(GRID_SPEC).feature_sets
+    ids = sets[GRID_NAMES[0]].ids
+    held = {n: sets[n].take(ids[int(pipeline.TRAIN_FRACTION * len(ids)):]) for n in GRID_NAMES}
+    pairs = list(itertools.product(GRID_NAMES, repeat=2))
+    models = {(s, t): translator.load_model(grid_dir / pipeline.model_file(s, t)) for s, t in pairs}
+    return models, {(s, t): fio.align_pairs(held[s], held[t]) for s, t in pairs}

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from feattrans import affinity as aff
 from feattrans import feature_io as fio, nn_core, translator
 from feattrans.errors import DataError, MissingPair, NumericError, UnsupportedForBaseline
+from conftest import load_grid
 
 # integer-valued entries keep min-max spans well away from float noise
 matrix_strategy = arrays(
@@ -95,21 +96,27 @@ class TestDamEntry:
 
 
 class TestBuildDam:
-    def test_grid_assembly(self, grid_fixture):
-        m = grid_fixture.dam
+    def test_grid_assembly(self, grid_fixture, grid_dir):
+        models, pairs = load_grid(grid_dir)
+        m = aff.build_dam(models, pairs, grid_fixture.names)
         assert m.values.shape == (4, 4)
         assert m.kind == aff.DIRECTED_M
+        assert np.array_equal(m.values, grid_fixture.dam.values)
         # rows are the source axis
         s, t = "fa", "fc"
-        assert m.entry(s, t) == aff.dam_entry(
-            grid_fixture.models[(s, t)], grid_fixture.eval_pairs[(s, t)]
-        )
+        assert m.entry(s, t) == aff.dam_entry(models[(s, t)], pairs[(s, t)])
 
-    def test_missing_pair(self, grid_fixture):
-        models = dict(grid_fixture.models)
+    def test_missing_pair(self, grid_fixture, grid_dir):
+        models, pairs = load_grid(grid_dir)
         del models[("fb", "fa")]
         with pytest.raises(MissingPair):
-            aff.build_dam(models, grid_fixture.eval_pairs, grid_fixture.names)
+            aff.build_dam(models, pairs, grid_fixture.names)
+
+    def test_directed_matrix_calls_each_entry_once_row_by_row(self):
+        calls = []
+        m = aff.directed_matrix(("x", "y"), lambda s, t: calls.append((s, t)) or float(len(calls)))
+        assert calls == [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
+        assert m.kind == aff.DIRECTED_M and m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestNormalization:

@@ -221,6 +221,22 @@ def test_affinity_duplicate_names(workspace, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "U.csv").exists()
 
 
+def test_affinity_colliding_model_files(workspace, tmp_path, capsys, monkeypatch):
+    """Names a, a2, b, 2b give the one file a22b.haet for (a2, b) and (a, 2b)."""
+    config = json.loads((workspace / "data" / "config.json").read_text())
+    fx = config["features"]["fx"]
+    config["features"] = {n: fx for n in ("a", "a2", "b", "2b")}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    monkeypatch.setattr(translator, "load_model", lambda path: pytest.fail(f"loaded {path}"))
+    code = main([
+        "affinity", "--config", str(tmp_path / "config.json"),
+        "--models-dir", str(workspace / "models"), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 3
+    assert "a22b.haet" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_affinity_missing_model(workspace, tmp_path, capsys):
     cfg = str(workspace / "data" / "config.json")
     code = main([

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ class TestExport:
         text = (tmp_path / "mst.dot").read_text()
         assert text.count(" -- ") == 2
         assert 'label="0.100"' in text
+
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path):
+        mst.export(mst.kruskal(undirected(('a"b', "c\\", "d"), TRIANGLE.values)), tmp_path)
+        lines = (tmp_path / "mst.dot").read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            "graph affinity {",
+            '  "a\\"b";',
+            '  "c\\\\";',
+            '  "d";',
+            '  "a\\"b" -- "c\\\\" [len=0.1, label="0.100"];',
+            '  "c\\\\" -- "d" [len=0.2, label="0.200"];',
+            "}",
+        ]
+        # each quoted id closes where it should and unescapes to its name
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        ids = [re.sub(r"\\(.)", r"\1", q) for line in lines[1:-1]
+               for q in quoted.findall(line.partition(" [")[0])]
+        assert ids == ['a"b', "c\\", "d", 'a"b', "c\\", "c\\", "d"]
 
     def test_json_round_trip(self, tmp_path):
         result = mst.kruskal(TRIANGLE)
