@@ -139,6 +139,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     cfg = _train_config(args, config)
+    model_path = Path(args.out) / pipeline.model_file(args.source, args.target)
     src = _load_registered(config, args.source)
     tgt = fio.l2_normalize(_load_registered(config, args.target))
     paired = fio.align_pairs(src, tgt)
@@ -152,11 +153,9 @@ def cmd_train(args) -> int:
         target_name=args.target,
     )
     model, tlog = translator.train(model, paired, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model_path = out / f"{args.source}2{args.target}.haet"
+    model_path.parent.mkdir(parents=True, exist_ok=True)
     translator.save_model(model, model_path)
-    _write_train_log(tlog, out / f"{args.source}2{args.target}.trainlog.csv")
+    _write_train_log(tlog, model_path.with_suffix(".trainlog.csv"))
     print(
         f"trained {args.source}->{args.target} ({model.kind}): "
         f"{tlog.epochs_run} epochs, best val total {min(tlog.val_total):.6f} "

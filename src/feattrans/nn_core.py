@@ -9,9 +9,11 @@ the layer inputs and a normalizing stack's output and row norms. Bias, relu and
 normalization act in place on each GEMM's output, which forward() writes into
 out[k] when given (not sharing the layer's input), so a pass that keeps no tape
 can reuse memory. The callers own the shape checks; nothing is re-validated.
+He init and Adam run in per-core shares (_in_shares) at paper shape, bit for bit.
 """
 from __future__ import annotations
 
+import copy
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,19 +80,69 @@ def stack_views(flat: np.ndarray, dims: tuple[int, ...], final_l2_normalize: boo
     return LayerStack(layers=layers, final_l2_normalize=final_l2_normalize)
 
 
-def he_init(stack: LayerStack, rng: np.random.Generator) -> None:
-    """He-uniform weights and zero biases, written in place, layer by layer.
+# Elements per slice of an Adam update or a He fill, whose scratch stays in
+# cache; each share of a split pass is a whole number of these slices.
+ADAM_CHUNK = 1 << 15
 
-    Bit-identical to rng.uniform(-limit, limit, size=w.shape), without its
-    full-size temporary.
-    """
+# A pass is cut into one share of whole chunks per usable core when a share
+# holds at least _ADAM_SPLIT_MIN elements; numpy drops the GIL in each chunk's
+# ufuncs and draws. A thread must earn its start: on 2 cores a split Adam step
+# took 1.0-1.4x the inline time at 2-4 chunks, 0.8-1.1x at 8 and 0.6x at 32.
+_ADAM_SPLIT_MIN = 4 * ADAM_CHUNK
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _share(size: int) -> int:
+    """Elements per share of a pass over `size` (see above); size if it runs inline."""
+    share = -(-size // (ADAM_CHUNK * _WORKERS)) * ADAM_CHUNK
+    return share if _ADAM_SPLIT_MIN <= share < size else size
+
+
+def _in_shares(size: int, share: int, run) -> None:
+    """run(lo, hi) on each `share`-element range of [0, size): inline if one, else the
+    first on the caller's thread, the rest on started threads under its np.geterr()."""
+    if share >= size:
+        return run(0, size)
+    err = np.geterr()
+
+    def started(lo):
+        with np.errstate(**err):  # numpy 1.x keeps errstate per thread, 2.x per context
+            run(lo, min(lo + share, size))
+
+    with ThreadPoolExecutor(-(-size // share) - 1) as pool:  # leaving waits for every range
+        rest = pool.map(started, range(share, size, share))
+        run(0, share)
+    list(rest)  # re-raises a started range's exception once all have finished
+
+
+def he_init(stack: LayerStack, rng: np.random.Generator) -> None:
+    """He-uniform weights and zero biases in place, bit-identical to drawing each
+    layer by rng.uniform(-limit, limit, size=w.shape) but with no temporary. A layer
+    _share() splits is drawn in shares, a chunk at a time: the first by rng, the one
+    at lo by a copy of rng's PCG64 at the layer's start advanced by lo (a draw per
+    float64). rng then skips the rest, dropping any buffered 32-bit half; build()'s
+    fresh rng never holds one, so its later draws match too."""
     for layer in stack.layers:
-        w = layer.weights
-        limit = np.sqrt(6.0 / layer.in_dim)
-        rng.random(out=w)
-        w *= 2 * limit
-        w -= limit
         layer.bias.fill(0.0)
+        w, limit = layer.weights.reshape(-1), np.sqrt(6.0 / layer.in_dim)
+        share = _share(w.size)
+        if share == w.size:
+            rng.random(out=w)
+            w *= 2 * limit
+            w -= limit
+            continue
+        start = copy.deepcopy(rng.bit_generator)
+
+        def fill(lo, hi):
+            draw = np.random.Generator(copy.deepcopy(start).advance(lo)) if lo else rng
+            for a in range(lo, hi, ADAM_CHUNK):
+                c = w[a : min(a + ADAM_CHUNK, hi)]
+                draw.random(out=c)
+                c *= 2 * limit
+                c -= limit
+
+        _in_shares(w.size, share, fill)
+        rng.bit_generator.advance(w.size - share)
 
 
 @dataclass
@@ -175,21 +227,8 @@ def euclid_loss(pred: np.ndarray, tgt: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-# Elements per slice of an Adam update: its scratch stays in cache and no
-# temporary the size of the parameters is ever allocated. Each share of a
-# split update is a whole number of these slices.
-ADAM_CHUNK = 1 << 15
-
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-
-# adam_step cuts an array into one share of whole chunks per usable core when
-# a share holds at least _ADAM_SPLIT_MIN elements; numpy drops the GIL inside
-# each chunk's ufuncs, so the shares run in parallel. A thread must earn its
-# start: on 2 cores a split step took 1.0-1.4x the inline time at 2-4 chunks,
-# 0.8-1.1x at 8 and 0.6x at 32, so a smaller array is updated inline.
-_ADAM_SPLIT_MIN = 4 * ADAM_CHUNK
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass
@@ -238,15 +277,8 @@ def adam_step(
 ) -> list[np.ndarray]:
     """One in-place Adam update (Kingma & Ba 2015, Alg. 1); returns params.
 
-    Each array is updated in ADAM_CHUNK-element slices of its raveled view,
-    so params and moments must be C-contiguous. An array is cut into one
-    contiguous share of whole chunks per usable core (_WORKERS) when a share
-    holds at least _ADAM_SPLIT_MIN elements and there are two or more: the
-    caller's thread updates the first share, threads started for this call
-    the others under the caller's np.geterr(), and a share's exception is
-    re-raised once every share has finished. Otherwise the array is updated
-    inline and no thread starts. Every element sees the same operations with
-    the same scalars either way, so the result is bit-identical.
+    Each array is updated in ADAM_CHUNK slices of its raveled view, so it must be
+    C-contiguous, and in _in_shares' shares of _share(size), bit for bit however many.
     """
     state.step += 1
     t = state.step
@@ -256,21 +288,6 @@ def adam_step(
         if not all(a.flags.c_contiguous for a in arrays):
             raise ValueError("adam_step needs C-contiguous arrays")
         p, g, m, v = (a.reshape(-1) for a in arrays)
-        share = -(-p.size // (ADAM_CHUNK * _WORKERS)) * ADAM_CHUNK
-        if not _ADAM_SPLIT_MIN <= share < p.size:
-            _adam_range(p, g, m, v, 0, p.size, c2, step_size)
-            continue
-        err = np.geterr()
-
-        def run(lo):
-            # numpy 1.x keeps errstate per thread, 2.x per context
-            with np.errstate(**err):
-                _adam_range(p, g, m, v, lo, min(lo + share, p.size), c2, step_size)
-
-        # leaving the block waits for every started share
-        with ThreadPoolExecutor(-(-p.size // share) - 1) as pool:
-            rest = [pool.submit(run, lo) for lo in range(share, p.size, share)]
-            _adam_range(p, g, m, v, 0, share, c2, step_size)
-        for future in rest:
-            future.result()
+        _in_shares(p.size, _share(p.size),
+                   lambda lo, hi: _adam_range(p, g, m, v, lo, hi, c2, step_size))
     return params

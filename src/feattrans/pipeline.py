@@ -6,6 +6,7 @@ before the next pair's is built, so one model is alive at a time."""
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,10 @@ class GridResult:
 
 
 def model_file(source: str, target: str) -> str:
-    """The file name of the (source, target) pair's model."""
+    """The (source, target) pair's model file name; DataError if a name holds a path separator."""
+    for n in (source, target):
+        if {"/", os.sep, os.altsep} & set(n):
+            raise DataError(f"feature-set name {n!r} holds a path separator")
     return f"{source}2{target}.haet"
 
 

@@ -237,6 +237,22 @@ def test_affinity_colliding_model_files(workspace, tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+def test_train_rejects_name_with_path_separator(workspace, tmp_path, capsys, monkeypatch):
+    """A registry name "a/b" would put the model in a subdirectory; train
+    fails before it trains."""
+    config = json.loads((workspace / "data" / "config.json").read_text())
+    config["features"] = {"a/b": config["features"]["fx"], "fy": config["features"]["fy"]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    monkeypatch.setattr(translator, "train", lambda *a, **k: pytest.fail("trained a model"))
+    code = main([
+        "train", "--config", str(tmp_path / "config.json"), "--source", "a/b", "--target", "fy",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 3
+    assert "path separator" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_affinity_missing_model(workspace, tmp_path, capsys):
     cfg = str(workspace / "data" / "config.json")
     code = main([

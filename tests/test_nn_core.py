@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -344,3 +345,79 @@ class TestAdamSplit:
         with pytest.raises(AssertionError, match="started a thread"):
             _split_steps(monkeypatch, 2, largest + 1, steps=1)
         _split_steps(monkeypatch, 1, 2 * nn._ADAM_SPLIT_MIN, steps=2)  # one share
+
+
+def _he_uniform(dims, seed):
+    """The flat parameters he_init should give a stack through `dims`, drawn
+    layer by layer by rng.uniform, and the generator's next random() draw."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        limit = np.sqrt(6.0 / d_in)
+        parts += [rng.uniform(-limit, limit, size=(d_out, d_in)).ravel(), np.zeros(d_out)]
+    return np.concatenate(parts), rng.random()
+
+
+def _he_at(monkeypatch, workers, dims, seed):
+    """he_init's flat parameters for a stack through `dims` at `workers`
+    workers, and the generator's next random() draw."""
+    monkeypatch.setattr(nn, "_WORKERS", workers)
+    flat = np.full(nn.stack_size(dims), np.nan)
+    rng = np.random.default_rng(seed)
+    nn.he_init(nn.stack_views(flat, dims, False), rng)
+    return flat, rng.random()
+
+
+class TestHeSplit:
+    STACKS = {
+        "two-shares": (256, 256, 256),  # each layer two chunks: two shares once split
+        "ragged": (42131, 7, 5),  # 7 * 42131 = 9 * ADAM_CHUNK + 5 weights, then a tiny layer
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("stack", STACKS)
+    def test_bit_identical_to_layerwise_uniform(self, monkeypatch, stack, workers):
+        monkeypatch.setattr(nn, "_ADAM_SPLIT_MIN", nn.ADAM_CHUNK)  # split at 8 workers too
+        dims = self.STACKS[stack]
+        want, want_next = _he_uniform(dims, seed=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the shares' threads finely
+        try:
+            got, got_next = _he_at(monkeypatch, workers, dims, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+        assert got_next == want_next  # rng is advanced past every layer
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_started_shares_draw_on_started_threads(self, monkeypatch, workers):
+        monkeypatch.setattr(nn, "_ADAM_SPLIT_MIN", nn.ADAM_CHUNK)
+        monkeypatch.setattr(nn, "_WORKERS", workers)
+        threads = {}
+        in_shares = nn._in_shares
+
+        def tagged(size, share, run):
+            def run_tagged(lo, hi):
+                threads[lo] = threading.get_ident()
+                run(lo, hi)
+            in_shares(size, share, run_tagged)
+
+        monkeypatch.setattr(nn, "_in_shares", tagged)
+        dims = self.STACKS["ragged"]
+        stack = nn.stack_views(np.empty(nn.stack_size(dims)), dims, False)
+        nn.he_init(stack, np.random.default_rng(0))
+        share = nn._share(dims[0] * dims[1])
+        assert sorted(threads) == list(range(0, dims[0] * dims[1], share))
+        assert [lo for lo, t in threads.items() if t == threading.get_ident()] == [0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_below_split_size_opens_no_executor(self, monkeypatch, workers):
+        def no_executor(*args):
+            raise AssertionError("he_init opened an executor")
+
+        monkeypatch.setattr(nn, "ThreadPoolExecutor", no_executor)
+        dims = (512, 384)  # six chunks: three a share at 2 workers, below _ADAM_SPLIT_MIN
+        want, want_next = _he_uniform(dims, seed=6)
+        got, got_next = _he_at(monkeypatch, workers, dims, seed=6)
+        assert got.tobytes() == want.tobytes()
+        assert got_next == want_next

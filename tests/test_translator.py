@@ -448,6 +448,37 @@ class TestFlatBuffer:
         assert hashlib.sha256((tmp_path / "m.haet").read_bytes()).hexdigest()[:16] == digest
 
 
+class TestSplitBuild:
+    """At sizes where he_init fills layers in shares, the build and its file
+    do not depend on the number of workers."""
+
+    @pytest.mark.parametrize(
+        "args, workers",
+        [
+            ((512, 512, 256, "hae"), 2),  # 512-d layers split in two at 2 workers
+            ((1024, 1024, 0, "mlp_baseline"), 3),  # 1024-d layers split in three at 3 workers
+        ],
+    )
+    def test_flat_bytes_independent_of_workers(self, monkeypatch, args, workers):
+        pools = []
+        pool = nn.ThreadPoolExecutor
+        monkeypatch.setattr(nn, "ThreadPoolExecutor", lambda n: pools.append(n) or pool(n))
+        flats = []
+        for w in (1, 2, 3):
+            monkeypatch.setattr(nn, "_WORKERS", w)
+            flats.append(translator.build(*args, seed=4).flat.tobytes())
+        assert flats[1] == flats[0] and flats[2] == flats[0]
+        assert workers - 1 in pools  # one started thread per share past the caller's
+
+    def test_saved_file_independent_of_workers(self, monkeypatch, tmp_path):
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            translator.save_model(translator.build(512, 512, 256, "hae", seed=4),
+                                  tmp_path / f"{workers}.haet")
+        want = (tmp_path / "1.haet").read_bytes()
+        assert (tmp_path / "2.haet").read_bytes() == want == (tmp_path / "3.haet").read_bytes()
+
+
 def _haet_header(kind_byte: int, latent: int) -> bytes:
     names = b"".join(struct.pack("<I", 1) + c for c in (b"s", b"t"))
     return b"HAET" + struct.pack("<HB", 1, kind_byte) + names + struct.pack("<I", latent)
