@@ -233,7 +233,9 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam over a flat list of parameter arrays."""
+    """Bias-corrected Adam over a flat list of parameter arrays. init() makes the
+    moments by np.zeros, whose fresh pages are zeroed on their first write, in
+    adam_step's per-core shares at paper shape, not by a fill on one thread."""
 
     lr: float
     m: list[np.ndarray]
@@ -244,8 +246,8 @@ class AdamState:
     def init(cls, params: list[np.ndarray], lr: float) -> "AdamState":
         return cls(
             lr=lr,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
+            m=[np.zeros(p.shape, p.dtype) for p in params],
+            v=[np.zeros(p.shape, p.dtype) for p in params],
         )
 
 

@@ -285,7 +285,10 @@ def train(
 ) -> tuple[TranslatorModel, TrainLog]:
     """Mini-batch training with early stopping on validation total loss.
 
-    Returns the best-validation parameters, not the last epoch's.
+    Trains `model` in place and returns the best-validation parameters, not the
+    last epoch's: `model` itself when the last epoch run is the best, else a
+    snapshot taken as the epoch after the best began (one model.copy(), then
+    in-place copies). A non-finite validation loss raises NumericError.
     """
     if len(paired) == 0:
         raise DataError("empty paired set")
@@ -309,13 +312,17 @@ def train(
     grads = model.on(np.empty_like(model.flat))  # written in full by every step
     state = AdamState.init([model.flat], lr=cfg.lr)
     log = TrainLog()
-    best = model.copy()
+    best = None  # the snapshot, made only when an epoch would overwrite the best
     best_val = np.inf
-    since_best = 0
 
     # a diverging run overflows silently: the NumericError below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.max_epochs):
+            if epoch and log.best_epoch == epoch - 1:
+                if best is None:
+                    best = model.copy()
+                else:
+                    best.flat[:] = model.flat
             order = rng.permutation(train_idx)
             for start in range(0, order.size, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
@@ -331,18 +338,16 @@ def train(
             log.val_translation.append(va_t)
             log.val_reconstruction.append(va_r)
             log.val_total.append(va_t + va_r)
+            if not np.isfinite(va_t + va_r):
+                raise NumericError(f"non-finite validation loss at epoch {epoch}")
 
-            if va_t + va_r < best_val:
+            if va_t + va_r < best_val:  # always at epoch 0
                 best_val = va_t + va_r
-                best.flat[:] = model.flat
                 log.best_epoch = epoch
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    break
+            elif epoch - log.best_epoch >= cfg.patience:
+                break
 
-    return best, log
+    return (model if log.best_epoch == log.epochs_run - 1 else best), log
 
 
 def _check_dim(path: tuple[LayerStack, ...], fs: FeatureSet, side: str) -> None:

@@ -122,6 +122,21 @@ def test_train_diverging_exits_4(workspace, tmp_path, capsys):
     assert "numeric failure: non-finite loss" in capsys.readouterr().err
 
 
+def test_train_non_finite_validation_loss_exits_4(workspace, tmp_path, capsys):
+    # one batch per epoch: its loss is finite, then the update overflows, so the
+    # epoch-end pass is NaN; the run must not save its untrained start
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "train", "--config", str(workspace / "data" / "config.json"), "--source", "fx",
+            "--target", "fy", "--latent", "8", "--lr", "1e300", "--batch", "200",
+            "--epochs", "1", "--out", str(tmp_path),
+        ])
+    assert code == 4
+    assert "numeric failure: non-finite validation loss" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_translate_all_zero_output_exits_4(workspace, tmp_path, capsys):
     model = translator.load_model(workspace / "models" / "fx2fy.haet")
     last = model.stacks[-1].layers[-1]

@@ -87,17 +87,51 @@ class TestTrain:
         assert all(r == 0.0 for r in log.train_reconstruction)
         assert all(r == 0.0 for r in log.val_reconstruction)
 
-    def test_returns_best_epoch_parameters(self, rotation_fixture):
+    # (6, 6) runs out of epochs; (40, 2) stops by patience after epoch 12, its
+    # best epoch 10 having followed a worse epoch 5
+    @pytest.mark.parametrize("max_epochs, patience", [(6, 6), (40, 2)])
+    def test_returns_best_epoch_parameters(self, rotation_fixture, max_epochs, patience):
         pair = rotation_fixture.train_pair
-        cfg = translator.TrainConfig(lr=1e-2, batch_size=64, max_epochs=6, patience=6, seed=0)
+        cfg = translator.TrainConfig(
+            lr=1e-2, batch_size=64, max_epochs=max_epochs, patience=patience, seed=0
+        )
         model = translator.build(32, 32, 24, "hae", seed=0)
         best, log = translator.train(model, pair, cfg)
         assert log.best_epoch < log.epochs_run - 1  # a later epoch did worse
+        assert log.epochs_run == min(max_epochs, log.best_epoch + 1 + patience)
         assert not np.shares_memory(best.flat, model.flat)
         # the same run stopped after the best epoch ends on the same parameters
         short = dataclasses.replace(cfg, max_epochs=log.best_epoch + 1)
         again, _ = translator.train(translator.build(32, 32, 24, "hae", seed=0), pair, short)
         assert np.array_equal(best.flat, again.flat)
+
+    def test_last_epoch_best_returns_the_model_in_four_model_sized_buffers(self):
+        # the gradients and Adam's m and v; no best-epoch snapshot
+        src, tgt = random_pairs(96, 512, 512, seed=8)
+        model = translator.build(512, 512, 64, "hae", seed=0)
+        cfg = translator.TrainConfig(lr=1e-3, max_epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            best, log = translator.train(model, fio.align_pairs(src, tgt), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert best is model
+        assert log.best_epoch == 0
+        assert peak - base < 4 * model.flat.nbytes
+
+    def test_non_finite_validation_loss_raises(self):
+        # source rows of 1e308 overflow on the validation rows alone, so every
+        # training step stays finite and only the epoch-end pass turns NaN
+        cfg = translator.TrainConfig(lr=1e-3, max_epochs=3, patience=3, seed=0)
+        src, tgt = random_pairs(40, 8, 8, seed=9)
+        vectors = src.vectors.copy()
+        vectors[np.random.default_rng(cfg.seed).permutation(40)[:4]] = 1e308  # train()'s draw
+        src = fio.FeatureSet("s", src.ids, vectors)
+        model = translator.build(8, 8, 8, "hae", seed=0)
+        with pytest.raises(NumericError, match="non-finite validation loss at epoch 0"):
+            translator.train(model, fio.align_pairs(src, tgt), cfg)
 
     @pytest.mark.parametrize(
         "setting",
