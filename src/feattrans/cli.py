@@ -1,9 +1,11 @@
 """Command-line orchestration of the translation / evaluation / affinity pipeline.
 
-Subcommands: synth | train | translate | eval | affinity | mst.
+Subcommands: synth | train | translate | eval | affinity | grid | mst; `grid`
+runs the whole experiment (pipeline.run_grid), the others one step each.
 
-A JSON config file supplies the feature-set registry (name -> vec/ids paths)
-and optional defaults for the training flags; explicit flags always win.
+A JSON config file supplies the feature-set registry (name -> vec/ids paths),
+the ground truth (`gt`) and optional defaults for the training flags, which
+`train` and `grid` share; explicit flags always win.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
@@ -49,7 +51,7 @@ def _registry(config: dict) -> dict:
     return features
 
 
-def _registry_paths(config: dict, name: str) -> tuple[Path, Path]:
+def _load_registered(config: dict, name: str) -> fio.FeatureSet:
     features = _registry(config)
     if name not in features:
         raise DataError(f"feature set {name!r} not found in config registry")
@@ -59,15 +61,30 @@ def _registry_paths(config: dict, name: str) -> tuple[Path, Path]:
     for key in ("vec", "ids"):
         if not isinstance(entry.get(key), str):
             raise DataError(f"config registry entry {name!r} needs a {key!r} path string")
-    return Path(entry["vec"]), Path(entry["ids"])
-
-
-def _load_registered(config: dict, name: str) -> fio.FeatureSet:
-    vec, ids = _registry_paths(config, name)
+    vec, ids = Path(entry["vec"]), Path(entry["ids"])
     for p in (vec, ids):
         if not p.exists():
             raise DataError(f"input path does not exist: {p}")
     return fio.load_feature_set(vec, ids, name)
+
+
+def _load_names(args, config: dict) -> tuple[tuple[str, ...], dict[str, fio.FeatureSet]]:
+    """The `--names` (default: every registry name, sorted) and their loaded
+    sets; DataError if pipeline.check_names rejects them."""
+    names = tuple(args.names.split(",") if args.names else sorted(_registry(config)))
+    sets = {n: _load_registered(config, n) for n in dict.fromkeys(names)}
+    pipeline.check_names(sets, names)
+    return names, sets
+
+
+def _ground_truth(config: dict, path: str | None = None) -> fio.GroundTruth:
+    """The ground truth at `path`, else at the config's 'gt' path."""
+    path = path or config.get("gt")
+    if not isinstance(path, str):
+        raise DataError(f"no ground-truth path string (--gt or config 'gt'), got {path!r}")
+    if not Path(path).exists():
+        raise DataError(f"input path does not exist: {path}")
+    return fio.load_ground_truth(path)
 
 
 def _merged(args, config: dict, key: str, default, kind: type):
@@ -87,15 +104,18 @@ def _merged(args, config: dict, key: str, default, kind: type):
         raise DataError(f"config key {key!r} is out of range") from None
 
 
-def _train_config(args, config: dict) -> translator.TrainConfig:
+def _training(args, config: dict) -> tuple[translator.TrainConfig, int]:
+    """The training flags merged with the config: the TrainConfig, whose seed
+    also seeds the model, and the HAE latent width."""
     default = translator.TrainConfig()
-    return translator.TrainConfig(
+    cfg = translator.TrainConfig(
         lr=_merged(args, config, "lr", default.lr, float),
         batch_size=_merged(args, config, "batch", default.batch_size, int),
         max_epochs=_merged(args, config, "epochs", default.max_epochs, int),
         patience=_merged(args, config, "patience", default.patience, int),
         seed=_merged(args, config, "seed", default.seed, int),
     )
+    return cfg, _merged(args, config, "latent", translator.DEFAULT_LATENT_DIM, int)
 
 
 def _write_train_log(tlog: translator.TrainLog, path: Path) -> None:
@@ -113,13 +133,8 @@ def cmd_synth(args) -> int:
         name, _, family = item.partition(":")
         members.append((name, family or "orthogonal_linear"))
     spec = synth.SynthSpec(
-        n_vectors=args.n,
-        latent_dim=args.latent_dim,
-        output_dim=args.dim,
-        members=tuple(members),
-        noise_sigma=args.noise,
-        n_clusters=args.clusters,
-        seed=args.seed,
+        n_vectors=args.n, latent_dim=args.latent_dim, output_dim=args.dim, members=tuple(members),
+        noise_sigma=args.noise, n_clusters=args.clusters, seed=args.seed,
     )
     result = synth.generate(spec)
     out = Path(args.out)
@@ -138,64 +153,49 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    cfg = _train_config(args, config)
+    cfg, latent = _training(args, config)
     model_path = Path(args.out) / pipeline.model_file(args.source, args.target)
     src = _load_registered(config, args.source)
     tgt = fio.l2_normalize(_load_registered(config, args.target))
     paired = fio.align_pairs(src, tgt)
-    model = translator.build(
-        source_dim=src.dim,
-        target_dim=tgt.dim,
-        latent_dim=_merged(args, config, "latent", translator.DEFAULT_LATENT_DIM, int),
-        kind=args.kind,
-        seed=cfg.seed,
-        source_name=args.source,
-        target_name=args.target,
-    )
+    model = translator.build(src.dim, tgt.dim, latent, args.kind, seed=cfg.seed,
+                             source_name=args.source, target_name=args.target)
     model, tlog = translator.train(model, paired, cfg)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     translator.save_model(model, model_path)
     _write_train_log(tlog, model_path.with_suffix(".trainlog.csv"))
-    print(
-        f"trained {args.source}->{args.target} ({model.kind}): "
-        f"{tlog.epochs_run} epochs, best val total {min(tlog.val_total):.6f} "
-        f"-> {model_path}"
-    )
+    print(f"trained {args.source}->{args.target} ({model.kind}): {tlog.epochs_run} epochs, "
+          f"best val total {min(tlog.val_total):.6f} -> {model_path}")
     return EXIT_OK
 
 
 def cmd_translate(args) -> int:
     config = _load_config(args.config)
     model = translator.load_model(args.model)
+    vec = Path(args.out) / pipeline.model_file(model.source_name, model.target_name)
+    vec = vec.with_suffix(".vec")
     src = _load_registered(config, args.source)
     translated = translator.translate(model, src)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fio.save_feature_set(translated, out / f"{translated.name}.vec", out / f"{translated.name}.ids")
-    print(f"translated {len(translated)} vectors -> {out / (translated.name + '.vec')}")
+    vec.parent.mkdir(parents=True, exist_ok=True)
+    fio.save_feature_set(translated, vec, vec.with_suffix(".ids"))
+    print(f"translated {len(translated)} vectors -> {vec}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
+    csv_path = Path(args.out) / pipeline.model_file(args.source, args.target)
+    csv_path = csv_path.with_suffix(".eval.csv")
     model = translator.load_model(args.model)
     source_refs = _load_registered(config, args.source)
     target = _load_registered(config, args.target)
     queries = _load_registered(config, args.queries) if args.queries else target
-    gt_path = args.gt or config.get("gt")
-    if gt_path is None:
-        raise DataError("no ground-truth file given (--gt or config 'gt')")
-    if not isinstance(gt_path, str):
-        raise DataError(f"config key 'gt' must be a path string, got {gt_path!r}")
-    if not Path(gt_path).exists():
-        raise DataError(f"input path does not exist: {gt_path}")
-    gt = fio.load_ground_truth(gt_path)
+    gt = _ground_truth(config, args.gt)
 
     direct = retrieval.evaluate(queries, target, gt)
     translated = retrieval.cross_feature_evaluate(model, source_refs, queries, gt)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    retrieval.write_eval_csv(translated, out / f"{args.source}2{args.target}.eval.csv")
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    retrieval.write_eval_csv(translated, csv_path)
     print(f"target mAP(%):     {direct.map:.2f}")
     print(f"translated mAP(%): {translated.map:.2f}")
     print(f"difference:        {direct.map - translated.map:.2f}")
@@ -203,10 +203,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_affinity(args) -> int:
-    config = _load_config(args.config)
-    names = tuple(args.names.split(",") if args.names else sorted(_registry(config)))
-    sets = {n: _load_registered(config, n) for n in dict.fromkeys(names)}
-    pipeline.check_names(sets, names)
+    names, sets = _load_names(args, _load_config(args.config))
     models_dir = Path(args.models_dir)
 
     def entry(s: str, t: str) -> float:
@@ -217,14 +214,25 @@ def cmd_affinity(args) -> int:
         return aff.dam_entry(model, fio.align_pairs(sets[s], fio.l2_normalize(sets[t])))
 
     m = aff.directed_matrix(names, entry)
-    r = aff.normalize_rows(m)
-    c = aff.normalize_cols(m)
-    u = aff.uam(r, c)
+    r, c = aff.normalize_rows(m), aff.normalize_cols(m)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for label, matrix in (("M", m), ("R", r), ("C", c), ("U", u)):
-        aff.write_matrix_csv(matrix, out / f"{label}.csv")
+    pipeline.write_matrices((m, r, c, aff.uam(r, c)), out)
     print(f"wrote M/R/C/U ({len(names)}x{len(names)}) to {out}")
+    return EXIT_OK
+
+
+def cmd_grid(args) -> int:
+    config = _load_config(args.config)
+    cfg, latent = _training(args, config)
+    names, sets = _load_names(args, config)
+    sets = {n: fio.l2_normalize(fs) for n, fs in sets.items()}
+    gt = _ground_truth(config)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    grid = pipeline.run_grid(sets, gt, names, cfg, cfg.seed, latent, out)
+    pipeline.write_grid(grid, out)
+    print(f"wrote {len(grid.logs)} models, M/R/C/U, the MST and retrieval_summary.csv to {out}")
     return EXIT_OK
 
 
@@ -241,6 +249,13 @@ def cmd_mst(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="feattrans")
     sub = parser.add_subparsers(dest="command", required=True)
+    training = argparse.ArgumentParser(add_help=False)  # the flags of train and grid
+    training.add_argument("--latent", type=int)
+    training.add_argument("--lr", type=float)
+    training.add_argument("--batch", type=int)
+    training.add_argument("--epochs", type=int)
+    training.add_argument("--patience", type=int)
+    training.add_argument("--seed", type=int, help="seeds the model and its training")
 
     p = sub.add_parser("synth", help="generate synthetic paired feature sets")
     p.add_argument("--out", required=True)
@@ -257,18 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a translator for one (source, target) pair")
+    p = sub.add_parser("train", parents=[training],
+                       help="train a translator for one (source, target) pair")
     p.add_argument("--config")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--kind", choices=[translator.KIND_HAE, translator.KIND_MLP, "mlp"],
                    default=translator.KIND_HAE)
-    p.add_argument("--latent", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -291,14 +301,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "affinity",
-        help="build M/R/C/U matrices from trained models, with M measured on whichever "
-             "sets are registered (pipeline.run_grid measures M on held-out ids)",
+        help="build M/R/C/U matrices from models trained elsewhere, with M measured on "
+             "whichever sets are registered (grid measures M on held-out ids)",
     )
     p.add_argument("--config")
     p.add_argument("--models-dir", required=True)
     p.add_argument("--names", help="comma list; defaults to all registry names")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_affinity)
+
+    p = sub.add_parser(
+        "grid", parents=[training],
+        help="the paper's experiment: an HAE for every ordered pair, M on held-out ids, "
+             "R/C/U, the MST and a retrieval summary",
+    )
+    p.add_argument("--config", required=True)
+    p.add_argument("--names", help="comma list; defaults to all registry names")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("mst", help="minimum spanning tree from a U matrix CSV")
     p.add_argument("--input", required=True)

@@ -10,6 +10,7 @@ Vectors are float32 on disk and float64 in memory. Each file is read whole.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,16 @@ from .errors import (
 )
 
 NORM_TOL = 1e-6  # how far from 1 a row norm may be and still count as unit
+
+
+def check_name(name: str) -> str:
+    """`name`, which output files are named after; DataError if it is empty or
+    holds a path separator, so no such file lands outside its directory."""
+    if not name:
+        raise DataError("empty feature-set name")
+    if {"/", os.sep, os.altsep} & set(name):
+        raise DataError(f"feature-set name {name!r} holds a path separator")
+    return name
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,14 @@ Each pair's model is trained, written to its .haet file, scored and dropped
 before the next pair's is built, so one model is alive at a time."""
 from __future__ import annotations
 
+import csv
 import itertools
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import affinity, mst, retrieval, translator
 from .errors import DataError
-from .feature_io import FeatureSet, GroundTruth, align_pairs
+from .feature_io import FeatureSet, GroundTruth, align_pairs, check_name
 
 TRAIN_FRACTION = 0.8  # of the first name's ids, in file order; M uses the rest
 
@@ -31,11 +31,9 @@ class GridResult:
 
 
 def model_file(source: str, target: str) -> str:
-    """The (source, target) pair's model file name; DataError if a name holds a path separator."""
-    for n in (source, target):
-        if {"/", os.sep, os.altsep} & set(n):
-            raise DataError(f"feature-set name {n!r} holds a path separator")
-    return f"{source}2{target}.haet"
+    """The (source, target) pair's model file name; DataError unless
+    feature_io.check_name accepts both names."""
+    return f"{check_name(source)}2{check_name(target)}.haet"
 
 
 def check_names(sets: dict[str, FeatureSet], names: tuple[str, ...]) -> None:
@@ -87,3 +85,25 @@ def run_grid(
     u = affinity.uam(r, c)
     direct = {n: retrieval.evaluate(sets[n], sets[n], gt).map for n in names}
     return GridResult(names, logs, dam, r, c, u, mst.kruskal(u), direct, translated)
+
+
+def write_matrices(matrices, out_dir: Path) -> None:
+    """Write M, R, C and U, in that order, as M.csv ... U.csv into `out_dir`."""
+    for label, matrix in zip("MRCU", matrices):
+        affinity.write_matrix_csv(matrix, out_dir / f"{label}.csv")
+
+
+def write_grid(grid: GridResult, out_dir) -> None:
+    """Write M/R/C/U.csv, mst.dot/.json and retrieval_summary.csv into the existing `out_dir`."""
+    out_dir = Path(out_dir)
+    write_matrices((grid.dam, grid.row_norm, grid.col_norm, grid.uam), out_dir)
+    mst.export(grid.tree, out_dir)
+    with open(out_dir / "retrieval_summary.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["source", "target", "direct_map", "translated_map", "drop", "u"])
+        for (s, t), translated in grid.translated_map.items():
+            direct = grid.direct_map[t]
+            writer.writerow([
+                s, t, f"{direct:.2f}", f"{translated:.2f}",
+                f"{direct - translated:.2f}", f"{grid.uam.entry(s, t):.4f}",
+            ])

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig
-from .feature_io import FeatureSet, GroundTruth, l2_normalize
+from .errors import DataError, InvalidConfig
+from .feature_io import FeatureSet, GroundTruth, check_name, l2_normalize
 
 FAMILIES = ("orthogonal_linear", "nonlinear_mlp", "independent")
 
@@ -51,6 +51,11 @@ class SynthSpec:
         names = [n for n, _ in self.members]
         if len(set(names)) != len(names):
             raise InvalidConfig("member names must be unique")
+        try:
+            for n in names:
+                check_name(n)  # each names its .vec and .ids files
+        except DataError as exc:
+            raise InvalidConfig(str(exc)) from None
         for _, fam in self.members:
             if fam not in FAMILIES:
                 raise InvalidConfig(f"unknown family {fam!r}")

@@ -1,5 +1,7 @@
 import itertools
 import json
+import re
+import shlex
 import shutil
 import struct
 import warnings
@@ -9,8 +11,10 @@ import numpy as np
 import pytest
 
 from feattrans import affinity as aff
-from feattrans import feature_io as fio, retrieval, translator
-from feattrans.cli import main
+from feattrans import feature_io as fio, pipeline, retrieval, translator
+from feattrans.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -306,9 +310,12 @@ def test_affinity_over_baseline_model(workspace, tmp_path, capsys):
         (["train", "--config", "{cfg}", "--source", "fx", "--target", "fy", "--latent", "0"], 2),
         (["train", "--config", "{cfg}", "--source", "fx", "--target", "fy", "--latent", "-1"], 2),
         (["train", "--config", "{latent0}", "--source", "fx", "--target", "fy"], 2),
+        (["grid", "--config", "{cfg}", "--epochs", "0"], 2),
+        (["grid", "--config", "{cfg}", "--latent", "0"], 2),
     ],
     ids=["malformed-config", "non-object-config", "batch-0", "epochs-0", "lr-infinity",
-         "clusters-not-dividing-n", "latent-0", "latent-negative", "config-latent-0"],
+         "clusters-not-dividing-n", "latent-0", "latent-negative", "config-latent-0",
+         "grid-epochs-0", "grid-latent-0"],
 )
 def test_bad_settings_exit_with_code(workspace, tmp_path, capsys, argv, code):
     (tmp_path / "bad.json").write_text('{"features": ')
@@ -397,6 +404,96 @@ def test_unreadable_input_exits_3(workspace, tmp_path, capsys, case):
                  "--source", "fx", "--target", "fy", "--out", str(tmp_path / "out")])
     assert code == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_grid_writes_what_run_grid_gives(tmp_path):
+    """`grid` on the registered sets equals run_grid on the same loaded,
+    normalized sets, bit for bit, with --seed seeding model and training."""
+    names = ("fa", "fb", "fc", "fd")
+    data, out, lib = tmp_path / "data", tmp_path / "cli", tmp_path / "lib"
+    assert main([
+        "synth", "--out", str(data), "--n", "40", "--dim", "8", "--latent-dim", "4",
+        "--clusters", "4", "--seed", "11",
+        "--members", "fa:orthogonal_linear,fb:orthogonal_linear,fc:independent,fd:independent",
+    ]) == 0
+    assert main([
+        "grid", "--config", str(data / "config.json"), "--latent", "4", "--epochs", "2",
+        "--seed", "3", "--out", str(out),
+    ]) == 0
+
+    sets = {n: fio.l2_normalize(fio.load_feature_set(data / f"{n}.vec", data / f"{n}.ids", n))
+            for n in names}
+    lib.mkdir()
+    grid = pipeline.run_grid(
+        sets, fio.load_ground_truth(data / "gt.tsv"), names,
+        translator.TrainConfig(max_epochs=2, seed=3), model_seed=3, latent_dim=4, out_dir=lib,
+    )
+    for s, t in itertools.product(names, repeat=2):
+        model = translator.load_model(out / f"{s}2{t}.haet")
+        assert (model.source_name, model.target_name) == (s, t)
+    for label, matrix in (("M", grid.dam), ("U", grid.uam)):
+        written = aff.read_matrix_csv(out / f"{label}.csv", kind=matrix.kind)
+        assert written.names == names
+        assert np.array_equal(written.values, matrix.values)
+    summary = (out / "retrieval_summary.csv").read_text().splitlines()
+    assert len(summary) == 1 + 12  # header + every ordered pair of distinct names
+    pipeline.write_grid(grid, lib)
+    files = sorted(p.name for p in lib.iterdir())
+    assert len(files) == 16 + 7  # models, M/R/C/U, mst.dot, mst.json, retrieval_summary.csv
+    assert sorted(p.name for p in out.iterdir()) == files
+    for name in files:
+        assert (out / name).read_bytes() == (lib / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("names", ["fx,fx", "fx,nope"], ids=["duplicate", "unknown"])
+def test_grid_bad_names_exit_3_before_training(workspace, tmp_path, capsys, monkeypatch, names):
+    monkeypatch.setattr(translator, "train", lambda *a, **k: pytest.fail("trained a model"))
+    code = main(["grid", "--config", str(workspace / "data" / "config.json"),
+                 "--names", names, "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.rglob("*.haet"))
+
+
+@pytest.mark.parametrize(
+    "case", ["synth-member-dotdot", "synth-member-empty", "eval-name-dotdot",
+             "translate-model-name-dotdot"],
+)
+def test_output_names_stay_inside_out(workspace, tmp_path, capsys, case):
+    """No name from a flag, the registry or a model file puts an output file
+    outside --out: synth exits 2 (a bad setting), eval and translate exit 3."""
+    cfg = str(workspace / "data" / "config.json")
+    out = tmp_path / "o" / "deep"
+    if case.startswith("synth"):
+        members = "x,../evil" if case == "synth-member-dotdot" else ",b"
+        argv = ["synth", "--n", "20", "--clusters", "2", "--members", members]
+    elif case == "eval-name-dotdot":
+        config = json.loads((workspace / "data" / "config.json").read_text())
+        config["features"] = {"../up": config["features"]["fx"], "q": config["features"]["fy"]}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = ["eval", "--config", str(tmp_path / "c.json"),
+                "--model", str(workspace / "models" / "fx2fy.haet"),
+                "--source", "../up", "--target", "q"]
+    else:
+        model = translator.build(16, 16, 4, seed=0, source_name="../z", target_name="q")
+        translator.save_model(model, tmp_path / "z2q.haet")
+        argv = ["translate", "--config", cfg, "--model", str(tmp_path / "z2q.haet"),
+                "--source", "fx"]
+    before = set(tmp_path.rglob("*"))
+    assert main(argv + ["--out", str(out)]) == (2 if case.startswith("synth") else 3)
+    assert re.search("empty feature-set name|holds a path separator", capsys.readouterr().err)
+    assert all(out in p.parents for p in set(tmp_path.rglob("*")) - before)
+
+
+def test_readme_cli_examples_parse():
+    """Every `feattrans` command in README's shell blocks parses, and together
+    they show every subcommand."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("feattrans ")]
+    parser = build_parser()
+    shown = {parser.parse_args(shlex.split(line)[1:]).command for line in commands}
+    assert shown == {"synth", "train", "translate", "eval", "affinity", "grid", "mst"}
 
 
 def test_mst_from_affinity(workspace, tmp_path):

@@ -67,6 +67,7 @@ def _sets(*names, ids=tuple(f"i{k}" for k in range(10))):
     ({**_sets("x"), **_sets("y", ids=("i0", "i1"))}, ("x", "y"), "'y' lacks 8 ids"),
     (_sets("a", "a2", "b", "2b"), ("a", "a2", "b", "2b"), "share the model file a22b.haet"),
     (_sets("a", "b/c"), ("a", "b/c"), "'b/c' holds a path separator"),
+    (_sets("a", ""), ("a", ""), "empty feature-set name"),
 ])
 def test_bad_names_fail_before_any_training(sets, names, match, tmp_path, monkeypatch):
     monkeypatch.setattr(translator, "build", lambda *a, **k: pytest.fail("built a model"))
