@@ -5,13 +5,13 @@ runs the whole experiment (pipeline.run_grid), the others one step each.
 
 A JSON config file supplies the feature-set registry (name -> vec/ids paths),
 the ground truth (`gt`) and optional defaults for the training flags, which
-`train` and `grid` share; explicit flags always win.
+`train` and `grid` share; explicit flags always win. Every command L2-normalizes
+each registered set at load; `train` and `grid` train through pipeline.train_pair.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -65,7 +65,7 @@ def _load_registered(config: dict, name: str) -> fio.FeatureSet:
     for p in (vec, ids):
         if not p.exists():
             raise DataError(f"input path does not exist: {p}")
-    return fio.load_feature_set(vec, ids, name)
+    return fio.l2_normalize(fio.load_feature_set(vec, ids, name))
 
 
 def _load_names(args, config: dict) -> tuple[tuple[str, ...], dict[str, fio.FeatureSet]]:
@@ -118,15 +118,6 @@ def _training(args, config: dict) -> tuple[translator.TrainConfig, int]:
     return cfg, _merged(args, config, "latent", translator.DEFAULT_LATENT_DIM, int)
 
 
-def _write_train_log(tlog: translator.TrainLog, path: Path) -> None:
-    columns = ("train_translation", "train_reconstruction", "train_total",
-               "val_translation", "val_reconstruction", "val_total")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["epoch", *columns])
-        w.writerows(zip(range(tlog.epochs_run), *(getattr(tlog, c) for c in columns)))
-
-
 def cmd_synth(args) -> int:
     members = []
     for item in args.members.split(","):
@@ -155,15 +146,8 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     cfg, latent = _training(args, config)
     model_path = Path(args.out) / pipeline.model_file(args.source, args.target)
-    src = _load_registered(config, args.source)
-    tgt = fio.l2_normalize(_load_registered(config, args.target))
-    paired = fio.align_pairs(src, tgt)
-    model = translator.build(src.dim, tgt.dim, latent, args.kind, seed=cfg.seed,
-                             source_name=args.source, target_name=args.target)
-    model, tlog = translator.train(model, paired, cfg)
-    model_path.parent.mkdir(parents=True, exist_ok=True)
-    translator.save_model(model, model_path)
-    _write_train_log(tlog, model_path.with_suffix(".trainlog.csv"))
+    src, tgt = _load_registered(config, args.source), _load_registered(config, args.target)
+    model, tlog = pipeline.train_pair(src, tgt, cfg, cfg.seed, latent, args.kind, args.out)
     print(f"trained {args.source}->{args.target} ({model.kind}): {tlog.epochs_run} epochs, "
           f"best val total {min(tlog.val_total):.6f} -> {model_path}")
     return EXIT_OK
@@ -210,8 +194,7 @@ def cmd_affinity(args) -> int:
         path = models_dir / pipeline.model_file(s, t)
         if not path.exists():
             raise MissingPair(s, t)
-        model = translator.load_model(path)
-        return aff.dam_entry(model, fio.align_pairs(sets[s], fio.l2_normalize(sets[t])))
+        return aff.dam_entry(translator.load_model(path), fio.align_pairs(sets[s], sets[t]))
 
     m = aff.directed_matrix(names, entry)
     r, c = aff.normalize_rows(m), aff.normalize_cols(m)
@@ -226,13 +209,10 @@ def cmd_grid(args) -> int:
     config = _load_config(args.config)
     cfg, latent = _training(args, config)
     names, sets = _load_names(args, config)
-    sets = {n: fio.l2_normalize(fs) for n, fs in sets.items()}
     gt = _ground_truth(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = pipeline.run_grid(sets, gt, names, cfg, cfg.seed, latent, out)
-    pipeline.write_grid(grid, out)
-    print(f"wrote {len(grid.logs)} models, M/R/C/U, the MST and retrieval_summary.csv to {out}")
+    grid = pipeline.run_grid(sets, gt, names, cfg, cfg.seed, latent, args.out)
+    pipeline.write_grid(grid, args.out)
+    print(f"wrote {len(grid.logs)} models, M/R/C/U, MST and retrieval_summary.csv to {args.out}")
     return EXIT_OK
 
 
@@ -277,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--kind", choices=[translator.KIND_HAE, translator.KIND_MLP, "mlp"],
-                   default=translator.KIND_HAE)
+    p.add_argument("--kind", choices=[translator.KIND_HAE, translator.KIND_MLP],
+                   type=lambda k: translator.KIND_MLP if k == "mlp" else k,
+                   default=translator.KIND_HAE, help='"mlp" is short for mlp_baseline')
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -330,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "kind", None) == "mlp":
-        args.kind = translator.KIND_MLP
     try:
         return args.func(args)
     except InvalidConfig as exc:

@@ -1,8 +1,8 @@
 """The paper's affinity experiment over N feature types in one call: train an HAE
 for every ordered pair on the first TRAIN_FRACTION of ids, measure M on the rest,
 derive R, C, U and U's MST, and score direct and translated mAP over the full sets.
-Each pair's model is trained, written to its .haet file, scored and dropped
-before the next pair's is built, so one model is alive at a time."""
+Each pair's model is trained and written with its train log by train_pair, then
+scored and dropped before the next pair's is built, so one model is alive at a time."""
 from __future__ import annotations
 
 import csv
@@ -37,8 +37,8 @@ def model_file(source: str, target: str) -> str:
 
 
 def check_names(sets: dict[str, FeatureSet], names: tuple[str, ...]) -> None:
-    """DataError unless `names` are at least two distinct names of `sets`, each
-    set holds every id of the first, and no two ordered pairs share a model file."""
+    """DataError unless `names` are at least two distinct names of `sets`, each set named
+    by its key and holding every id of the first, and no two ordered pairs share a model file."""
     if len(names) < 2:
         raise DataError(f"a grid needs at least two feature-set names, got {list(names)}")
     if len(set(names)) != len(names):
@@ -46,6 +46,8 @@ def check_names(sets: dict[str, FeatureSet], names: tuple[str, ...]) -> None:
     for n in names:
         if n not in sets:
             raise DataError(f"unknown feature-set name {n!r}")
+        if sets[n].name != n:
+            raise DataError(f"feature set {n!r} is named {sets[n].name!r}")
         lacking = set(sets[names[0]].ids).difference(sets[n].ids)
         if lacking:
             raise DataError(f"feature set {n!r} lacks {len(lacking)} ids of {names[0]!r}")
@@ -56,26 +58,48 @@ def check_names(sets: dict[str, FeatureSet], names: tuple[str, ...]) -> None:
             raise DataError(f"pairs {other} and {pair} share the model file {model_file(*pair)}")
 
 
+def write_train_log(tlog: translator.TrainLog, path: Path) -> None:
+    """Write one CSV row per epoch run: the epoch, then the six losses of `tlog`."""
+    columns = ("train_translation", "train_reconstruction", "train_total",
+               "val_translation", "val_reconstruction", "val_total")
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["epoch", *columns])
+        w.writerows(zip(range(tlog.epochs_run), *(getattr(tlog, c) for c in columns)))
+
+
+def train_pair(
+    source: FeatureSet, target: FeatureSet, cfg: translator.TrainConfig,
+    model_seed: int, latent_dim: int, kind: str, out_dir,
+) -> tuple[translator.TranslatorModel, translator.TrainLog]:
+    """Build, align and train a `kind` translator source.name -> target.name, then write
+    model_file(s, t) and <s>2<t>.trainlog.csv into `out_dir` (made if missing)."""
+    path = Path(out_dir) / model_file(source.name, target.name)
+    model = translator.build(source.dim, target.dim, latent_dim, kind, seed=model_seed,
+                             source_name=source.name, target_name=target.name)
+    model, tlog = translator.train(model, align_pairs(source, target), cfg)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    translator.save_model(model, path)
+    write_train_log(tlog, path.with_suffix(".trainlog.csv"))
+    return model, tlog
+
+
 def run_grid(
     sets: dict[str, FeatureSet], gt: GroundTruth, names: tuple[str, ...],
     cfg: translator.TrainConfig, model_seed: int, latent_dim: int, out_dir,
 ) -> GridResult:
-    """Run the grid over `names`, writing each pair's model as model_file(s, t)
-    into the existing directory `out_dir`."""
+    """Run the grid over `names`, writing each pair's model and train log
+    (train_pair) into `out_dir`, made if missing."""
     names = tuple(names)
     check_names(sets, names)
     ids = sets[names[0]].ids
     cut = int(TRAIN_FRACTION * len(ids))
     train_ids, eval_ids = ids[:cut], ids[cut:]
-    out_dir = Path(out_dir)
     logs, translated = {}, {}
 
     def entry(s: str, t: str) -> float:
-        model = translator.build(sets[s].dim, sets[t].dim, latent_dim, translator.KIND_HAE,
-                                 seed=model_seed, source_name=s, target_name=t)
-        paired = align_pairs(sets[s].take(train_ids), sets[t].take(train_ids))
-        model, logs[(s, t)] = translator.train(model, paired, cfg)
-        translator.save_model(model, out_dir / model_file(s, t))
+        model, logs[(s, t)] = train_pair(sets[s].take(train_ids), sets[t].take(train_ids), cfg,
+                                         model_seed, latent_dim, translator.KIND_HAE, out_dir)
         if s != t:
             translated[(s, t)] = retrieval.cross_feature_evaluate(model, sets[s], sets[t], gt).map
         return affinity.dam_entry(model, align_pairs(sets[s].take(eval_ids), sets[t].take(eval_ids)))

@@ -93,9 +93,6 @@ class TranslatorModel:
     def copy(self) -> "TranslatorModel":
         return self.on(self.flat.copy())  # the shared decoder stays shared
 
-    def parameters(self) -> list[np.ndarray]:
-        return [p for s in self.stacks for p in s.parameters()]
-
 
 def _payloads(flat: np.ndarray, layout: Layout) -> list[np.ndarray]:
     """The consecutive slices of `flat` that the stacks of `layout` occupy."""

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import re
@@ -13,6 +14,7 @@ import pytest
 from feattrans import affinity as aff
 from feattrans import feature_io as fio, pipeline, retrieval, translator
 from feattrans.cli import build_parser, main
+from feattrans.errors import ZeroVector
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -186,8 +188,8 @@ def test_eval_queries_replace_target_queries(workspace, tmp_path):
 
     expected = retrieval.cross_feature_evaluate(
         translator.load_model(model_path),
-        fio.load_feature_set(data / "fx.vec", data / "fx.ids", "fx"),
-        fio.load_feature_set(tmp_path / "fq.vec", tmp_path / "fq.ids", "fq"),
+        fio.l2_normalize(fio.load_feature_set(data / "fx.vec", data / "fx.ids", "fx")),
+        fio.l2_normalize(fio.load_feature_set(tmp_path / "fq.vec", tmp_path / "fq.ids", "fq")),
         fio.load_ground_truth(config["gt"]),
     )
     retrieval.write_eval_csv(expected, tmp_path / "expected.csv")
@@ -212,11 +214,12 @@ def test_affinity_writes_four_matrices(workspace, tmp_path):
 def test_affinity_m_matches_library(workspace, tmp_path):
     names = ("fx", "fy")
     data = workspace / "data"
-    sets = {n: fio.load_feature_set(data / f"{n}.vec", data / f"{n}.ids", n) for n in names}
+    sets = {n: fio.l2_normalize(fio.load_feature_set(data / f"{n}.vec", data / f"{n}.ids", n))
+            for n in names}
     pairs = list(itertools.product(names, repeat=2))
     expected = aff.build_dam(
         {(s, t): translator.load_model(workspace / "models" / f"{s}2{t}.haet") for s, t in pairs},
-        {(s, t): fio.align_pairs(sets[s], fio.l2_normalize(sets[t])) for s, t in pairs},
+        {(s, t): fio.align_pairs(sets[s], sets[t]) for s, t in pairs},
         names,
     )
     assert main([
@@ -439,10 +442,66 @@ def test_grid_writes_what_run_grid_gives(tmp_path):
     assert len(summary) == 1 + 12  # header + every ordered pair of distinct names
     pipeline.write_grid(grid, lib)
     files = sorted(p.name for p in lib.iterdir())
-    assert len(files) == 16 + 7  # models, M/R/C/U, mst.dot, mst.json, retrieval_summary.csv
+    # models, train logs, M/R/C/U, mst.dot, mst.json, retrieval_summary.csv
+    assert len(files) == 16 + 16 + 7
     assert sorted(p.name for p in out.iterdir()) == files
     for name in files:
         assert (out / name).read_bytes() == (lib / name).read_bytes(), name
+
+
+def test_grid_and_eval_agree_on_a_set_that_is_not_unit_norm(tmp_path, capsys):
+    """With fa's rows at norm 3, grid's summary and eval on grid's fa2fb.haet
+    report the same translated mAP: every command normalizes its sets at load."""
+    data, out = tmp_path / "data", tmp_path / "grid"
+    assert main([
+        "synth", "--out", str(data), "--n", "200", "--dim", "16", "--latent-dim", "8",
+        "--clusters", "10", "--seed", "2", "--members", "fa:orthogonal_linear,fb:nonlinear_mlp",
+    ]) == 0
+    fa = fio.load_feature_set(data / "fa.vec", data / "fa.ids", "fa")
+    scaled = 3 * fa.vectors / np.linalg.norm(fa.vectors, axis=1, keepdims=True)
+    fio.save_feature_set(fio.FeatureSet("fa", fa.ids, scaled), data / "fa.vec", data / "fa.ids")
+    cfg = str(data / "config.json")
+    assert main(["grid", "--config", cfg, "--latent", "8", "--lr", "1e-3", "--epochs", "20",
+                 "--patience", "20", "--out", str(out)]) == 0
+    with open(out / "retrieval_summary.csv", encoding="utf-8") as f:
+        summary = {(row["source"], row["target"]): row for row in csv.DictReader(f)}
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--model", str(out / "fa2fb.haet"), "--source", "fa",
+                 "--target", "fb", "--out", str(tmp_path / "eval")]) == 0
+    printed = re.search(r"translated mAP\(%\): +(\S+)", capsys.readouterr().out).group(1)
+    assert printed == summary[("fa", "fb")]["translated_map"]
+
+
+@pytest.mark.parametrize("command", ["translate", "eval"])
+def test_registered_all_zero_row_exits_3(workspace, tmp_path, capsys, command):
+    data = workspace / "data"
+    fx = fio.load_feature_set(data / "fx.vec", data / "fx.ids", "fx")
+    vectors = fx.vectors.copy()
+    vectors[3] = 0.0
+    fio.save_feature_set(fio.FeatureSet("fx", fx.ids, vectors), tmp_path / "fx.vec",
+                         tmp_path / "fx.ids")
+    config = json.loads((data / "config.json").read_text())
+    config["features"]["fx"] = {"vec": str(tmp_path / "fx.vec"), "ids": str(tmp_path / "fx.ids")}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    target = ["--target", "fy"] if command == "eval" else []
+    code = main([command, "--config", str(tmp_path / "c.json"),
+                 "--model", str(workspace / "models" / "fx2fy.haet"), "--source", "fx", *target,
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {ZeroVector(fx.ids[3])}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_writes_what_train_pair_gives(workspace, tmp_path):
+    """The workspace's `train` run and pipeline.train_pair on the same
+    normalized sets, flags and seeds write the same bytes."""
+    data = workspace / "data"
+    fx, fy = (fio.l2_normalize(fio.load_feature_set(data / f"{n}.vec", data / f"{n}.ids", n))
+              for n in ("fx", "fy"))
+    cfg = translator.TrainConfig(lr=1e-3, max_epochs=15, patience=15, seed=0)
+    pipeline.train_pair(fx, fy, cfg, model_seed=0, latent_dim=8, kind="hae", out_dir=tmp_path)
+    for name in ("fx2fy.haet", "fx2fy.trainlog.csv"):
+        assert (tmp_path / name).read_bytes() == (workspace / "models" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("names", ["fx,fx", "fx,nope"], ids=["duplicate", "unknown"])

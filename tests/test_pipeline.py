@@ -51,8 +51,9 @@ def test_grid_keeps_one_model_alive(tmp_path, monkeypatch):
     pipeline.run_grid(data.feature_sets, data.ground_truth, ("a", "b", "c"), SMALL_CFG,
                       model_seed=0, latent_dim=4, out_dir=tmp_path)
     assert alive == [0] * 9
+    models = [pipeline.model_file(s, t) for s, t in itertools.product("abc", repeat=2)]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        pipeline.model_file(s, t) for s, t in itertools.product("abc", repeat=2)
+        models + [m.replace(".haet", ".trainlog.csv") for m in models]
     )
 
 
@@ -68,6 +69,7 @@ def _sets(*names, ids=tuple(f"i{k}" for k in range(10))):
     (_sets("a", "a2", "b", "2b"), ("a", "a2", "b", "2b"), "share the model file a22b.haet"),
     (_sets("a", "b/c"), ("a", "b/c"), "'b/c' holds a path separator"),
     (_sets("a", ""), ("a", ""), "empty feature-set name"),
+    ({"a": _sets("a")["a"], "b": _sets("a")["a"]}, ("a", "b"), "'b' is named 'a'"),
 ])
 def test_bad_names_fail_before_any_training(sets, names, match, tmp_path, monkeypatch):
     monkeypatch.setattr(translator, "build", lambda *a, **k: pytest.fail("built a model"))

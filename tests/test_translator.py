@@ -55,7 +55,8 @@ class TestBuild:
     def test_seeded_build_reproducible(self):
         a = translator.build(16, 16, 8, "hae", seed=5)
         b = translator.build(16, 16, 8, "hae", seed=5)
-        for pa, pb in zip(a.parameters(), b.parameters()):
+        params = [[p for s in m.stacks for p in s.parameters()] for m in (a, b)]
+        for pa, pb in zip(*params):
             assert np.array_equal(pa, pb)
 
 
@@ -207,11 +208,9 @@ class TestLossAndGrads:
 
         grads = model.on(np.empty_like(model.flat))
         total = translator._loss_and_grads(model, vs, vt, grads)
-        analytic = grads.parameters()
+        analytic, params = ([p for s in m.stacks for p in s.parameters()] for m in (grads, model))
         assert abs(total - self._objective(model, vs, vt)) < 1e-12
-        numeric = finite_diff_grads(
-            lambda: self._objective(model, vs, vt), model.parameters()
-        )
+        numeric = finite_diff_grads(lambda: self._objective(model, vs, vt), params)
         assert len(analytic) == len(numeric) == (18 if kind == "hae" else 4)
         for a, n in zip(analytic, numeric):
             assert a.shape == n.shape
@@ -421,7 +420,8 @@ class TestSerialization:
         translator.save_model(model, tmp_path / "m.haet")
         back = translator.load_model(tmp_path / "m.haet")
         assert back.kind == "mlp_baseline"
-        for pa, pb in zip(model.parameters(), back.parameters()):
+        params = [[p for s in m.stacks for p in s.parameters()] for m in (model, back)]
+        for pa, pb in zip(*params):
             assert np.array_equal(pa, pb)
 
     def test_bad_magic(self, tmp_path):
@@ -441,7 +441,7 @@ class TestFlatBuffer:
     @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
     def test_parameters_are_contiguous_views_of_flat(self, kind):
         model = translator.build(6, 5, 4, kind, seed=0)
-        params = model.parameters()
+        params = [p for s in model.stacks for p in s.parameters()]
         assert sum(p.size for p in params) == model.flat.size
         for p in params:
             assert np.shares_memory(p, model.flat)
