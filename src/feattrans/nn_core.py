@@ -9,7 +9,7 @@ the layer inputs and a normalizing stack's output and row norms. Bias, relu and
 normalization act in place on each GEMM's output, which forward() writes into
 out[k] when given (not sharing the layer's input), so a pass that keeps no tape
 can reuse memory. The callers own the shape checks; nothing is re-validated.
-He init and Adam run in per-core shares (_in_shares) at paper shape, bit for bit.
+He init and Adam each run one chunked body, in per-core shares at paper shape, bit for bit.
 """
 from __future__ import annotations
 
@@ -117,21 +117,16 @@ def _in_shares(size: int, share: int, run) -> None:
 
 def he_init(stack: LayerStack, rng: np.random.Generator) -> None:
     """He-uniform weights and zero biases in place, bit-identical to drawing each
-    layer by rng.uniform(-limit, limit, size=w.shape) but with no temporary. A layer
-    _share() splits is drawn in shares, a chunk at a time: the first by rng, the one
+    layer by rng.uniform(-limit, limit, size=w.shape) but with no temporary. Each
+    layer is filled a chunk at a time in _share()'s shares: the first by rng, the one
     at lo by a copy of rng's PCG64 at the layer's start advanced by lo (a draw per
-    float64). rng then skips the rest, dropping any buffered 32-bit half; build()'s
-    fresh rng never holds one, so its later draws match too."""
+    float64). rng then skips a split layer's rest, dropping any buffered 32-bit half
+    (build()'s fresh rng holds none); an unsplit layer keeps it, as uniform does."""
     for layer in stack.layers:
         layer.bias.fill(0.0)
         w, limit = layer.weights.reshape(-1), np.sqrt(6.0 / layer.in_dim)
         share = _share(w.size)
-        if share == w.size:
-            rng.random(out=w)
-            w *= 2 * limit
-            w -= limit
-            continue
-        start = copy.deepcopy(rng.bit_generator)
+        start = copy.deepcopy(rng.bit_generator) if share < w.size else None
 
         def fill(lo, hi):
             draw = np.random.Generator(copy.deepcopy(start).advance(lo)) if lo else rng
@@ -142,7 +137,8 @@ def he_init(stack: LayerStack, rng: np.random.Generator) -> None:
                 c -= limit
 
         _in_shares(w.size, share, fill)
-        rng.bit_generator.advance(w.size - share)
+        if start is not None:
+            rng.bit_generator.advance(w.size - share)
 
 
 @dataclass

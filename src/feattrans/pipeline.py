@@ -58,6 +58,12 @@ def check_names(sets: dict[str, FeatureSet], names: tuple[str, ...]) -> None:
             raise DataError(f"pairs {other} and {pair} share the model file {model_file(*pair)}")
 
 
+def split_ids(ids: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(train ids, eval ids): the first TRAIN_FRACTION of `ids`, in order, and the rest."""
+    cut = int(TRAIN_FRACTION * len(ids))
+    return ids[:cut], ids[cut:]
+
+
 def write_train_log(tlog: translator.TrainLog, path: Path) -> None:
     """Write one CSV row per epoch run: the epoch, then the six losses of `tlog`."""
     columns = ("train_translation", "train_reconstruction", "train_total",
@@ -92,9 +98,7 @@ def run_grid(
     (train_pair) into `out_dir`, made if missing."""
     names = tuple(names)
     check_names(sets, names)
-    ids = sets[names[0]].ids
-    cut = int(TRAIN_FRACTION * len(ids))
-    train_ids, eval_ids = ids[:cut], ids[cut:]
+    train_ids, eval_ids = split_ids(sets[names[0]].ids)
     logs, translated = {}, {}
 
     def entry(s: str, t: str) -> float:

@@ -46,8 +46,10 @@ class SynthSpec:
             raise InvalidConfig("output_dim must be >= latent_dim for orthogonal maps")
         if self.n_clusters < 1 or self.n_vectors % self.n_clusters != 0:
             raise InvalidConfig("n_clusters must divide n_vectors")
-        if self.noise_sigma < 0:
-            raise InvalidConfig("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise InvalidConfig("noise_sigma must be finite and >= 0")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
         names = [n for n, _ in self.members]
         if len(set(names)) != len(names):
             raise InvalidConfig("member names must be unique")

@@ -1,12 +1,13 @@
 """Hybrid auto-encoder translators between feature spaces.
 
-A translator is its layer stacks in .haet order: (source encoder, target
-encoder, decoder) for the hybrid auto-encoder (HAE), or the one regression
-stack of the MLP baseline. The *translate path* (source encoder, decoder)
-and the *reconstruct path* (target encoder, decoder) are derived from them
-and run the one decoder. Training minimizes the sum over the paths of the
-mean Euclidean distance to the targets: the translation error plus the
-reconstruction error. At inference only the translate path runs. The
+A translator is one record: its names, its layout (each stack's dims and final
+L2 normalization, in .haet order) and one flat buffer that its stacks view:
+(source encoder, target encoder, decoder) for the hybrid auto-encoder (HAE), or
+the one regression stack of the MLP baseline. The *translate path* (source
+encoder, decoder) and the *reconstruct path* (target encoder, decoder) are
+derived from them and run the one decoder. Training minimizes the sum over the
+paths of the mean Euclidean distance to the targets: the translation error plus
+the reconstruction error. At inference only the translate path runs. The
 baseline's reconstruct path is empty, so it trains on translation alone.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     NumericError,
     UnsupportedForBaseline,
 )
-from .feature_io import NORM_TOL, FeatureSet, PairedSet
+from .feature_io import FeatureSet, PairedSet
 from .nn_core import (
     AdamState,
     LayerStack,
@@ -52,12 +53,28 @@ VAL_FRACTION = 0.1  # share of the pairs held out for early stopping
 Layout = tuple[tuple[tuple[int, ...], bool], ...]
 
 
+def _payloads(flat: np.ndarray, layout: Layout) -> list[np.ndarray]:
+    """The consecutive slices of `flat` that the stacks of `layout` occupy."""
+    ends = list(accumulate((stack_size(dims) for dims, _ in layout), initial=0))
+    return [flat[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _size(layout: Layout) -> int:
+    """The number of parameters of a model of `layout`."""
+    return sum(stack_size(dims) for dims, _ in layout)
+
+
 @dataclass
 class TranslatorModel:
     source_name: str
     target_name: str
+    layout: Layout
     flat: np.ndarray  # every parameter, in .haet order; the stacks hold views into it
-    stacks: tuple[LayerStack, ...]  # (enc_s, enc_t, dec) or (mlp,), in .haet order
+    stacks: tuple[LayerStack, ...] = field(init=False)  # (enc_s, enc_t, dec) or (mlp,)
+
+    def __post_init__(self):
+        self.stacks = tuple(stack_views(payload, dims, final_norm) for (dims, final_norm), payload
+                            in zip(self.layout, _payloads(self.flat, self.layout)))
 
     @property
     def translate_path(self) -> tuple[LayerStack, ...]:
@@ -83,35 +100,12 @@ class TranslatorModel:
     def target_dim(self) -> int:
         return self.stacks[-1].out_dim
 
-    def layout(self) -> Layout:
-        return tuple((s.dims, s.final_l2_normalize) for s in self.stacks)
-
     def on(self, flat: np.ndarray) -> "TranslatorModel":
         """A model of this one's names and layout over another flat buffer."""
-        return _on_flat(self.source_name, self.target_name, self.layout(), flat)
+        return TranslatorModel(self.source_name, self.target_name, self.layout, flat)
 
     def copy(self) -> "TranslatorModel":
         return self.on(self.flat.copy())  # the shared decoder stays shared
-
-
-def _payloads(flat: np.ndarray, layout: Layout) -> list[np.ndarray]:
-    """The consecutive slices of `flat` that the stacks of `layout` occupy."""
-    ends = list(accumulate((stack_size(dims) for dims, _ in layout), initial=0))
-    return [flat[a:b] for a, b in zip(ends, ends[1:])]
-
-
-def _on_flat(
-    source_name: str,
-    target_name: str,
-    layout: Layout,
-    flat: np.ndarray,
-) -> TranslatorModel:
-    """A model whose stacks are laid out one after another in `flat`."""
-    stacks = tuple(
-        stack_views(payload, dims, final_norm)
-        for (dims, final_norm), payload in zip(layout, _payloads(flat, layout))
-    )
-    return TranslatorModel(source_name, target_name, flat, stacks)
 
 
 @dataclass(frozen=True)
@@ -125,9 +119,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.lr < np.inf:
             raise InvalidConfig("lr must be finite and > 0")
-        for name in ("batch_size", "max_epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1")
+        for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise InvalidConfig(f"{name} must be >= {low}")
 
 
 @dataclass
@@ -183,29 +177,11 @@ def build(
     if kind == KIND_HAE and latent_dim < 1:
         raise InvalidConfig("latent dim must be >= 1")
     layout = _layout(kind, source_dim, target_dim, latent_dim)
-    flat = np.empty(sum(stack_size(dims) for dims, _ in layout))
-    model = _on_flat(source_name, target_name, layout, flat)
+    model = TranslatorModel(source_name, target_name, layout, np.empty(_size(layout)))
     rng = np.random.default_rng(seed)
     for stack in model.stacks:
         he_init(stack, rng)
     return model
-
-
-def _run(path: tuple[LayerStack, ...], x: np.ndarray, tapes: list) -> np.ndarray:
-    """Feed x through each stack of a path, appending the tapes."""
-    for stack in path:
-        x, tape = forward(stack, x)
-        tapes.append(tape)
-    return x
-
-
-def _forward(model: TranslatorModel, vs: np.ndarray, vt: np.ndarray, tapes: list) -> np.ndarray:
-    """Every path's output on one batch, one row block per path. The heads,
-    stacks[:2] (enc_s on vs, enc_t on vt; or the baseline's one stack), run on
-    their own inputs, then the shared tail, stacks[2:] (the HAE decoder), runs
-    once on their stacked outputs. The tapes are appended in stack order."""
-    latents = [_run((stack,), x, tapes) for stack, x in zip(model.stacks[:2], (vs, vt))]
-    return _run(model.stacks[2:], np.concatenate(latents), tapes)
 
 
 def _scratch(stacks: tuple[LayerStack, ...], rows: int) -> np.ndarray:
@@ -214,9 +190,10 @@ def _scratch(stacks: tuple[LayerStack, ...], rows: int) -> np.ndarray:
 
 
 def _untaped(heads: tuple, xs: tuple, tail: tuple, scratch: np.ndarray | None = None) -> np.ndarray:
-    """_forward's output without a tape. The layers go alternately into the two
-    scratch arrays, a head's in its own row block, so none overwrites its input;
-    a head's last layer writes its row block of the tail's input. Returns a view."""
+    """_loss_and_grads's forward output without a tape. The layers go alternately
+    into the two scratch arrays, a head's in its own row block, so none overwrites
+    its input; a head's last layer writes its row block of the tail's input.
+    Returns a view."""
     rows = sum(map(len, xs))
     scratch = _scratch((*heads, *tail), rows) if scratch is None else scratch
     flat, width = scratch.reshape(2, -1), scratch.shape[2]
@@ -254,27 +231,25 @@ def _loss_and_grads(
     model: TranslatorModel, vs: np.ndarray, vt: np.ndarray, grads: TranslatorModel
 ) -> float:
     """Total loss on one batch; its gradient is written into `grads`, a model
-    shaped like `model` over a gradient buffer (model.on()). _forward's k row
-    blocks are scored against k stacked copies of vt: k times that mean over
-    k·B rows, and its gradient, is the sum of the k per-path means."""
+    shaped like `model` over a gradient buffer (model.on()). The heads, stacks[:2]
+    (enc_s on vs, enc_t on vt; or the baseline's one stack), run on their own
+    inputs and the tail, stacks[2:] (the HAE decoder), once on their k stacked row
+    blocks, scored against k stacked copies of vt: k times that mean over k·B
+    rows, and its gradient, is the sum of the k per-path means."""
     k = len(model.stacks[:2])
-    tapes: list = []
-    loss, g = euclid_loss(_forward(model, vs, vt, tapes), np.concatenate([vt] * k))
+    passes = [forward(stack, x) for stack, x in zip(model.stacks[:2], (vs, vt))]
+    x = np.concatenate([out for out, _ in passes])
+    for stack in model.stacks[2:]:
+        x, tape = forward(stack, x)
+        passes.append((x, tape))
+    loss, g = euclid_loss(x, np.concatenate([vt] * k))
     g *= k
-    stacks = list(zip(model.stacks, grads.stacks, tapes))
+    stacks = list(zip(model.stacks, grads.stacks, (tape for _, tape in passes)))
     for stack, g_stack, tape in reversed(stacks[2:]):
         g = backward(stack, tape, g, g_stack.parameters())[1] @ stack.layers[0].weights
     for i, (stack, g_stack, tape) in enumerate(stacks[:2]):
         backward(stack, tape, g[i * len(vt) : (i + 1) * len(vt)], g_stack.parameters())
     return k * loss
-
-
-def _check_unit_norm(fs: FeatureSet) -> None:
-    norms = _row_norms(fs.vectors)
-    if np.any(np.abs(norms - 1.0) > NORM_TOL):
-        raise DataError(
-            f"target feature set {fs.name!r} must be L2-normalized before training"
-        )
 
 
 def train(
@@ -294,7 +269,10 @@ def train(
             f"paired dims ({paired.source.dim}, {paired.target.dim}) do not match model "
             f"({model.source_dim}, {model.target_dim})"
         )
-    _check_unit_norm(paired.target)
+    if not paired.target.normalized:
+        raise DataError(
+            f"target feature set {paired.target.name!r} must be L2-normalized before training"
+        )
 
     rng = np.random.default_rng(cfg.seed)
     n = len(paired)
@@ -450,7 +428,7 @@ def save_model(model: TranslatorModel, path) -> None:
         _write_str(f, model.source_name)
         _write_str(f, model.target_name)
         f.write(struct.pack("<I", model.latent_dim))
-        for stack, payload in zip(model.stacks, _payloads(model.flat, model.layout())):
+        for stack, payload in zip(model.stacks, _payloads(model.flat, model.layout)):
             _write_stack(f, stack, payload)
 
 
@@ -480,11 +458,11 @@ def load_model(path) -> TranslatorModel:
             kind == KIND_MLP and latent_dim != 0
         ):
             raise BadModelFile(f"stack dims do not form a {kind} model")
-        flat = np.empty(sum(stack_size(dims) for dims, _ in layout), dtype="<f8")
+        flat = np.empty(_size(layout), dtype="<f8")
         for k, ((_, _, offset), payload) in enumerate(zip(headers, _payloads(flat, layout))):
             f.seek(offset)
             if f.readinto(payload) != payload.nbytes:
                 raise BadModelFile("truncated model file")
             if not np.isfinite(payload).all():
                 raise BadModelFile(f"non-finite parameter in model stack {k + 1}")
-    return _on_flat(source_name, target_name, layout, flat)
+    return TranslatorModel(source_name, target_name, layout, flat)

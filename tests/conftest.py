@@ -133,8 +133,8 @@ def load_grid(grid_dir: Path):
     """grid_fixture's models, loaded from grid_dir, and the held-out pairs its
     M was measured on, both keyed by (source, target)."""
     sets = synth.generate(GRID_SPEC).feature_sets
-    ids = sets[GRID_NAMES[0]].ids
-    held = {n: sets[n].take(ids[int(pipeline.TRAIN_FRACTION * len(ids)):]) for n in GRID_NAMES}
+    _, eval_ids = pipeline.split_ids(sets[GRID_NAMES[0]].ids)
+    held = {n: sets[n].take(eval_ids) for n in GRID_NAMES}
     pairs = list(itertools.product(GRID_NAMES, repeat=2))
     models = {(s, t): translator.load_model(grid_dir / pipeline.model_file(s, t)) for s, t in pairs}
     return models, {(s, t): fio.align_pairs(held[s], held[t]) for s, t in pairs}

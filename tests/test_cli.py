@@ -315,10 +315,19 @@ def test_affinity_over_baseline_model(workspace, tmp_path, capsys):
         (["train", "--config", "{latent0}", "--source", "fx", "--target", "fy"], 2),
         (["grid", "--config", "{cfg}", "--epochs", "0"], 2),
         (["grid", "--config", "{cfg}", "--latent", "0"], 2),
+        (["synth", "--n", "40", "--dim", "8", "--latent-dim", "4", "--clusters", "4",
+          "--seed", "-1"], 2),
+        (["train", "--config", "{cfg}", "--source", "fx", "--target", "fy", "--seed", "-1"], 2),
+        (["grid", "--config", "{cfg}", "--seed", "-1"], 2),
+        (["synth", "--n", "40", "--dim", "8", "--latent-dim", "4", "--clusters", "4",
+          "--noise", "nan"], 2),
+        (["synth", "--n", "40", "--dim", "8", "--latent-dim", "4", "--clusters", "4",
+          "--noise", "inf"], 2),
     ],
     ids=["malformed-config", "non-object-config", "batch-0", "epochs-0", "lr-infinity",
          "clusters-not-dividing-n", "latent-0", "latent-negative", "config-latent-0",
-         "grid-epochs-0", "grid-latent-0"],
+         "grid-epochs-0", "grid-latent-0", "synth-seed-negative", "train-seed-negative",
+         "grid-seed-negative", "synth-noise-nan", "synth-noise-inf"],
 )
 def test_bad_settings_exit_with_code(workspace, tmp_path, capsys, argv, code):
     (tmp_path / "bad.json").write_text('{"features": ')

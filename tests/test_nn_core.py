@@ -1,3 +1,4 @@
+import copy
 import sys
 import threading
 
@@ -409,6 +410,20 @@ class TestHeSplit:
         share = nn._share(dims[0] * dims[1])
         assert sorted(threads) == list(range(0, dims[0] * dims[1], share))
         assert [lo for lo, t in threads.items() if t == threading.get_ident()] == [0]
+
+    def test_unsplit_stack_keeps_a_buffered_half(self, monkeypatch):
+        """An unsplit layer leaves rng where layerwise uniform draws leave it,
+        with the 32-bit half a bounded integer draw buffered still held."""
+        monkeypatch.setattr(nn, "_WORKERS", 2)
+        rng = np.random.default_rng(7)
+        rng.integers(1, 4)  # draws 32 bits of 64: the other half stays buffered
+        ours, theirs = rng, copy.deepcopy(rng)
+        dims = (512, 384, 8)  # both layers below the split size
+        nn.he_init(nn.stack_views(np.empty(nn.stack_size(dims)), dims, False), ours)
+        for d_in, d_out in zip(dims, dims[1:]):
+            limit = np.sqrt(6.0 / d_in)
+            theirs.uniform(-limit, limit, size=(d_out, d_in))
+        assert np.array_equal(ours.integers(1, 4, size=8), theirs.integers(1, 4, size=8))
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_below_split_size_opens_no_executor(self, monkeypatch, workers):

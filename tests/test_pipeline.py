@@ -14,16 +14,16 @@ from conftest import GRID_CFG, GRID_SPEC, load_grid
 
 def test_grid_measures_m_on_ids_it_did_not_train_on(grid_fixture, grid_dir):
     sets = synth.generate(GRID_SPEC).feature_sets
-    ids = sets["fa"].ids
-    cut = int(pipeline.TRAIN_FRACTION * len(ids))
+    train_ids, eval_ids = pipeline.split_ids(sets["fa"].ids)
     models, held_out = load_grid(grid_dir)
-    assert len(ids) - cut == 160 and len(models) == 16
-    assert {pair.order for pair in held_out.values()} == {tuple(sorted(ids[cut:]))}
+    assert len(eval_ids) == 160 and len(models) == 16
+    assert train_ids + eval_ids == sets["fa"].ids
+    assert {pair.order for pair in held_out.values()} == {tuple(sorted(eval_ids))}
     for (s, t), model in models.items():
         assert (model.source_name, model.target_name) == (s, t)
         assert grid_fixture.dam.entry(s, t) == aff.dam_entry(model, held_out[(s, t)])
     # the saved model is the one trained on the other ids, and only on them
-    train = fio.align_pairs(sets["fa"].take(ids[:cut]), sets["fc"].take(ids[:cut]))
+    train = fio.align_pairs(sets["fa"].take(train_ids), sets["fc"].take(train_ids))
     model = translator.build(32, 32, 24, "hae", seed=1, source_name="fa", target_name="fc")
     model, _ = translator.train(model, train, GRID_CFG)
     assert np.array_equal(model.flat, models[("fa", "fc")].flat)

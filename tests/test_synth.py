@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from feattrans import retrieval, synth
+from feattrans.errors import InvalidConfig
 
 
 def spec(**kw):
@@ -24,9 +25,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(n_vectors=100, n_clusters=7)
 
-    def test_negative_noise(self):
-        with pytest.raises(ValueError):
-            spec(noise_sigma=-0.1)
+    @pytest.mark.parametrize(
+        "setting",
+        [{"noise_sigma": -0.1}, {"noise_sigma": float("nan")}, {"noise_sigma": float("inf")},
+         {"seed": -1}],
+        ids=["noise-negative", "noise-nan", "noise-inf", "seed-negative"],
+    )
+    def test_out_of_range_setting_rejected(self, setting):
+        with pytest.raises(InvalidConfig, match=next(iter(setting))):
+            spec(**setting)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,7 @@ class TestTrain:
             {"patience": 0},
             {"lr": float("inf")},
             {"lr": float("nan")},
+            {"seed": -1},
         ],
     )
     def test_out_of_range_setting_rejected(self, setting):
@@ -577,7 +578,7 @@ def _activation_offsets(raw: bytes) -> list[int]:
 
 
 def _structure(model: translator.TranslatorModel):
-    return model.kind, model.latent_dim, model.layout()
+    return model.kind, model.latent_dim, model.layout
 
 
 class TestModelFileFuzz:
