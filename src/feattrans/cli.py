@@ -3,10 +3,12 @@
 Subcommands: synth | train | translate | eval | affinity | grid | mst; `grid`
 runs the whole experiment (pipeline.run_grid), the others one step each.
 
-A JSON config file supplies the feature-set registry (name -> vec/ids paths),
-the ground truth (`gt`) and optional defaults for the training flags, which
-`train` and `grid` share; explicit flags always win. Every command L2-normalizes
-each registered set at load; `train` and `grid` train through pipeline.train_pair.
+Every command but `synth` and `mst` requires `--config`, a JSON file that holds
+data only: the feature-set registry (`features`: name -> vec/ids paths) and the
+ground truth (`gt`), as `synth` writes it; any other key is a data error. Every
+training setting is a flag, shared by `train` and `grid`, whose default is the
+library's. Every command L2-normalizes each registered set at load; `train` and
+`grid` train through pipeline.train_pair.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
@@ -28,9 +30,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise DataError(f"config file not found: {p}")
@@ -41,6 +41,10 @@ def _load_config(path: str | None) -> dict:
             raise DataError(f"{p}: malformed config JSON: {exc}") from None
     if not isinstance(config, dict):
         raise DataError(f"{p}: config must be a JSON object")
+    for key in config:
+        if key not in ("features", "gt"):
+            raise DataError(f"{p}: unknown config key {key!r} (a config holds 'features' "
+                            "and 'gt'; every training setting is a flag)")
     return config
 
 
@@ -77,45 +81,20 @@ def _load_names(args, config: dict) -> tuple[tuple[str, ...], dict[str, fio.Feat
     return names, sets
 
 
-def _ground_truth(config: dict, path: str | None = None) -> fio.GroundTruth:
-    """The ground truth at `path`, else at the config's 'gt' path."""
-    path = path or config.get("gt")
+def _ground_truth(config: dict) -> fio.GroundTruth:
+    """The ground truth at the config's 'gt' path."""
+    path = config.get("gt")
     if not isinstance(path, str):
-        raise DataError(f"no ground-truth path string (--gt or config 'gt'), got {path!r}")
+        raise DataError(f"config key 'gt' must be a ground-truth path string, got {path!r}")
     if not Path(path).exists():
         raise DataError(f"input path does not exist: {path}")
     return fio.load_ground_truth(path)
 
 
-def _merged(args, config: dict, key: str, default, kind: type):
-    """The flag if given, else the config value, else the default, as `kind`.
-
-    A config value must be a JSON number: an integer for an int key, an
-    integer or a float for a float key, and never true or false."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        raise DataError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:  # an integer beyond the float range
-        raise DataError(f"config key {key!r} is out of range") from None
-
-
-def _training(args, config: dict) -> tuple[translator.TrainConfig, int]:
-    """The training flags merged with the config: the TrainConfig, whose seed
-    also seeds the model, and the HAE latent width."""
-    default = translator.TrainConfig()
-    cfg = translator.TrainConfig(
-        lr=_merged(args, config, "lr", default.lr, float),
-        batch_size=_merged(args, config, "batch", default.batch_size, int),
-        max_epochs=_merged(args, config, "epochs", default.max_epochs, int),
-        patience=_merged(args, config, "patience", default.patience, int),
-        seed=_merged(args, config, "seed", default.seed, int),
-    )
-    return cfg, _merged(args, config, "latent", translator.DEFAULT_LATENT_DIM, int)
+def _training(args) -> translator.TrainConfig:
+    """The training flags as a TrainConfig, whose seed also seeds the model."""
+    return translator.TrainConfig(lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
+                                  patience=args.patience, seed=args.seed)
 
 
 def cmd_synth(args) -> int:
@@ -144,10 +123,10 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    cfg, latent = _training(args, config)
+    cfg = _training(args)
     model_path = Path(args.out) / pipeline.model_file(args.source, args.target)
     src, tgt = _load_registered(config, args.source), _load_registered(config, args.target)
-    model, tlog = pipeline.train_pair(src, tgt, cfg, cfg.seed, latent, args.kind, args.out)
+    model, tlog = pipeline.train_pair(src, tgt, cfg, cfg.seed, args.latent, args.kind, args.out)
     print(f"trained {args.source}->{args.target} ({model.kind}): {tlog.epochs_run} epochs, "
           f"best val total {min(tlog.val_total):.6f} -> {model_path}")
     return EXIT_OK
@@ -174,7 +153,7 @@ def cmd_eval(args) -> int:
     source_refs = _load_registered(config, args.source)
     target = _load_registered(config, args.target)
     queries = _load_registered(config, args.queries) if args.queries else target
-    gt = _ground_truth(config, args.gt)
+    gt = _ground_truth(config)
 
     direct = retrieval.evaluate(queries, target, gt)
     translated = retrieval.cross_feature_evaluate(model, source_refs, queries, gt)
@@ -207,10 +186,10 @@ def cmd_affinity(args) -> int:
 
 def cmd_grid(args) -> int:
     config = _load_config(args.config)
-    cfg, latent = _training(args, config)
+    cfg = _training(args)
     names, sets = _load_names(args, config)
     gt = _ground_truth(config)
-    grid = pipeline.run_grid(sets, gt, names, cfg, cfg.seed, latent, args.out)
+    grid = pipeline.run_grid(sets, gt, names, cfg, cfg.seed, args.latent, args.out)
     pipeline.write_grid(grid, args.out)
     print(f"wrote {len(grid.logs)} models, M/R/C/U, MST and retrieval_summary.csv to {args.out}")
     return EXIT_OK
@@ -229,13 +208,18 @@ def cmd_mst(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="feattrans")
     sub = parser.add_subparsers(dest="command", required=True)
+    registry = argparse.ArgumentParser(add_help=False)  # the commands that read a registry
+    registry.add_argument("--config", required=True,
+                          help="JSON holding the 'features' registry and the 'gt' path")
     training = argparse.ArgumentParser(add_help=False)  # the flags of train and grid
-    training.add_argument("--latent", type=int)
-    training.add_argument("--lr", type=float)
-    training.add_argument("--batch", type=int)
-    training.add_argument("--epochs", type=int)
-    training.add_argument("--patience", type=int)
-    training.add_argument("--seed", type=int, help="seeds the model and its training")
+    default = translator.TrainConfig()
+    training.add_argument("--latent", type=int, default=translator.DEFAULT_LATENT_DIM)
+    training.add_argument("--lr", type=float, default=default.lr)
+    training.add_argument("--batch", type=int, default=default.batch_size)
+    training.add_argument("--epochs", type=int, default=default.max_epochs)
+    training.add_argument("--patience", type=int, default=default.patience)
+    training.add_argument("--seed", type=int, default=default.seed,
+                          help="seeds the model and its training")
 
     p = sub.add_parser("synth", help="generate synthetic paired feature sets")
     p.add_argument("--out", required=True)
@@ -252,9 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", parents=[training],
+    p = sub.add_parser("train", parents=[registry, training],
                        help="train a translator for one (source, target) pair")
-    p.add_argument("--config")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--kind", choices=[translator.KIND_HAE, translator.KIND_MLP],
@@ -263,40 +246,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("translate", help="apply a trained translator to a feature set")
-    p.add_argument("--config")
+    p = sub.add_parser("translate", parents=[registry],
+                       help="apply a trained translator to a feature set")
     p.add_argument("--model", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_translate)
 
-    p = sub.add_parser("eval", help="retrieval mAP of translated vs target features")
-    p.add_argument("--config")
+    p = sub.add_parser("eval", parents=[registry],
+                       help="retrieval mAP of translated vs target features")
     p.add_argument("--model", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--queries")
-    p.add_argument("--gt")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
-        "affinity",
+        "affinity", parents=[registry],
         help="build M/R/C/U matrices from models trained elsewhere, with M measured on "
              "whichever sets are registered (grid measures M on held-out ids)",
     )
-    p.add_argument("--config")
     p.add_argument("--models-dir", required=True)
     p.add_argument("--names", help="comma list; defaults to all registry names")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_affinity)
 
     p = sub.add_parser(
-        "grid", parents=[training],
+        "grid", parents=[registry, training],
         help="the paper's experiment: an HAE for every ordered pair, M on held-out ids, "
              "R/C/U, the MST and a retrieval summary",
     )
-    p.add_argument("--config", required=True)
     p.add_argument("--names", help="comma list; defaults to all registry names")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grid)

@@ -90,7 +90,6 @@ def generate(spec: SynthSpec) -> SynthResult:
     )]
     latents = _cluster_latents(streams[0], spec.n_vectors, spec.latent_dim, spec.n_clusters)
     ids = tuple(f"img{i:05d}" for i in range(spec.n_vectors))
-    assign = np.arange(spec.n_vectors) % spec.n_clusters
 
     feature_sets: dict[str, FeatureSet] = {}
     for k, (name, family) in enumerate(spec.members):
@@ -109,13 +108,12 @@ def generate(spec: SynthSpec) -> SynthResult:
             raw = raw + spec.noise_sigma * rng.normal(size=raw.shape)
         feature_sets[name] = l2_normalize(FeatureSet(name=name, ids=ids, vectors=raw))
 
-    relevant = {}
-    for i, qid in enumerate(ids):
-        same = frozenset(ids[j] for j in np.nonzero(assign == assign[i])[0] if j != i)
-        if same:
-            relevant[qid] = same
+    # id i lies in cluster i % n_clusters, as _cluster_latents assigns it
+    clusters = [frozenset(ids[c::spec.n_clusters]) for c in range(spec.n_clusters)]
+    cluster_of = {q: i % spec.n_clusters for i, q in enumerate(ids)}
+    relevant = {q: clusters[c] - {q} for q, c in cluster_of.items() if len(clusters[c]) > 1}
     return SynthResult(
         feature_sets=feature_sets,
         ground_truth=GroundTruth(relevant=relevant),
-        cluster_of={ids[i]: int(assign[i]) for i in range(spec.n_vectors)},
+        cluster_of=cluster_of,
     )
