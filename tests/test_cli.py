@@ -386,6 +386,23 @@ def test_registry_command_without_config_is_a_usage_error(capsys, argv):
     assert "the following arguments are required: --config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--batch", "7.9"), ("--epochs", "two"), ("--lr", "fast")],
+    ids=["batch-float", "epochs-str", "lr-str"],
+)
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_training_flag_of_wrong_type_is_a_usage_error(capsys, command, flag, value):
+    argv = [command, "--config", "c.json", "--out", "o", flag, value]
+    if command == "train":
+        argv += ["--source", "fx", "--target", "fy"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err and repr(value) in err
+
+
 def test_eval_gt_not_a_path(workspace, tmp_path, capsys):
     config = json.loads((workspace / "data" / "config.json").read_text())
     config["gt"] = 5
