@@ -3,12 +3,12 @@
 Subcommands: synth | train | translate | eval | affinity | grid | mst; `grid`
 runs the whole experiment (pipeline.run_grid), the others one step each.
 
-Every command but `synth` and `mst` requires `--config`, a JSON file that holds
-data only: the feature-set registry (`features`: name -> vec/ids paths) and the
-ground truth (`gt`), as `synth` writes it; any other key is a data error. Every
-training setting is a flag, shared by `train` and `grid`, whose default is the
-library's. Every command L2-normalizes each registered set at load; `train` and
-`grid` train through pipeline.train_pair.
+Every command takes `--out`; all but `synth` and `mst` require `--config`, a JSON
+file holding data only, as `synth` writes it: the feature-set registry (`features`:
+name -> vec/ids paths), checked whole when read, and the ground truth (`gt`); any
+other key is a data error. Every training setting is a flag of `train` and `grid`,
+defaulting to the library's. Every command L2-normalizes each registered set at load;
+`train` and `grid` train via pipeline.train_pair, which makes `--out` first.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
@@ -45,27 +45,21 @@ def _load_config(path: str) -> dict:
         if key not in ("features", "gt"):
             raise DataError(f"{p}: unknown config key {key!r} (a config holds 'features' "
                             "and 'gt'; every training setting is a flag)")
+    if not isinstance(config.setdefault("features", {}), dict):
+        raise DataError("config key 'features' must be an object of feature sets")
+    for name, entry in config["features"].items():
+        if not isinstance(entry, dict):
+            raise DataError(f"config registry entry {name!r} must be an object with 'vec' and 'ids'")
+        for key in ("vec", "ids"):
+            if not isinstance(entry.get(key), str):
+                raise DataError(f"config registry entry {name!r} needs a {key!r} path string")
     return config
 
 
-def _registry(config: dict) -> dict:
-    features = config.get("features", {})
-    if not isinstance(features, dict):
-        raise DataError("config key 'features' must be an object of feature sets")
-    return features
-
-
 def _load_registered(config: dict, name: str) -> fio.FeatureSet:
-    features = _registry(config)
-    if name not in features:
+    if name not in config["features"]:
         raise DataError(f"feature set {name!r} not found in config registry")
-    entry = features[name]
-    if not isinstance(entry, dict):
-        raise DataError(f"config registry entry {name!r} must be an object with 'vec' and 'ids'")
-    for key in ("vec", "ids"):
-        if not isinstance(entry.get(key), str):
-            raise DataError(f"config registry entry {name!r} needs a {key!r} path string")
-    vec, ids = Path(entry["vec"]), Path(entry["ids"])
+    vec, ids = (Path(config["features"][name][key]) for key in ("vec", "ids"))
     for p in (vec, ids):
         if not p.exists():
             raise DataError(f"input path does not exist: {p}")
@@ -75,7 +69,7 @@ def _load_registered(config: dict, name: str) -> fio.FeatureSet:
 def _load_names(args, config: dict) -> tuple[tuple[str, ...], dict[str, fio.FeatureSet]]:
     """The `--names` (default: every registry name, sorted) and their loaded
     sets; DataError if pipeline.check_names rejects them."""
-    names = tuple(args.names.split(",") if args.names else sorted(_registry(config)))
+    names = tuple(args.names.split(",") if args.names else sorted(config["features"]))
     sets = {n: _load_registered(config, n) for n in dict.fromkeys(names)}
     pipeline.check_names(sets, names)
     return names, sets
@@ -208,6 +202,8 @@ def cmd_mst(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="feattrans")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # shared by every command
+    out.add_argument("--out", required=True)
     registry = argparse.ArgumentParser(add_help=False)  # the commands that read a registry
     registry.add_argument("--config", required=True,
                           help="JSON holding the 'features' registry and the 'gt' path")
@@ -221,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     training.add_argument("--seed", type=int, default=default.seed,
                           help="seeds the model and its training")
 
-    p = sub.add_parser("synth", help="generate synthetic paired feature sets")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("synth", parents=[out], help="generate synthetic paired feature sets")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--latent-dim", type=int, default=16)
@@ -236,54 +231,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", parents=[registry, training],
+    p = sub.add_parser("train", parents=[out, registry, training],
                        help="train a translator for one (source, target) pair")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--kind", choices=[translator.KIND_HAE, translator.KIND_MLP],
                    type=lambda k: translator.KIND_MLP if k == "mlp" else k,
                    default=translator.KIND_HAE, help='"mlp" is short for mlp_baseline')
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("translate", parents=[registry],
+    p = sub.add_parser("translate", parents=[out, registry],
                        help="apply a trained translator to a feature set")
     p.add_argument("--model", required=True)
     p.add_argument("--source", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_translate)
 
-    p = sub.add_parser("eval", parents=[registry],
+    p = sub.add_parser("eval", parents=[out, registry],
                        help="retrieval mAP of translated vs target features")
     p.add_argument("--model", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--queries")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
-        "affinity", parents=[registry],
+        "affinity", parents=[out, registry],
         help="build M/R/C/U matrices from models trained elsewhere, with M measured on "
              "whichever sets are registered (grid measures M on held-out ids)",
     )
     p.add_argument("--models-dir", required=True)
     p.add_argument("--names", help="comma list; defaults to all registry names")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_affinity)
 
     p = sub.add_parser(
-        "grid", parents=[registry, training],
+        "grid", parents=[out, registry, training],
         help="the paper's experiment: an HAE for every ordered pair, M on held-out ids, "
              "R/C/U, the MST and a retrieval summary",
     )
     p.add_argument("--names", help="comma list; defaults to all registry names")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("mst", help="minimum spanning tree from a U matrix CSV")
+    p = sub.add_parser("mst", parents=[out], help="minimum spanning tree from a U matrix CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mst)
     return parser
 

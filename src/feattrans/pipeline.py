@@ -81,10 +81,10 @@ def train_pair(
     """Build, align and train a `kind` translator source.name -> target.name, then write
     model_file(s, t) and <s>2<t>.trainlog.csv into `out_dir` (made if missing)."""
     path = Path(out_dir) / model_file(source.name, target.name)
+    path.parent.mkdir(parents=True, exist_ok=True)
     model = translator.build(source.dim, target.dim, latent_dim, kind, seed=model_seed,
                              source_name=source.name, target_name=target.name)
     model, tlog = translator.train(model, align_pairs(source, target), cfg)
-    path.parent.mkdir(parents=True, exist_ok=True)
     translator.save_model(model, path)
     write_train_log(tlog, path.with_suffix(".trainlog.csv"))
     return model, tlog
@@ -94,10 +94,11 @@ def run_grid(
     sets: dict[str, FeatureSet], gt: GroundTruth, names: tuple[str, ...],
     cfg: translator.TrainConfig, model_seed: int, latent_dim: int, out_dir,
 ) -> GridResult:
-    """Run the grid over `names`, writing each pair's model and train log
-    (train_pair) into `out_dir`, made if missing."""
+    """Run the grid over `names`: score direct mAP first, which checks `gt`, then write
+    each pair's model and train log (train_pair) into `out_dir`, made if missing."""
     names = tuple(names)
     check_names(sets, names)
+    direct = {n: retrieval.evaluate(sets[n], sets[n], gt).map for n in names}
     train_ids, eval_ids = split_ids(sets[names[0]].ids)
     logs, translated = {}, {}
 
@@ -111,7 +112,6 @@ def run_grid(
     dam = affinity.directed_matrix(names, entry)
     r, c = affinity.normalize_rows(dam), affinity.normalize_cols(dam)
     u = affinity.uam(r, c)
-    direct = {n: retrieval.evaluate(sets[n], sets[n], gt).map for n in names}
     return GridResult(names, logs, dam, r, c, u, mst.kruskal(u), direct, translated)
 
 

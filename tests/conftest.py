@@ -112,6 +112,8 @@ GRID_SPEC = synth.SynthSpec(
 GRID_CFG = translator.TrainConfig(
     lr=1e-3, batch_size=64, max_epochs=60, patience=60, seed=0
 )
+GRID_LATENT = 24
+GRID_MODEL_SEED = 1
 
 
 @pytest.fixture(scope="session")
@@ -124,8 +126,8 @@ def grid_dir(tmp_path_factory) -> Path:
 def grid_fixture(grid_dir) -> pipeline.GridResult:
     data = synth.generate(GRID_SPEC)
     return pipeline.run_grid(
-        data.feature_sets, data.ground_truth, GRID_NAMES, GRID_CFG, model_seed=1, latent_dim=24,
-        out_dir=grid_dir,
+        data.feature_sets, data.ground_truth, GRID_NAMES, GRID_CFG, model_seed=GRID_MODEL_SEED,
+        latent_dim=GRID_LATENT, out_dir=grid_dir,
     )
 
 

@@ -548,6 +548,62 @@ def test_grid_bad_names_exit_3_before_training(workspace, tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--source", "fx", "--target", "fy"],
+        ["translate", "--model", "{models}/fx2fy.haet", "--source", "fx"],
+        ["eval", "--model", "{models}/fx2fy.haet", "--source", "fx", "--target", "fy"],
+        ["affinity", "--models-dir", "{models}", "--names", "fx,fy"],
+        ["grid", "--names", "fx,fy"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_entry_of_an_unused_name_exits_3(workspace, tmp_path, capsys, monkeypatch,
+                                                   argv):
+    """The registry is checked whole when the config is read, so an entry the
+    command does not name is rejected before anything is loaded or trained."""
+    config = json.loads((workspace / "data" / "config.json").read_text())
+    config["features"]["z"] = 5
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    monkeypatch.setattr(translator, "train", lambda *a, **k: pytest.fail("trained a model"))
+    argv = [a.format(models=workspace / "models") for a in argv]
+    code = main(argv + ["--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'z'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_unknown_relevant_id_exits_3_before_training(workspace, tmp_path, capsys,
+                                                          monkeypatch):
+    gt = (workspace / "data" / "gt.tsv").read_text().splitlines()
+    query, relevant = gt[0].split("\t")
+    (tmp_path / "gt.tsv").write_text("\n".join([f"{query}\t{relevant},nosuchid", *gt[1:]]) + "\n")
+    config = json.loads((workspace / "data" / "config.json").read_text())
+    config["gt"] = str(tmp_path / "gt.tsv")
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    monkeypatch.setattr(translator, "train", lambda *a, **k: pytest.fail("trained a model"))
+    code = main(["grid", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "'nosuchid'" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.haet"))
+
+
+@pytest.mark.parametrize(
+    "argv", [["train", "--source", "fx", "--target", "fy"], ["grid"]], ids=lambda argv: argv[0]
+)
+def test_out_that_is_a_file_exits_3_before_training(workspace, tmp_path, capsys, monkeypatch,
+                                                    argv):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    monkeypatch.setattr(translator, "train", lambda *a, **k: pytest.fail("trained a model"))
+    code = main(argv + ["--config", str(workspace / "data" / "config.json"), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
     "case", ["synth-member-dotdot", "synth-member-empty", "eval-name-dotdot",
              "translate-model-name-dotdot"],
 )
@@ -581,8 +637,8 @@ def test_readme_cli_examples_parse():
     """Every `feattrans` command in README's shell blocks parses, and together
     they show every subcommand."""
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
-                if line.startswith("feattrans ")]
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [line for line in lines if line.startswith("feattrans ")]
     parser = build_parser()
     shown = {parser.parse_args(shlex.split(line)[1:]).command for line in commands}
     assert shown == {"synth", "train", "translate", "eval", "affinity", "grid", "mst"}

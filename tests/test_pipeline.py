@@ -9,7 +9,7 @@ from feattrans import affinity as aff
 from feattrans import feature_io as fio
 from feattrans import pipeline, synth, translator
 from feattrans.errors import DataError
-from conftest import GRID_CFG, GRID_SPEC, load_grid
+from conftest import GRID_CFG, GRID_LATENT, GRID_MODEL_SEED, GRID_SPEC, load_grid
 
 
 def test_grid_measures_m_on_ids_it_did_not_train_on(grid_fixture, grid_dir):
@@ -24,7 +24,8 @@ def test_grid_measures_m_on_ids_it_did_not_train_on(grid_fixture, grid_dir):
         assert grid_fixture.dam.entry(s, t) == aff.dam_entry(model, held_out[(s, t)])
     # the saved model is the one trained on the other ids, and only on them
     train = fio.align_pairs(sets["fa"].take(train_ids), sets["fc"].take(train_ids))
-    model = translator.build(32, 32, 24, "hae", seed=1, source_name="fa", target_name="fc")
+    model = translator.build(32, 32, GRID_LATENT, "hae", seed=GRID_MODEL_SEED,
+                             source_name="fa", target_name="fc")
     model, _ = translator.train(model, train, GRID_CFG)
     assert np.array_equal(model.flat, models[("fa", "fc")].flat)
 
