@@ -132,8 +132,8 @@ def cmd_translate(args) -> int:
     vec = Path(args.out) / pipeline.model_file(model.source_name, model.target_name)
     vec = vec.with_suffix(".vec")
     src = _load_registered(config, args.source)
-    translated = translator.translate(model, src)
     vec.parent.mkdir(parents=True, exist_ok=True)
+    translated = translator.translate(model, src)
     fio.save_feature_set(translated, vec, vec.with_suffix(".ids"))
     print(f"translated {len(translated)} vectors -> {vec}")
     return EXIT_OK
@@ -148,10 +148,10 @@ def cmd_eval(args) -> int:
     target = _load_registered(config, args.target)
     queries = _load_registered(config, args.queries) if args.queries else target
     gt = _ground_truth(config)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
 
     direct = retrieval.evaluate(queries, target, gt)
     translated = retrieval.cross_feature_evaluate(model, source_refs, queries, gt)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
     retrieval.write_eval_csv(translated, csv_path)
     print(f"target mAP(%):     {direct.map:.2f}")
     print(f"translated mAP(%): {translated.map:.2f}")

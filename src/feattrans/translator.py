@@ -365,12 +365,6 @@ _KIND_BYTES = {KIND_HAE: 0, KIND_MLP: 1}
 _KIND_NAMES = {v: k for k, v in _KIND_BYTES.items()}
 
 
-def _write_str(f, s: str) -> None:
-    raw = s.encode("utf-8")
-    f.write(struct.pack("<I", len(raw)))
-    f.write(raw)
-
-
 def _check_fits(f, n: int) -> None:
     # before any read, so a corrupt length allocates nothing
     if n > os.fstat(f.fileno()).st_size - f.tell():
@@ -390,51 +384,49 @@ def _read_str(f) -> str:
         raise BadModelFile("model file name is not UTF-8") from None
 
 
-def _activation_bytes(n_layers: int) -> bytes:
-    """A stack's activation bytes: relu (1) on every layer but the last, which
-    is linear (0), the one layout nn_core runs."""
-    return b"\x01" * (n_layers - 1) + b"\x00"
+def _stack_header(dims: tuple[int, ...], final_norm: bool) -> bytes:
+    """A stack's .haet header: its layer count, its dims, its final L2
+    normalization byte and its activation bytes, relu (1) on every layer but
+    the last, which is linear (0), the one layout nn_core runs."""
+    n_layers = len(dims) - 1
+    return struct.pack(f"<{n_layers + 2}IB", n_layers, *dims, final_norm) + (
+        b"\x01" * (n_layers - 1) + b"\x00")
 
 
-def _write_stack(f, stack: LayerStack, payload: np.ndarray) -> None:
-    f.write(struct.pack("<I", len(stack.layers)))
-    for d in stack.dims:
-        f.write(struct.pack("<I", d))
-    f.write(struct.pack("<B", 1 if stack.final_l2_normalize else 0))
-    f.write(_activation_bytes(len(stack.layers)))
-    f.write(payload.astype("<f8", copy=False))
-
-
-def _read_stack_header(f) -> tuple[tuple[int, ...], bool, int]:
-    """(dims, final L2 normalization, payload offset) of the next stack; leaves
-    f after its payload, which must fit in the file."""
-    (n_layers,) = struct.unpack("<I", _read_exact(f, 4))
-    dims = struct.unpack(f"<{n_layers + 1}I", _read_exact(f, 4 * (n_layers + 1)))
-    (final_norm,) = struct.unpack("<B", _read_exact(f, 1))
-    # no empty stack: _activation_bytes(0) is one byte long
-    if _read_exact(f, n_layers) != _activation_bytes(n_layers):
-        raise BadModelFile("model stack activations are not relu ... relu, linear")
+def _read_stack_header(f) -> tuple[bytes, tuple[int, ...], int]:
+    """(raw header, dims, payload offset) of the next stack; leaves f after its
+    payload, which must fit in the file."""
+    count = _read_exact(f, 4)
+    (n_layers,) = struct.unpack("<I", count)
+    rest = _read_exact(f, 4 * (n_layers + 1) + 1 + n_layers)  # dims, normalization, activations
+    dims = struct.unpack_from(f"<{n_layers + 1}I", rest)
     offset, size = f.tell(), 8 * stack_size(dims)
     _check_fits(f, size)
     f.seek(offset + size)
-    return dims, bool(final_norm), offset
+    return count + rest, dims, offset
 
 
 def save_model(model: TranslatorModel, path) -> None:
+    """Write a .haet file: magic, version, kind, the two names, the latent dim
+    (0 for the baseline), then each stack's _stack_header() and its float64
+    parameters."""
+    names = [name.encode("utf-8") for name in (model.source_name, model.target_name)]
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<H", _VERSION))
-        f.write(struct.pack("<B", _KIND_BYTES[model.kind]))
-        _write_str(f, model.source_name)
-        _write_str(f, model.target_name)
+        f.write(_MAGIC + struct.pack("<HB", _VERSION, _KIND_BYTES[model.kind]))
+        for raw in names:
+            f.write(struct.pack("<I", len(raw)) + raw)
         f.write(struct.pack("<I", model.latent_dim))
-        for stack, payload in zip(model.stacks, _payloads(model.flat, model.layout)):
-            _write_stack(f, stack, payload)
+        for (dims, final_norm), payload in zip(model.layout, _payloads(model.flat, model.layout)):
+            f.write(_stack_header(dims, final_norm))
+            f.write(payload.astype("<f8", copy=False))
 
 
 def load_model(path) -> TranslatorModel:
-    """Read a .haet file. Every header is checked against the file size and
-    against the layout build() makes before the parameters are allocated."""
+    """Read a .haet file, accepting exactly the bytes save_model() writes for a
+    model build() makes. Every length is checked against the file size, and
+    every stack header against _stack_header() of the layout given by the kind,
+    the outer dims and the latent dim, before the parameters are allocated;
+    anything else raises BadModelFile."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
@@ -452,12 +444,15 @@ def load_model(path) -> TranslatorModel:
         headers = [_read_stack_header(f) for _ in range(1 if kind == KIND_MLP else 3)]
         if f.read(1):
             raise BadModelFile("trailing bytes after model payload")
-        layout = tuple((dims, final_norm) for dims, final_norm, _ in headers)
-        source_dim, target_dim = layout[0][0][0], layout[-1][0][-1]
-        if layout != _layout(kind, source_dim, target_dim, latent_dim) or (
-            kind == KIND_MLP and latent_dim != 0
-        ):
-            raise BadModelFile(f"stack dims do not form a {kind} model")
+        source_dim, target_dim = headers[0][1][0], headers[-1][1][-1]
+        if min(source_dim, target_dim) < 1 or (latent_dim == 0) != (kind == KIND_MLP):
+            raise BadModelFile(f"build() makes no {kind} model of dims {source_dim} -> "
+                               f"{target_dim} and latent dim {latent_dim}")
+        layout = _layout(kind, source_dim, target_dim, latent_dim)
+        for k, ((raw, _, _), (dims, final_norm)) in enumerate(zip(headers, layout)):
+            if raw != _stack_header(dims, final_norm):
+                raise BadModelFile(f"model stack {k + 1} header (dims, normalization, "
+                                   f"activations) does not match a {kind} model")
         flat = np.empty(_size(layout), dtype="<f8")
         for k, ((_, _, offset), payload) in enumerate(zip(headers, _payloads(flat, layout))):
             f.seek(offset)

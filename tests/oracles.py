@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths: plain-Python
 distance loops for AP, exhaustive spanning-tree enumeration for the MST,
-central finite differences for gradients, and a record-by-record reader
-for the .vec format.
+central finite differences for gradients, a record-by-record reader for
+the .vec format, and linear CKA, a closed-form affinity between two sets.
 """
 from __future__ import annotations
 
@@ -125,6 +125,15 @@ def adam_textbook(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
     return params
 
+
+def linear_cka(x, y) -> float:
+    """Linear centered kernel alignment between two row-aligned sets of
+    vectors (Kornblith et al., ICML 2019, arXiv:1905.00414):
+    ||Y'X||_F^2 / (||X'X||_F ||Y'Y||_F) with each column centered."""
+    x = np.asarray(x, dtype=np.float64) - np.mean(x, axis=0)
+    y = np.asarray(y, dtype=np.float64) - np.mean(y, axis=0)
+    cross = np.linalg.norm(y.T @ x) ** 2
+    return float(cross / (np.linalg.norm(x.T @ x) * np.linalg.norm(y.T @ y)))
 
 def vec_records(raw: bytes):
     """Read .vec bytes one record at a time: the (n, dim) float32 rows, or the

@@ -8,6 +8,7 @@ from feattrans import affinity as aff
 from feattrans import feature_io as fio, nn_core, translator
 from feattrans.errors import DataError, MissingPair, NumericError, UnsupportedForBaseline
 from conftest import load_grid
+from oracles import linear_cka
 
 # integer-valued entries keep min-max spans well away from float noise
 matrix_strategy = arrays(
@@ -274,3 +275,27 @@ class TestHomology:
             u.entry(s, t) for s in ("fa", "fb") for t in ("fc", "fd")
         ]
         assert homologous < min(heterogenous)
+
+
+class TestLinearCkaOracle:
+    """The contract of oracles.linear_cka, a closed-form yardstick for U."""
+
+    def test_orthogonal_map_of_the_same_rows_is_one(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(50, 6))
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        assert linear_cka(x, x @ q) == pytest.approx(1.0, abs=1e-12)
+
+    def test_unchanged_under_isotropic_scaling(self):
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=(40, 5)), rng.normal(size=(40, 3))
+        assert linear_cka(3.5 * x, y) == pytest.approx(linear_cka(x, y), rel=1e-12)
+        assert linear_cka(x, 0.01 * y) == pytest.approx(linear_cka(x, y), rel=1e-12)
+
+    def test_hand_computed_three_by_two(self):
+        # centered, x is [[1, 0], [0, 1], [-1, -1]] and y is [[1, 0], [-1, 0], [0, 0]]:
+        # ||y'x||^2 = 1 + 1 = 2, ||x'x|| = ||[[2, 1], [1, 2]]|| = sqrt(10) and
+        # ||y'y|| = ||[[2, 0], [0, 0]]|| = 2, so CKA = 2 / (2 sqrt(10))
+        x = [[6.0, -2.0], [5.0, -1.0], [4.0, -3.0]]
+        y = [[4.0, 7.0], [2.0, 7.0], [3.0, 7.0]]
+        assert linear_cka(x, y) == pytest.approx(1 / np.sqrt(10), rel=1e-12)

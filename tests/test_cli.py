@@ -604,6 +604,30 @@ def test_out_that_is_a_file_exits_3_before_training(workspace, tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["translate", "--source", "fx"], ["eval", "--source", "fx", "--target", "fy"]],
+    ids=lambda argv: argv[0],
+)
+def test_out_that_is_a_file_exits_3_before_the_work(workspace, tmp_path, capsys, monkeypatch,
+                                                    argv):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    calls = []
+    for module, name in ((translator, "translate"), (retrieval, "evaluate"),
+                         (retrieval, "cross_feature_evaluate")):
+        def counted(*a, name=name, work=getattr(module, name), **k):
+            calls.append(name)
+            return work(*a, **k)
+        monkeypatch.setattr(module, name, counted)
+    code = main(argv + ["--config", str(workspace / "data" / "config.json"),
+                        "--model", str(workspace / "models" / "fx2fy.haet"), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert calls == []
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
     "case", ["synth-member-dotdot", "synth-member-empty", "eval-name-dotdot",
              "translate-model-name-dotdot"],
 )

@@ -547,6 +547,18 @@ class TestModelFileHeaders:
             translator.load_model(tmp_path / "m.haet")
 
     @pytest.mark.parametrize(
+        "kind, dims", [("hae", (3, 4, 0)), ("hae", (0, 4, 2)), ("mlp_baseline", (3, 0, 0))],
+        ids=["hae-latent-0", "hae-source-0", "mlp-target-0"],
+    )
+    def test_zero_dim_rejected(self, tmp_path, kind, dims):
+        # a layout build() refuses, written as save_model() writes any layout
+        layout = translator._layout(kind, *dims)
+        model = translator.TranslatorModel("s", "t", layout, np.full(translator._size(layout), 0.1))
+        translator.save_model(model, tmp_path / "m.haet")
+        with pytest.raises(BadModelFile, match=f"build.*{kind}"):
+            translator.load_model(tmp_path / "m.haet")
+
+    @pytest.mark.parametrize(
         "stack, layer, attr, index, value",
         [(-1, -1, "bias", 1, np.nan), (0, 0, "weights", (0, 2), np.inf)],
         ids=["nan-decoder-bias", "inf-weight"],
@@ -618,6 +630,21 @@ class TestModelFileFuzz:
             with pytest.raises(BadModelFile, match="activations"):
                 translator.load_model(root / "act.haet")
 
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_every_other_normalization_byte_rejected(self, saved, kind):
+        root, models = saved
+        model, raw = models[kind]
+        acts = _activation_offsets(raw)
+        offsets = [i - 1 for i in acts if i - 1 not in acts]  # just before a stack's activations
+        assert [raw[i] for i in offsets] == [s.final_l2_normalize for s in model.stacks]
+        for i in offsets:
+            for value in set(range(256)) - {raw[i]}:
+                changed = bytearray(raw)
+                changed[i] = value
+                (root / "norm.haet").write_bytes(bytes(changed))
+                with pytest.raises(BadModelFile, match=kind):
+                    translator.load_model(root / "norm.haet")
+
     @settings(max_examples=400, deadline=None)
     @given(kind=st.sampled_from(["hae", "mlp_baseline"]), data=st.data())
     def test_bit_flip_raises_data_error_or_keeps_structure(self, saved, kind, data):
@@ -632,3 +659,5 @@ class TestModelFileFuzz:
         except DataError:
             return
         assert _structure(back) == _structure(model)
+        translator.save_model(back, root / "resaved.haet")
+        assert (root / "resaved.haet").read_bytes() == bytes(flipped)
