@@ -7,16 +7,20 @@ references is excluded from its own ranking.
 
 `evaluate` scores blocks of queries on the caller's thread, whose BLAS calls
 already use every core. For a block, one BLAS product gives each squared
-distance as ||q||^2 + ||r||^2 - 2 q.r, and one sort per row over the
-references in id order orders them by it. Neighbours in that order more than
-`_margin` apart have exact distances in the same strict order; each run of
-neighbours within it gets exact distances, by the operations of
-`np.linalg.norm(refs - q, axis=1)`, and is sorted by (distance, id). Each AP
-comes from the ranks at which the relevant references appear and sums
-precision@k in rank order, so every AP and the mAP are bit-identical to the
-one-query-at-a-time definition. Working memory is set by fixed byte budgets
-per block. `rank` and `average_precision` are that same ordering and AP for
-one query.
+distance as ||q||^2 + ||r||^2 - 2 q.r, and each row's values are sorted. AP
+reads only the ranks of a query's relevant references. A reference whose value
+lies more than `_margin` below (above) a relevant one's has a strictly smaller
+(larger) exact distance, so a binary search of the sorted row counts the
+references provably ahead of it. Only the references within that margin of it
+(near-ties, duplicates) get exact distances, by the operations of
+`np.linalg.norm(refs - q, axis=1)`, and are compared by (distance, id). One
+padded matrix of the block's sorted hit ranks and one running sum of
+precision@k give every AP, so every AP and the mAP are bit-identical to the
+one-query-at-a-time definition. When len(refs) <= dim one block holds every
+query, since its distances then take no more room than the query vectors;
+otherwise a block holds `_BLOCK_BYTES` of distances. `rank` is the definition
+itself, every exact distance sorted by (distance, id), and `average_precision`
+the same running sum for one ranking.
 """
 from __future__ import annotations
 
@@ -82,41 +86,83 @@ def _id_order(ids: tuple[str, ...]) -> np.ndarray:
     return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
 
-def _ranked(queries: np.ndarray, refs: np.ndarray, ref_sq: np.ndarray, id_order: np.ndarray,
-            own: list[int]) -> list[np.ndarray]:
-    """Each query row's reference indices by (exact distance, id), without the
-    query's own index (-1 if none). One GEMM orders each row; each run of
-    neighbours no more than _margin apart gets exact distances and is re-sorted."""
+def _prefix(s: np.ndarray, rows: np.ndarray, keep) -> np.ndarray:
+    """For each k, the length of the prefix of the sorted row s[rows[k]] on
+    which keep(values)[k] holds, by binary search; keep must hold on a prefix."""
+    n = s.shape[1]
+    flat = s.reshape(-1)
+    start = rows * n
+    pos, end = start.copy(), start + n  # flat index just past the known prefix
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        cand = pos + step
+        ok = cand <= end
+        ok &= keep(flat[np.minimum(cand, end) - 1])
+        pos += step * ok
+        step >>= 1
+    return pos - start
+
+
+def _hit_ranks(queries: np.ndarray, refs: np.ndarray, ref_sq: np.ndarray, id_rank: np.ndarray,
+               own: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The 1-based rank of refs[cols[k]] among the references other than
+    queries[rows[k]]'s own index (own[row], -1 if none), by (exact distance, id).
+
+    One GEMM gives each row's BLAS-form squared distances. A reference whose
+    value is more than _margin below (above) the pair's is provably ahead of
+    (behind) it, and a binary search over the row's sorted values counts those.
+    The rest, the pair's margin window, get exact distances and are compared by
+    (distance, id); a non-finite margin makes the window the whole row."""
     with np.errstate(all="ignore"):
-        q_sq = np.einsum("ij,ij->i", queries, queries)[:, None]
-        d = (queries @ refs.T * -2 + ref_sq + q_sq)[:, id_order]
-        order = np.argsort(d, axis=1)
-        gap = np.diff(np.take_along_axis(d, order, axis=1), axis=1)
-        # joined[i, p]: position p of row i is in one run with position p - 1
-        joined = np.pad(~(gap > _margin(q_sq, ref_sq.max(), refs.shape[1])), ((0, 0), (1, 1)))
-    rows, pos = np.nonzero(joined[:, :-1] | joined[:, 1:])
-    ranks = order[rows, pos]
-    dist = _exact(queries, refs, rows, id_order[ranks])
-    order[rows, pos] = ranks[np.lexsort((ranks, dist, np.cumsum(~joined[rows, pos])))]
-    return [row[row != i] for row, i in zip(id_order[order], own)]
+        q_sq = np.einsum("ij,ij->i", queries, queries)
+        d = queries @ refs.T
+        d *= -2
+        d += ref_sq
+        d += q_sq[:, None]
+        margin = _margin(q_sq[rows], ref_sq.max(), refs.shape[1])
+        d[np.flatnonzero(own >= 0), own[own >= 0]] = np.inf
+        at = d[rows, cols]
+        s = np.sort(d, axis=1)
+        ahead = _prefix(s, rows, lambda v: at - v > margin)
+        end = _prefix(s, rows, lambda v: ~(v - at > margin))
+    # A wide pair's window is sorted positions ahead .. end - 1 of its row; its
+    # members other than the query's own index get exact distances.
+    wide = np.flatnonzero(end - ahead > 1)
+    wide_rows, row_of = np.unique(rows[wide], return_inverse=True)
+    width = end[wide] - ahead[wide]
+    pair = np.repeat(wide, width)
+    pos = np.arange(len(pair)) - np.repeat(np.cumsum(width) - width - ahead[wide], width)
+    member = np.argsort(d[wide_rows], axis=1)[np.repeat(row_of, width), pos]
+    kept = member != own[rows[pair]]
+    pair, member = pair[kept], member[kept]
+    dist = _exact(queries, refs, rows[pair], member)
+    is_hit = member == cols[pair]
+    hit_dist = np.empty(len(rows))
+    hit_dist[pair[is_hit]] = dist[is_hit]
+    hit_dist = hit_dist[pair]
+    before = (dist < hit_dist) | ((dist == hit_dist) & (id_rank[member] < id_rank[cols[pair]]))
+    return 1 + ahead + np.bincount(pair[before], minlength=len(rows))
 
 
-def _ap(hits: np.ndarray, n_relevant: int) -> float:
-    """AP from the ascending 1-based ranks of the relevant hits: precision@k
-    summed in rank order (a running sum, not a pairwise one), over |relevant|."""
-    precision = np.arange(1, len(hits) + 1) / hits
-    return float(np.add.accumulate(precision)[-1]) / n_relevant
+def _aps(hits: np.ndarray, n_relevant: np.ndarray | int) -> np.ndarray:
+    """Each row's AP from its ascending 1-based hit ranks, padded with inf:
+    precision@k summed in rank order (a running sum, not a pairwise one), over
+    |relevant|."""
+    precision = np.arange(1, hits.shape[1] + 1) / hits
+    return np.add.accumulate(precision, axis=1)[:, -1] / n_relevant
 
 
 def rank(query_id: str, query: np.ndarray, refs: FeatureSet) -> RankingList:
-    """The references other than the query's own id, nearest first."""
+    """The references other than the query's own id, by (exact distance, id)."""
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (refs.dim,):
         raise DataError(f"query shape {query.shape} does not match reference dim {refs.dim}")
-    own = refs.ids.index(query_id) if query_id in refs.ids else -1
-    ref_sq = np.einsum("ij,ij->i", refs.vectors, refs.vectors)  # einsum never warns
-    (row,) = _ranked(query[None], refs.vectors, ref_sq, _id_order(refs.ids), [own])
-    return RankingList(query_id=query_id, ref_ids=tuple(refs.ids[i] for i in row))
+    if not np.isfinite(query).all():
+        raise DataError(f"query {query_id!r} has a non-finite value")
+    by_id = _id_order(refs.ids)
+    dist = _exact(query[None], refs.vectors, np.zeros(len(refs), dtype=np.intp), by_id)
+    ids = (refs.ids[i] for i in by_id[np.argsort(dist, kind="stable")])
+    return RankingList(query_id=query_id, ref_ids=tuple(i for i in ids if i != query_id))
 
 
 def average_precision(rl: RankingList, relevant: frozenset[str] | set[str]) -> float:
@@ -127,8 +173,8 @@ def average_precision(rl: RankingList, relevant: frozenset[str] | set[str]) -> f
     for r in sorted(relevant):
         if r not in in_list:
             raise UnknownRelevantId(rl.query_id, r)
-    hits = np.array([k for k, rid in enumerate(rl.ref_ids, start=1) if rid in relevant])
-    return _ap(hits, len(relevant))
+    hits = np.array([[k for k, rid in enumerate(rl.ref_ids, start=1) if rid in relevant]])
+    return float(_aps(hits, len(relevant))[0])
 
 
 def evaluate(queries: FeatureSet, refs: FeatureSet, gt: GroundTruth) -> EvalResult:
@@ -147,22 +193,24 @@ def evaluate(queries: FeatureSet, refs: FeatureSet, gt: GroundTruth) -> EvalResu
     if not qids:
         raise DataError("ground truth contains no queries")
 
-    id_order = _id_order(refs.ids)
+    id_rank = np.empty(len(refs), dtype=np.intp)
+    id_rank[_id_order(refs.ids)] = np.arange(len(refs))
     ref_sq = np.einsum("ij,ij->i", refs.vectors, refs.vectors)  # einsum never warns
 
     def block_aps(ids: list[str]) -> list[float]:
-        block = queries.vectors[[qindex[q] for q in ids]]
-        rows = _ranked(block, refs.vectors, ref_sq, id_order, [rindex.get(q, -1) for q in ids])
-        is_relevant = np.zeros(len(refs), dtype=bool)
-        aps = []
-        for qid, row in zip(ids, rows):
-            rel = [rindex[r] for r in gt.relevant[qid]]
-            is_relevant[rel] = True
-            aps.append(_ap(np.flatnonzero(is_relevant[row]) + 1, len(rel)))
-            is_relevant[rel] = False
-        return aps
+        cols = [[rindex[r] for r in gt.relevant[q]] for q in ids]
+        n_rel = np.array([len(c) for c in cols])
+        rows = np.repeat(np.arange(len(ids)), n_rel)
+        slot = np.arange(len(rows)) - np.repeat(np.cumsum(n_rel) - n_rel, n_rel)
+        own = np.array([rindex.get(q, -1) for q in ids])
+        hits = np.full((len(ids), n_rel.max()), np.inf)
+        hits[rows, slot] = _hit_ranks(queries.vectors[[qindex[q] for q in ids]], refs.vectors, ref_sq,
+                                      id_rank, own, rows, np.concatenate(cols))
+        hits.sort(axis=1)
+        return _aps(hits, n_rel).tolist()
 
-    block = max(1, _BLOCK_BYTES // (8 * len(refs)))
+    # With len(refs) <= dim one block's distances take no more room than its queries' vectors
+    block = len(qids) if len(refs) <= refs.dim else max(1, _BLOCK_BYTES // (8 * len(refs)))
     blocks = [qids[start : start + block] for start in range(0, len(qids), block)]
     per_query = dict(zip(qids, (ap for ids in blocks for ap in block_aps(ids))))
     mean_ap = float(np.mean(list(per_query.values())))

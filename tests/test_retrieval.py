@@ -1,5 +1,6 @@
 import struct
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,6 +53,20 @@ def assert_matches_oracle(queries, refs, gt):
         assert abs(got.per_query_ap[qid] - want) <= 1e-12, qid
 
 
+@pytest.fixture
+def blocks(monkeypatch):
+    """The number of queries in each block that evaluate scores."""
+    sizes = []
+    hit_ranks = retrieval._hit_ranks
+
+    def counting(queries, *args):
+        sizes.append(len(queries))
+        return hit_ranks(queries, *args)
+
+    monkeypatch.setattr(retrieval, "_hit_ranks", counting)
+    return sizes
+
+
 class TestRank:
     def test_orders_by_distance(self):
         refs = feature_set("r", ["x", "y", "z"], [[0.1], [0.5], [0.3]])
@@ -78,6 +93,12 @@ class TestRank:
         rl = retrieval.rank("q", q, refs)
         by_cosine = sorted(range(30), key=lambda i: (-vecs[i] @ q, refs.ids[i]))
         assert rl.ref_ids == tuple(refs.ids[i] for i in by_cosine)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_query_is_a_data_error(self, bad):
+        refs = feature_set("r", ["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(DataError, match="'q' has a non-finite value"):
+            retrieval.rank("q", [bad, 0.0], refs)
 
 
 class TestAveragePrecision:
@@ -221,6 +242,44 @@ class TestEvaluate:
         monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * 80 * 10)  # eight blocks
         retrieval.evaluate(fs, fs, gt)
 
+    def test_refs_within_dim_score_in_one_block(self, blocks, monkeypatch):
+        # 60 references at 64-d: one block holds all 40 queries, even with a
+        # budget of one query's distances. Scoring each query on its own, one
+        # block each, gives the same AP reprs in the same order and mAP bits.
+        monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * 60)
+        rng = np.random.default_rng(64)
+        ids = [f"v{k:02d}" for k in rng.permutation(60)]
+        refs = feature_set("refs", ids, rng.normal(size=(60, 64)))
+        queries = feature_set("q", ids[:39] + ["zq"], np.vstack([refs.vectors[:39], rng.normal(size=(1, 64))]))
+        gt = {q: frozenset(rng.choice([i for i in ids if i != q], size=int(rng.integers(1, 8)), replace=False))
+              for q in queries.ids}
+        got = retrieval.evaluate(queries, refs, fio.GroundTruth(gt))
+        assert blocks == [40]
+        want = {q: retrieval.evaluate(queries, refs, fio.GroundTruth({q: gt[q]})).per_query_ap[q]
+                for q in sorted(gt)}
+        assert blocks == [40] + [1] * 40
+        reprs = lambda aps: [(q, repr(ap)) for q, ap in aps.items()]
+        assert reprs(got.per_query_ap) == reprs(want)
+        assert struct.pack("<d", got.map) == struct.pack("<d", 100.0 * float(np.mean(list(want.values()))))
+
+    def test_working_memory_is_a_few_blocks(self):
+        # 800 references > 32-d, so blocks of 256 KiB of distances. One block,
+        # its sorted copy, one 256 KiB exact-distance tile and the per-query
+        # bookkeeping fit in four such blocks. An 8 MB budget would put all 800
+        # queries in one block, over 10 MB with its sorted copy.
+        rng = np.random.default_rng(32)
+        ids = [f"v{k:03d}" for k in range(800)]
+        fs = feature_set("s", ids, rng.normal(size=(800, 32)))
+        gt = fio.GroundTruth({q: frozenset(ids[(k + j) % 800] for j in range(1, 8))
+                              for k, q in enumerate(ids)})
+        tracemalloc.start()
+        try:
+            retrieval.evaluate(fs, fs, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (1 << 18)
+
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
     def test_invariant_under_reference_permutation(self, pyrandom):
@@ -249,6 +308,56 @@ class TestEvaluate:
             after = retrieval.evaluate(queries, extra, fio.GroundTruth(gt))
             for q in before.per_query_ap:
                 assert after.per_query_ap[q] <= before.per_query_ap[q] + 1e-12
+
+
+class TestHitRanks:
+    def test_one_relevant_beside_mostly_relevant(self, blocks):
+        # One block: r00 has one relevant reference, zq (not a reference) 24 of
+        # the 40, its nearest and farthest among them, so r00's hit ranks are
+        # padded and zq's binary searches end at both ends of its row. With
+        # distinct distances the running sum matches the oracle's bit for bit.
+        rng = np.random.default_rng(12)
+        ids = [f"r{k:02d}" for k in range(40)]
+        refs = feature_set("refs", ids, rng.normal(size=(40, 3)))
+        zq = rng.normal(size=3)
+        by_dist = np.argsort(np.linalg.norm(refs.vectors - zq, axis=1))
+        relevant = [by_dist[0], by_dist[-1], *rng.choice(by_dist[1:-1], 22, replace=False)]
+        queries = feature_set("q", ["r00", "zq"], [refs.vectors[0], zq])
+        gt = {"r00": frozenset({"r05"}), "zq": frozenset(ids[i] for i in relevant)}
+        got = retrieval.evaluate(queries, refs, fio.GroundTruth(gt)).per_query_ap
+        want = oracle_aps(queries, refs, gt)
+        assert {q: repr(ap) for q, ap in got.items()} == {q: repr(ap) for q, ap in want.items()}
+        assert blocks == [2]
+
+    def test_queries_in_and_out_of_the_references(self, blocks):
+        # r03 and r07 are references; zq sits on r03's vector, so r03 ranks
+        # first for it, and zz lies elsewhere.
+        rng = np.random.default_rng(13)
+        ids = [f"r{k:02d}" for k in range(20)]
+        refs = feature_set("refs", ids, rng.normal(size=(20, 4)))
+        qids = ["r03", "r07", "zq", "zz"]
+        qvecs = [refs.vectors[3], refs.vectors[7] + 0.01, refs.vectors[3], rng.normal(size=4)]
+        queries = feature_set("q", qids, qvecs)
+        gt = {q: frozenset(rng.choice([i for i in ids if i != q], size=3, replace=False)) for q in qids}
+        gt["zq"] |= {"r03"}
+        assert_matches_oracle(queries, refs, gt)
+        assert blocks == [4]
+
+    def test_overflowing_blas_value_proves_no_order(self):
+        # 2 q.r overflows for "far", whose BLAS-form value is then -inf, and so
+        # does the margin: "far" is exactly further than "near" but ranks behind it.
+        refs = feature_set("r", ["far", "near"], [[1.3e154], [0.8e154]])
+        queries = feature_set("q", ["q"], [[1e154]])
+        assert_matches_oracle(queries, refs, {"q": frozenset({"near"})})
+
+    @pytest.mark.parametrize("dim", [1, 32, 2048])
+    def test_near_ties_equal_rank_then_average_precision(self, dim):
+        rng = np.random.default_rng(dim + 1)
+        queries, refs, gt = proven_case(rng, *near_tie_set(rng, 150 if dim < 2048 else 60, dim))
+        got = retrieval.evaluate(queries, refs, fio.GroundTruth(gt)).per_query_ap
+        for q, vec in zip(queries.ids, queries.vectors):
+            want = retrieval.average_precision(retrieval.rank(q, vec, refs), gt[q])
+            assert repr(got[q]) == repr(want), q
 
 
 def near_tie_set(rng, n, dim):
@@ -382,13 +491,17 @@ class TestExactFallbackCost:
         retrieval.evaluate(fs, fs, gt)
         assert sum(c.sum() for c in counted) == 0
 
-    def test_duplicate_pair_computes_two_a_row(self, counted):
+    def test_duplicate_pair_computes_two_where_it_is_relevant(self, counted):
+        # Only the queries whose relevant reference is 0 or 1 (rows 798 and 799)
+        # have the other one in their margin window: those two compute the pair.
         vecs = np.random.default_rng(8).normal(size=(800, 2048))
         vecs[1] = vecs[0]
         fs, gt = self._set(vecs)
         retrieval.evaluate(fs, fs, gt)
-        per_row = np.concatenate(counted)
-        assert len(per_row) == 800 and (per_row == 2).all()
+        (per_row,) = counted  # 800 references <= 2048-d: one block
+        want = np.zeros(800, dtype=int)
+        want[[798, 799]] = 2
+        assert per_row.tolist() == want.tolist()
 
 
 class TestCrossFeatureEvaluate:
