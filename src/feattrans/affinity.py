@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, MissingPair, UnsupportedForBaseline
+from .errors import DataError
 from .feature_io import PairedSet
-from .translator import TranslatorModel, _batch_losses, _check_dim
+from .translator import NO_RECONSTRUCT, TranslatorModel, _batch_losses, _check_dim
 
 DIRECTED_M = "directed_M"
 ROW_NORM_R = "row_norm_R"
@@ -24,6 +24,7 @@ COL_NORM_C = "col_norm_C"
 UNDIRECTED_U = "undirected_U"
 
 _SYM_TOL = 1e-12
+MISSING_PAIR = "no trained model for pair ({!r}, {!r})"
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,9 @@ class AffinityMatrix:
 
 def dam_entry(model: TranslatorModel, paired: PairedSet) -> float:
     """Translation error minus reconstruction error on the given split;
-    UnsupportedForBaseline for a model with no reconstruct path."""
+    DataError for a model with no reconstruct path."""
     if not model.reconstruct_path:
-        raise UnsupportedForBaseline()
+        raise DataError(NO_RECONSTRUCT)
     _check_dim(model.reconstruct_path, paired.target, "target")
     _check_dim(model.translate_path, paired.source, "source")
     trans, recon = _batch_losses(model, paired.source.vectors, paired.target.vectors, paired.order)
@@ -83,10 +84,10 @@ def build_dam(
     names: list[str] | tuple[str, ...],
 ) -> AffinityMatrix:
     """directed_matrix over models and held-out pairs already in memory;
-    MissingPair for a pair absent from either."""
+    DataError for a pair absent from either."""
     def entry(s: str, t: str) -> float:
         if (s, t) not in models or (s, t) not in pairs:
-            raise MissingPair(s, t)
+            raise DataError(MISSING_PAIR.format(s, t))
         return dam_entry(models[(s, t)], pairs[(s, t)])
 
     return directed_matrix(names, entry)

@@ -22,7 +22,7 @@ from . import affinity as aff
 from . import feature_io as fio
 from . import mst as mst_mod
 from . import pipeline, retrieval, synth, translator
-from .errors import DataError, InvalidConfig, MissingPair, NumericError
+from .errors import DataError, InvalidConfig, NumericError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -166,7 +166,7 @@ def cmd_affinity(args) -> int:
     def entry(s: str, t: str) -> float:
         path = models_dir / pipeline.model_file(s, t)
         if not path.exists():
-            raise MissingPair(s, t)
+            raise DataError(aff.MISSING_PAIR.format(s, t))
         return aff.dam_entry(translator.load_model(path), fio.align_pairs(sets[s], sets[t]))
 
     m = aff.directed_matrix(names, entry)

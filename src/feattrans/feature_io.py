@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DuplicateId,
-    InconsistentDim,
-    NoCommonIds,
-    NonFiniteValue,
-    ZeroVector,
-)
+from .errors import DataError
 
 NORM_TOL = 1e-6  # how far from 1 a row norm may be and still count as unit
 
@@ -59,11 +52,11 @@ class FeatureSet:
         seen = set()
         for i in self.ids:
             if i in seen:
-                raise DuplicateId(i)
+                raise DataError(f"duplicate id {i!r}")
             seen.add(i)
         if not np.all(np.isfinite(vecs)):
             bad = int(np.argwhere(~np.isfinite(vecs).all(axis=1))[0, 0])
-            raise NonFiniteValue(bad + 1)
+            raise DataError(f"record {bad + 1}: non-finite value")
         if self.normalized and len(self.ids):
             norms = np.linalg.norm(vecs, axis=1)
             if np.any(np.abs(norms - 1.0) > NORM_TOL):
@@ -153,13 +146,14 @@ def load_feature_set(vec_path, ids_path, name: str) -> FeatureSet:
     headers = np.ndarray((n + (rest >= 4),), "<u4", raw, strides=(record,))
     bad = np.flatnonzero(headers != dim)
     if bad.size:
-        raise InconsistentDim(at=int(bad[0]) + 1, expected=dim, got=int(headers[bad[0]]))
+        raise DataError(f"record {bad[0] + 1}: dimension {headers[bad[0]]} differs from "
+                        f"first record's {dim}")
     if rest:
         part = "payload" if rest >= 4 else "record header"
         raise DataError(f"{vec_path}: truncated {part} at record {n + 1}")
     if n != len(ids):
         raise DataError(f"{vec_path}: {n} vectors but {ids_path} has {len(ids)} ids")
-    with np.errstate(invalid="ignore"):  # a signalling NaN is reported as NonFiniteValue
+    with np.errstate(invalid="ignore"):  # FeatureSet reports a signalling NaN as non-finite
         vectors = np.frombuffer(raw, "<f4").reshape(n, 1 + dim)[:, 1:].astype(np.float64)
     return FeatureSet(name=name, ids=tuple(ids), vectors=vectors)
 
@@ -194,7 +188,7 @@ def load_ground_truth(path) -> GroundTruth:
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected 'query<TAB>rel1,rel2,...'")
         if query in relevant:
-            raise DuplicateId(query)
+            raise DataError(f"duplicate id {query!r}")
         ids = frozenset(r for r in rels.split(",") if r)
         if not ids:
             raise DataError(f"{path}:{lineno}: empty relevant list for {query!r}")
@@ -215,7 +209,7 @@ def l2_normalize(fs: FeatureSet) -> FeatureSet:
     norms = np.linalg.norm(fs.vectors, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
-        raise ZeroVector(fs.ids[int(zero[0])])
+        raise DataError(f"zero vector for id {fs.ids[zero[0]]!r} cannot be normalized")
     return FeatureSet(
         name=fs.name,
         ids=fs.ids,
@@ -232,7 +226,7 @@ def align_pairs(src: FeatureSet, tgt: FeatureSet) -> PairedSet:
     """
     common = sorted(set(src.ids) & set(tgt.ids))
     if not common:
-        raise NoCommonIds()
+        raise DataError("source and target feature sets share no ids")
     return PairedSet(
         source=src.take(common),
         target=tgt.take(common),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .affinity import UNDIRECTED_U, AffinityMatrix
-from .errors import NotUndirected
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class MstResult:
 
 def kruskal(u: AffinityMatrix) -> MstResult:
     if u.kind != UNDIRECTED_U:
-        raise NotUndirected(f"(kind {u.kind!r})")
+        raise DataError(f"affinity matrix is not a symmetric undirected matrix (kind {u.kind!r})")
     names = u.names
     n = len(names)
     candidates = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UnknownRelevantId
+from .errors import DataError
 from .feature_io import FeatureSet, GroundTruth
 from .translator import TranslatorModel, translate
 
@@ -172,7 +172,7 @@ def average_precision(rl: RankingList, relevant: frozenset[str] | set[str]) -> f
     in_list = set(rl.ref_ids)
     for r in sorted(relevant):
         if r not in in_list:
-            raise UnknownRelevantId(rl.query_id, r)
+            raise DataError(f"relevant id {r!r} for query {rl.query_id!r} not present in reference set")
     hits = np.array([[k for k, rid in enumerate(rl.ref_ids, start=1) if rid in relevant]])
     return float(_aps(hits, len(relevant))[0])
 
@@ -189,7 +189,7 @@ def evaluate(queries: FeatureSet, refs: FeatureSet, gt: GroundTruth) -> EvalResu
             raise DataError(f"ground-truth query {qid!r} missing from query feature set")
         for r in sorted(gt.relevant[qid]):
             if r == qid or r not in rindex:
-                raise UnknownRelevantId(qid, r)
+                raise DataError(f"relevant id {r!r} for query {qid!r} not present in reference set")
     if not qids:
         raise DataError("ground truth contains no queries")
 

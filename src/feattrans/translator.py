@@ -19,14 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    BadModelFile,
-    DataError,
-    InvalidConfig,
-    NumericError,
-    UnsupportedForBaseline,
-)
+from .errors import DataError, InvalidConfig, NumericError
 from .feature_io import FeatureSet, PairedSet
 from .nn_core import (
     AdamState,
@@ -352,10 +345,13 @@ def translate(model: TranslatorModel, src: FeatureSet) -> FeatureSet:
     return _infer(model.translate_path, src, "source", f"{model.source_name}2{model.target_name}")
 
 
+NO_RECONSTRUCT = "reconstruct is undefined for the mlp_baseline model (no target encoder)"
+
+
 def reconstruct(model: TranslatorModel, tgt: FeatureSet) -> FeatureSet:
     """Auto-encode target features through the reconstruct path."""
     if not model.reconstruct_path:
-        raise UnsupportedForBaseline()
+        raise DataError(NO_RECONSTRUCT)
     return _infer(model.reconstruct_path, tgt, "target", f"{model.target_name}_reconstructed")
 
 
@@ -368,7 +364,7 @@ _KIND_NAMES = {v: k for k, v in _KIND_BYTES.items()}
 def _check_fits(f, n: int) -> None:
     # before any read, so a corrupt length allocates nothing
     if n > os.fstat(f.fileno()).st_size - f.tell():
-        raise BadModelFile("truncated model file")
+        raise DataError("truncated model file")
 
 
 def _read_exact(f, n: int) -> bytes:
@@ -381,7 +377,7 @@ def _read_str(f) -> str:
     try:
         return _read_exact(f, n).decode("utf-8")
     except UnicodeDecodeError:
-        raise BadModelFile("model file name is not UTF-8") from None
+        raise DataError("model file name is not UTF-8") from None
 
 
 def _stack_header(dims: tuple[int, ...], final_norm: bool) -> bytes:
@@ -426,38 +422,38 @@ def load_model(path) -> TranslatorModel:
     model build() makes. Every length is checked against the file size, and
     every stack header against _stack_header() of the layout given by the kind,
     the outer dims and the latent dim, before the parameters are allocated;
-    anything else raises BadModelFile."""
+    anything else raises DataError."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
-            raise BadMagic(magic)
+            raise DataError(f"not a model file (magic {magic!r})")
         (version,) = struct.unpack("<H", _read_exact(f, 2))
         if version != _VERSION:
-            raise BadModelFile(f"unsupported model format version {version}")
+            raise DataError(f"unsupported model format version {version}")
         (kind_byte,) = struct.unpack("<B", _read_exact(f, 1))
         if kind_byte not in _KIND_NAMES:
-            raise BadModelFile(f"unknown model kind byte {kind_byte}")
+            raise DataError(f"unknown model kind byte {kind_byte}")
         kind = _KIND_NAMES[kind_byte]
         source_name = _read_str(f)
         target_name = _read_str(f)
         (latent_dim,) = struct.unpack("<I", _read_exact(f, 4))
         headers = [_read_stack_header(f) for _ in range(1 if kind == KIND_MLP else 3)]
         if f.read(1):
-            raise BadModelFile("trailing bytes after model payload")
+            raise DataError("trailing bytes after model payload")
         source_dim, target_dim = headers[0][1][0], headers[-1][1][-1]
         if min(source_dim, target_dim) < 1 or (latent_dim == 0) != (kind == KIND_MLP):
-            raise BadModelFile(f"build() makes no {kind} model of dims {source_dim} -> "
-                               f"{target_dim} and latent dim {latent_dim}")
+            raise DataError(f"build() makes no {kind} model of dims {source_dim} -> "
+                            f"{target_dim} and latent dim {latent_dim}")
         layout = _layout(kind, source_dim, target_dim, latent_dim)
         for k, ((raw, _, _), (dims, final_norm)) in enumerate(zip(headers, layout)):
             if raw != _stack_header(dims, final_norm):
-                raise BadModelFile(f"model stack {k + 1} header (dims, normalization, "
-                                   f"activations) does not match a {kind} model")
+                raise DataError(f"model stack {k + 1} header (dims, normalization, "
+                                f"activations) does not match a {kind} model")
         flat = np.empty(_size(layout), dtype="<f8")
         for k, ((_, _, offset), payload) in enumerate(zip(headers, _payloads(flat, layout))):
             f.seek(offset)
             if f.readinto(payload) != payload.nbytes:
-                raise BadModelFile("truncated model file")
+                raise DataError("truncated model file")
             if not np.isfinite(payload).all():
-                raise BadModelFile(f"non-finite parameter in model stack {k + 1}")
+                raise DataError(f"non-finite parameter in model stack {k + 1}")
     return TranslatorModel(source_name, target_name, layout, flat)

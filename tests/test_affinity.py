@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from feattrans import affinity as aff
 from feattrans import feature_io as fio, nn_core, translator
-from feattrans.errors import DataError, MissingPair, NumericError, UnsupportedForBaseline
+from feattrans.errors import DataError, NumericError
 from conftest import load_grid
 from oracles import linear_cka
 
@@ -88,7 +88,8 @@ class TestDamEntry:
 
     def test_baseline_unsupported(self, self_fixture):
         model = translator.build(32, 32, kind="mlp_baseline")
-        with pytest.raises(UnsupportedForBaseline):
+        with pytest.raises(DataError, match=r"^reconstruct is undefined for the mlp_baseline model "
+                                            r"\(no target encoder\)$"):
             aff.dam_entry(model, self_fixture.pair)
 
     def test_asymmetric_beyond_noise(self, grid_fixture):
@@ -110,7 +111,7 @@ class TestBuildDam:
     def test_missing_pair(self, grid_fixture, grid_dir):
         models, pairs = load_grid(grid_dir)
         del models[("fb", "fa")]
-        with pytest.raises(MissingPair):
+        with pytest.raises(DataError, match=r"^no trained model for pair \('fb', 'fa'\)$"):
             aff.build_dam(models, pairs, grid_fixture.names)
 
     def test_directed_matrix_calls_each_entry_once_row_by_row(self):

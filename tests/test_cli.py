@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from feattrans import affinity as aff
-from feattrans import feature_io as fio, pipeline, retrieval, translator
+from feattrans import cli, errors, feature_io as fio, pipeline, retrieval, translator
 from feattrans.cli import build_parser, main
-from feattrans.errors import ZeroVector
+from feattrans.errors import DataError, InvalidConfig, NumericError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -521,7 +521,7 @@ def test_registered_all_zero_row_exits_3(workspace, tmp_path, capsys, command):
                  "--model", str(workspace / "models" / "fx2fy.haet"), "--source", "fx", *target,
                  "--out", str(tmp_path / "out")])
     assert code == 3
-    assert capsys.readouterr().err == f"error: {ZeroVector(fx.ids[3])}\n"
+    assert capsys.readouterr().err == f"error: zero vector for id {fx.ids[3]!r} cannot be normalized\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -737,6 +737,23 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_one_error_type_per_exit_code(tmp_path, capsys, monkeypatch):
+    def subclasses(cls):
+        return {c for sub in cls.__subclasses__() for c in (sub, *subclasses(sub))}
+
+    assert subclasses(errors.FeattransError) == {DataError, NumericError, InvalidConfig}
+    assert {v for v in vars(errors).values() if isinstance(v, type) and issubclass(
+        v, errors.FeattransError)} == {errors.FeattransError, DataError, NumericError, InvalidConfig}
+    for error, code, prefix in [(DataError, 3, "error:"), (NumericError, 4, "numeric failure:"),
+                                (InvalidConfig, 2, "usage error:")]:
+        def fail(args, error=error):
+            raise error(f"{error.__name__} raised")
+
+        monkeypatch.setattr(cli, "cmd_mst", fail)
+        assert main(["mst", "--input", str(tmp_path / "U.csv"), "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == f"{prefix} {error.__name__} raised\n"
 
 
 def test_train_idempotent_bytes(workspace, tmp_path):

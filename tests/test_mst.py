@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from feattrans import affinity as aff
 from feattrans import mst
-from feattrans.errors import NotUndirected
+from feattrans.errors import DataError
 from oracles import min_spanning_weight
 
 
@@ -45,7 +45,8 @@ class TestKruskal:
 
     def test_wrong_kind_rejected(self):
         m = aff.AffinityMatrix(("a", "b"), np.zeros((2, 2)), aff.DIRECTED_M)
-        with pytest.raises(NotUndirected):
+        with pytest.raises(DataError, match=r"^affinity matrix is not a symmetric undirected matrix "
+                                            r"\(kind 'directed_M'\)$"):
             mst.kruskal(m)
 
     def test_matches_exhaustive_enumeration(self):

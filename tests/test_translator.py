@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -9,14 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feattrans import feature_io as fio, nn_core as nn, translator
-from feattrans.errors import (
-    BadMagic,
-    BadModelFile,
-    DataError,
-    InvalidConfig,
-    NumericError,
-    UnsupportedForBaseline,
-)
+from feattrans.errors import DataError, InvalidConfig, NumericError
 from oracles import finite_diff_grads
 
 
@@ -384,7 +378,8 @@ class TestReconstruct:
     def test_baseline_unsupported(self):
         model = translator.build(8, 8, kind="mlp_baseline")
         fs = fio.l2_normalize(fio.FeatureSet("t", ("a",), np.ones((1, 8))))
-        with pytest.raises(UnsupportedForBaseline):
+        with pytest.raises(DataError, match=r"^reconstruct is undefined for the mlp_baseline model "
+                                            r"\(no target encoder\)$"):
             translator.reconstruct(model, fs)
 
 
@@ -427,14 +422,14 @@ class TestSerialization:
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "m.haet").write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(BadMagic):
+        with pytest.raises(DataError, match=r"^not a model file \(magic b'NOPE'\)$"):
             translator.load_model(tmp_path / "m.haet")
 
     def test_truncated_file(self, tmp_path, rotation_fixture):
         translator.save_model(rotation_fixture.model, tmp_path / "m.haet")
         raw = (tmp_path / "m.haet").read_bytes()
         (tmp_path / "cut.haet").write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(BadModelFile):
+        with pytest.raises(DataError, match="^truncated model file$"):
             translator.load_model(tmp_path / "cut.haet")
 
 
@@ -519,6 +514,10 @@ def _haet_header(kind_byte: int, latent: int) -> bytes:
     return b"HAET" + struct.pack("<HB", 1, kind_byte) + names + struct.pack("<I", latent)
 
 
+_HEADER_MISMATCH = (r"^model stack \d header \(dims, normalization, activations\) "
+                    r"does not match a {} model$")
+
+
 class TestModelFileHeaders:
     def test_huge_layer_claim_rejected_without_allocating(self, tmp_path):
         # one mlp stack claiming a 2^31 x 2^31 layer, followed by 64 bytes
@@ -527,7 +526,7 @@ class TestModelFileHeaders:
         (tmp_path / "m.haet").write_bytes(raw)
         tracemalloc.start()
         try:
-            with pytest.raises(BadModelFile, match="truncated"):
+            with pytest.raises(DataError, match="^truncated model file$"):
                 translator.load_model(tmp_path / "m.haet")
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -536,14 +535,14 @@ class TestModelFileHeaders:
 
     def test_huge_layer_count_rejected(self, tmp_path):
         (tmp_path / "m.haet").write_bytes(_haet_header(1, 0) + struct.pack("<I", 2**32 - 1))
-        with pytest.raises(BadModelFile, match="truncated"):
+        with pytest.raises(DataError, match="^truncated model file$"):
             translator.load_model(tmp_path / "m.haet")
 
     def test_layout_other_than_build_rejected(self, tmp_path):
         # a well-formed 4 -> 4 mlp stack with one layer, where build() makes three
         raw = _haet_header(1, 0) + struct.pack("<III", 1, 4, 4) + b"\x01\x00" + bytes(8 * 20)
         (tmp_path / "m.haet").write_bytes(raw)
-        with pytest.raises(BadModelFile, match="mlp_baseline"):
+        with pytest.raises(DataError, match=_HEADER_MISMATCH.format("mlp_baseline")):
             translator.load_model(tmp_path / "m.haet")
 
     @pytest.mark.parametrize(
@@ -555,19 +554,20 @@ class TestModelFileHeaders:
         layout = translator._layout(kind, *dims)
         model = translator.TranslatorModel("s", "t", layout, np.full(translator._size(layout), 0.1))
         translator.save_model(model, tmp_path / "m.haet")
-        with pytest.raises(BadModelFile, match=f"build.*{kind}"):
+        with pytest.raises(DataError, match=rf"^build\(\) makes no {kind} model of dims {dims[0]} -> "
+                                            rf"{dims[1]} and latent dim {dims[2]}$"):
             translator.load_model(tmp_path / "m.haet")
 
     @pytest.mark.parametrize(
-        "stack, layer, attr, index, value",
-        [(-1, -1, "bias", 1, np.nan), (0, 0, "weights", (0, 2), np.inf)],
+        "stack, layer, attr, index, value, number",
+        [(-1, -1, "bias", 1, np.nan, 3), (0, 0, "weights", (0, 2), np.inf, 1)],
         ids=["nan-decoder-bias", "inf-weight"],
     )
-    def test_non_finite_parameter_rejected(self, tmp_path, stack, layer, attr, index, value):
+    def test_non_finite_parameter_rejected(self, tmp_path, stack, layer, attr, index, value, number):
         model = translator.build(4, 4, 2, "hae", seed=0)
         getattr(model.translate_path[stack].layers[layer], attr)[index] = value
         translator.save_model(model, tmp_path / "m.haet")
-        with pytest.raises(BadModelFile, match="non-finite"):
+        with pytest.raises(DataError, match=f"^non-finite parameter in model stack {number}$"):
             translator.load_model(tmp_path / "m.haet")
 
 
@@ -613,7 +613,8 @@ class TestModelFileFuzz:
         _, raw = models[kind]
         for n in range(len(raw)):
             (root / "cut.haet").write_bytes(raw[:n])
-            with pytest.raises(BadModelFile):
+            message = f"not a model file (magic {raw[:n]!r})" if n < 4 else "truncated model file"
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
                 translator.load_model(root / "cut.haet")
 
     @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
@@ -627,7 +628,7 @@ class TestModelFileFuzz:
             swapped = bytearray(raw)
             swapped[i] ^= 1  # relu <-> linear
             (root / "act.haet").write_bytes(bytes(swapped))
-            with pytest.raises(BadModelFile, match="activations"):
+            with pytest.raises(DataError, match=_HEADER_MISMATCH.format(kind)):
                 translator.load_model(root / "act.haet")
 
     @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
@@ -642,7 +643,7 @@ class TestModelFileFuzz:
                 changed = bytearray(raw)
                 changed[i] = value
                 (root / "norm.haet").write_bytes(bytes(changed))
-                with pytest.raises(BadModelFile, match=kind):
+                with pytest.raises(DataError, match=_HEADER_MISMATCH.format(kind)):
                     translator.load_model(root / "norm.haet")
 
     @settings(max_examples=400, deadline=None)
