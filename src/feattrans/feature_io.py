@@ -129,7 +129,8 @@ def _read_lines(path) -> list[str]:
 def load_feature_set(vec_path, ids_path, name: str) -> FeatureSet:
     """Read a vector file plus its sidecar ids file into a FeatureSet. Every
     record header is checked against the first, and the file size against
-    the record size, before the vectors are allocated."""
+    the record size, before the vectors are allocated. Each fault names the
+    file it is in."""
     ids = _read_lines(ids_path)
     if any(i == "" for i in ids):
         raise DataError(f"{ids_path}: blank line in ids file")
@@ -146,8 +147,8 @@ def load_feature_set(vec_path, ids_path, name: str) -> FeatureSet:
     headers = np.ndarray((n + (rest >= 4),), "<u4", raw, strides=(record,))
     bad = np.flatnonzero(headers != dim)
     if bad.size:
-        raise DataError(f"record {bad[0] + 1}: dimension {headers[bad[0]]} differs from "
-                        f"first record's {dim}")
+        raise DataError(f"{vec_path}: record {bad[0] + 1}: dimension {headers[bad[0]]} differs "
+                        f"from first record's {dim}")
     if rest:
         part = "payload" if rest >= 4 else "record header"
         raise DataError(f"{vec_path}: truncated {part} at record {n + 1}")
@@ -155,7 +156,10 @@ def load_feature_set(vec_path, ids_path, name: str) -> FeatureSet:
         raise DataError(f"{vec_path}: {n} vectors but {ids_path} has {len(ids)} ids")
     with np.errstate(invalid="ignore"):  # FeatureSet reports a signalling NaN as non-finite
         vectors = np.frombuffer(raw, "<f4").reshape(n, 1 + dim)[:, 1:].astype(np.float64)
-    return FeatureSet(name=name, ids=tuple(ids), vectors=vectors)
+    try:
+        return FeatureSet(name=name, ids=tuple(ids), vectors=vectors)
+    except DataError as e:  # a duplicate id, else a non-finite value or no record at all
+        raise DataError(f"{ids_path if len(set(ids)) < len(ids) else vec_path}: {e}") from None
 
 
 def _check_writable(ids, forbidden: str, path) -> None:
@@ -188,7 +192,7 @@ def load_ground_truth(path) -> GroundTruth:
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected 'query<TAB>rel1,rel2,...'")
         if query in relevant:
-            raise DataError(f"duplicate id {query!r}")
+            raise DataError(f"{path}:{lineno}: repeated query {query!r}")
         ids = frozenset(r for r in rels.split(",") if r)
         if not ids:
             raise DataError(f"{path}:{lineno}: empty relevant list for {query!r}")

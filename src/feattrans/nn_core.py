@@ -229,9 +229,12 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam over a flat list of parameter arrays. init() makes the
-    moments by np.zeros, whose fresh pages are zeroed on their first write, in
-    adam_step's per-core shares at paper shape, not by a fill on one thread."""
+    """Bias-corrected Adam over a flat list of parameter arrays. m and v hold the
+    running sums m = BETA1 m + g and v = BETA2 v + g^2, Adam's moments over
+    (1 - BETA1) and (1 - BETA2), so adam_step folds those factors and both bias
+    corrections into two per-step scalars. init() makes them by np.zeros, whose
+    fresh pages are zeroed on their first write, in adam_step's per-core shares
+    at paper shape, not by a fill on one thread."""
 
     lr: float
     m: list[np.ndarray]
@@ -247,24 +250,23 @@ class AdamState:
         )
 
 
-def _adam_range(p, g, m, v, lo: int, hi: int, c2: float, step_size: float) -> None:
+def _adam_range(p, g, m, v, lo: int, hi: int, eps: float, step_size: float) -> None:
     """The Adam update of elements [lo, hi) of the raveled arrays, in place,
     one ADAM_CHUNK slice at a time through its own chunk scratch; hi is a
-    multiple of ADAM_CHUNK past lo, or the arrays' end."""
+    multiple of ADAM_CHUNK past lo, or the arrays' end. Ten passes a chunk: the
+    running sums m = BETA1 m + g and v = BETA2 v + g^2, then
+    p -= step_size m / (sqrt(v) + eps) with adam_step's two per-step scalars."""
     scratch = np.empty(min(ADAM_CHUNK, hi - lo))
     for a in range(lo, hi, ADAM_CHUNK):
         pc, gc, mc, vc = (x[a : a + ADAM_CHUNK] for x in (p, g, m, v))
         s = scratch[: pc.size]
-        mc *= BETA1  # m = BETA1 m + (1 - BETA1) g
-        np.multiply(gc, 1 - BETA1, out=s)
-        mc += s
-        vc *= BETA2  # v = BETA2 v + (1 - BETA2) g^2
-        np.multiply(gc, 1 - BETA2, out=s)
-        s *= gc
+        mc *= BETA1
+        mc += gc
+        vc *= BETA2
+        np.multiply(gc, gc, out=s)
         vc += s
-        np.divide(vc, c2, out=s)  # p -= (lr / c1) m / (sqrt(v / c2) + eps)
-        np.sqrt(s, out=s)
-        s += ADAM_EPS
+        np.sqrt(vc, out=s)
+        s += eps
         np.divide(mc, s, out=s)
         s *= step_size
         pc -= s
@@ -280,12 +282,13 @@ def adam_step(
     """
     state.step += 1
     t = state.step
-    c2 = 1 - BETA2**t
-    step_size = state.lr / (1 - BETA1**t)
+    r = np.sqrt((1 - BETA2) / (1 - BETA2**t))  # sqrt(v-hat) = r sqrt(v) on the running sum
+    eps = ADAM_EPS / r
+    step_size = state.lr * (1 - BETA1) / ((1 - BETA1**t) * r)
     for arrays in zip(params, grads, state.m, state.v):
         if not all(a.flags.c_contiguous for a in arrays):
             raise ValueError("adam_step needs C-contiguous arrays")
         p, g, m, v = (a.reshape(-1) for a in arrays)
         _in_shares(p.size, _share(p.size),
-                   lambda lo, hi: _adam_range(p, g, m, v, lo, hi, c2, step_size))
+                   lambda lo, hi: _adam_range(p, g, m, v, lo, hi, eps, step_size))
     return params

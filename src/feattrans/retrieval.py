@@ -184,35 +184,42 @@ def evaluate(queries: FeatureSet, refs: FeatureSet, gt: GroundTruth) -> EvalResu
         raise DataError(f"query dim {queries.dim} != reference dim {refs.dim}")
     rindex = {rid: i for i, rid in enumerate(refs.ids)}
     qids = sorted(gt.relevant)
+    # One pass in query-then-id order checks the ground truth and lists each
+    # query's relevant-reference columns: qids[k]'s are cols[starts[k]:starts[k + 1]].
+    cols, starts = [], [0]
     for qid in qids:
         if qid not in qindex:
             raise DataError(f"ground-truth query {qid!r} missing from query feature set")
         for r in sorted(gt.relevant[qid]):
             if r == qid or r not in rindex:
                 raise DataError(f"relevant id {r!r} for query {qid!r} not present in reference set")
+            cols.append(rindex[r])
+        starts.append(len(cols))
     if not qids:
         raise DataError("ground truth contains no queries")
+    cols, starts = np.array(cols, dtype=np.intp), np.array(starts)
+    qrows = [qindex[q] for q in qids]
+    own = np.array([rindex.get(q, -1) for q in qids])
 
     id_rank = np.empty(len(refs), dtype=np.intp)
     id_rank[_id_order(refs.ids)] = np.arange(len(refs))
     ref_sq = np.einsum("ij,ij->i", refs.vectors, refs.vectors)  # einsum never warns
 
-    def block_aps(ids: list[str]) -> list[float]:
-        cols = [[rindex[r] for r in gt.relevant[q]] for q in ids]
-        n_rel = np.array([len(c) for c in cols])
-        rows = np.repeat(np.arange(len(ids)), n_rel)
-        slot = np.arange(len(rows)) - np.repeat(np.cumsum(n_rel) - n_rel, n_rel)
-        own = np.array([rindex.get(q, -1) for q in ids])
-        hits = np.full((len(ids), n_rel.max()), np.inf)
-        hits[rows, slot] = _hit_ranks(queries.vectors[[qindex[q] for q in ids]], refs.vectors, ref_sq,
-                                      id_rank, own, rows, np.concatenate(cols))
+    # With len(refs) <= dim one block's distances take no more room than its queries' vectors
+    block = len(qids) if len(refs) <= refs.dim else max(1, _BLOCK_BYTES // (8 * len(refs)))
+
+    def block_aps(lo: int) -> list[float]:
+        hi = min(lo + block, len(qids))
+        n_rel = np.diff(starts[lo : hi + 1])
+        rows = np.repeat(np.arange(hi - lo), n_rel)
+        slot = np.arange(len(rows)) - np.repeat(starts[lo:hi] - starts[lo], n_rel)
+        hits = np.full((hi - lo, n_rel.max()), np.inf)
+        hits[rows, slot] = _hit_ranks(queries.vectors[qrows[lo:hi]], refs.vectors, ref_sq, id_rank,
+                                      own[lo:hi], rows, cols[starts[lo] : starts[hi]])
         hits.sort(axis=1)
         return _aps(hits, n_rel).tolist()
 
-    # With len(refs) <= dim one block's distances take no more room than its queries' vectors
-    block = len(qids) if len(refs) <= refs.dim else max(1, _BLOCK_BYTES // (8 * len(refs)))
-    blocks = [qids[start : start + block] for start in range(0, len(qids), block)]
-    per_query = dict(zip(qids, (ap for ids in blocks for ap in block_aps(ids))))
+    per_query = dict(zip(qids, (ap for lo in range(0, len(qids), block) for ap in block_aps(lo))))
     mean_ap = float(np.mean(list(per_query.values())))
     return EvalResult(map=100.0 * mean_ap, per_query_ap=per_query, n_queries=len(per_query))
 

@@ -99,6 +99,19 @@ def test_train_missing_input_path_names_it(tmp_path, capsys):
     assert "nope.vec" in capsys.readouterr().err
 
 
+def test_train_duplicate_id_names_the_ids_file(workspace, tmp_path, capsys):
+    config = json.loads((workspace / "data" / "config.json").read_text())
+    ids = (workspace / "data" / "fx.ids").read_text().splitlines()
+    bad = tmp_path / "fx.ids"
+    bad.write_text("".join(i + "\n" for i in [ids[0], *ids[:-1]]))  # as many ids, one twice
+    config["features"]["fx"]["ids"] = str(bad)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    code = main(["train", "--config", str(tmp_path / "c.json"), "--source", "fx", "--target", "fy",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {bad}: duplicate id {ids[0]!r}\n"
+
+
 def test_translate(workspace, tmp_path):
     cfg = str(workspace / "data" / "config.json")
     assert main([

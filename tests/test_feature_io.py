@@ -47,14 +47,16 @@ class TestLoad:
     def test_duplicate_id_rejected(self, tmp_path):
         write_vec_file(tmp_path / "v.vec", [[1, 2], [3, 4]])
         write_ids_file(tmp_path / "v.ids", ["img1", "img1"])
-        with pytest.raises(DataError, match="^duplicate id 'img1'$"):
+        ids = re.escape(str(tmp_path / "v.ids"))
+        with pytest.raises(DataError, match=f"^{ids}: duplicate id 'img1'$"):
             fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
 
     def test_inconsistent_dim_names_record(self, tmp_path):
         # second record header claims dim 5 after a dim-4 first record
         write_vec_file(tmp_path / "v.vec", [[1, 2, 3, 4], [1, 2, 3, 4, 5]], dims=[4, 5])
         write_ids_file(tmp_path / "v.ids", ["a", "b"])
-        with pytest.raises(DataError, match="^record 2: dimension 5 differs from first record's 4$"):
+        vec = re.escape(str(tmp_path / "v.vec"))
+        with pytest.raises(DataError, match=f"^{vec}: record 2: dimension 5 differs from first record's 4$"):
             fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
 
     def test_count_mismatch(self, tmp_path):
@@ -66,8 +68,17 @@ class TestLoad:
     def test_non_finite_rejected_with_record_index(self, tmp_path):
         write_vec_file(tmp_path / "v.vec", [[1, 2], [np.inf, 0]])
         write_ids_file(tmp_path / "v.ids", ["a", "b"])
-        with pytest.raises(DataError, match="^record 2: non-finite value$"):
+        vec = re.escape(str(tmp_path / "v.vec"))
+        with pytest.raises(DataError, match=f"^{vec}: record 2: non-finite value$"):
             fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
+
+    @pytest.mark.parametrize("ids, row, message", [
+        (("a", "a"), [1.0, 2.0], "^duplicate id 'a'$"),
+        (("a", "b"), [np.nan, 0.0], "^record 2: non-finite value$"),
+    ])
+    def test_set_built_in_memory_names_no_file(self, ids, row, message):
+        with pytest.raises(DataError, match=message):
+            fio.FeatureSet("x", ids, np.array([[1.0, 2.0], row]))
 
     def test_truncated_payload(self, tmp_path):
         (tmp_path / "v.vec").write_bytes(struct.pack("<I", 4) + b"\x00" * 8)
@@ -205,9 +216,10 @@ class TestGroundTruth:
             fio.GroundTruth({"q": frozenset()})
 
     def test_repeated_query_line(self, tmp_path):
-        (tmp_path / "gt.tsv").write_text("q1\ta\nq2\tb\nq1\tc\n")
-        with pytest.raises(DataError, match="^duplicate id 'q1'$"):
-            fio.load_ground_truth(tmp_path / "gt.tsv")
+        path = tmp_path / "gt.tsv"
+        path.write_text("q1\ta\nq2\tb\nq1\tc\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: repeated query 'q1'$"):
+            fio.load_ground_truth(path)
 
     @pytest.mark.parametrize("rels", ["", ","])
     def test_empty_relevant_list_names_file_line_and_query(self, tmp_path, rels):
@@ -240,7 +252,8 @@ class TestLoadErrors:
         with open(tmp_path / "v.vec", "ab") as f:
             f.write(struct.pack("<I", 7) + bytes(3))
         write_ids_file(tmp_path / "v.ids", ["a", "b", "c"])
-        with pytest.raises(DataError, match="^record 3: dimension 7 differs from first record's 4$"):
+        vec = re.escape(str(tmp_path / "v.vec"))
+        with pytest.raises(DataError, match=f"^{vec}: record 3: dimension 7 differs from first record's 4$"):
             fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
 
     def test_truncated_payload_names_record(self, tmp_path):

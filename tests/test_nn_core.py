@@ -236,6 +236,19 @@ class TestAdam:
         assert abs(-p[0][0] - 1e-5 * (1.0 / (1.0 + 1e-8))) < 1e-18
         assert state.step == 1
 
+    def test_moments_are_running_sums(self):
+        # m and v hold m = BETA1 m + g and v = BETA2 v + g^2, so the first step
+        # from zeros stores g and g^2 themselves, and still takes Adam's step
+        rng = np.random.default_rng(3)
+        n = 2 * nn.ADAM_CHUNK + 7
+        p, g = [rng.normal(size=n)], rng.normal(size=n)
+        want = adam_textbook(p, [[g]], lr=1e-3)
+        state = nn.AdamState.init(p, lr=1e-3)
+        nn.adam_step(p, [g], state)
+        assert np.array_equal(state.m[0], g)
+        assert np.array_equal(state.v[0], g * g)
+        assert np.max(np.abs(p[0] - want[0])) <= 1e-12 * np.max(np.abs(want[0]))
+
     def test_constant_gradient_steady_state(self):
         p = [np.array([0.0])]
         state = nn.AdamState.init(p, lr=1e-3)
