@@ -4,13 +4,13 @@ The directed entry for an ordered pair is the translation error minus the
 reconstruction error of that pair's trained translator on a held-out split.
 Row and column min-max normalizations produce R and C; the undirected matrix
 is U = (R + R^T + C + C^T) / 4. Degenerate (constant) rows or columns
-normalize to all zeros and are flagged.
+normalize to all zeros.
 """
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class AffinityMatrix:
     names: tuple[str, ...]
     values: np.ndarray  # (n, n) float64, rows = source, cols = target
     kind: str
-    degenerate: tuple[int, ...] = ()  # constant rows (R) or columns (C)
 
     def __post_init__(self):
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -100,9 +99,8 @@ def _minmax(m: AffinityMatrix, axis: int, kind: str) -> AffinityMatrix:
         raise DataError(f"expected a directed matrix, got kind {m.kind!r}")
     lo = m.values.min(axis=axis, keepdims=True)
     span = m.values.max(axis=axis, keepdims=True) - lo
-    degenerate = tuple(int(k) for k in np.nonzero(span.ravel() == 0.0)[0])
     out = (m.values - lo) / np.where(span == 0.0, 1.0, span)
-    return AffinityMatrix(names=m.names, values=out, kind=kind, degenerate=degenerate)
+    return AffinityMatrix(names=m.names, values=out, kind=kind)
 
 
 def normalize_rows(m: AffinityMatrix) -> AffinityMatrix:
@@ -137,24 +135,24 @@ def read_matrix_csv(path, kind: str) -> AffinityMatrix:
         raw = f.read()
     try:
         rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
+        if not rows or rows[0][:1] != [""]:
+            raise DataError("expected a header row starting with an empty cell")
+        names = tuple(rows[0][1:])
+        values = []
+        for k, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            if len(values) == len(names) or row[0] != names[len(values)]:
+                raise DataError(f"row {k}: label {row[0]!r} does not match header order")
+            if len(row) != len(names) + 1:
+                raise DataError(f"row {k}: {len(row) - 1} values for {len(names)} names")
+            try:
+                values.append([float(x) for x in row[1:]])
+            except ValueError as exc:
+                raise DataError(f"row {k}: {exc}") from None
+        return AffinityMatrix(names=names, values=np.array(values), kind=kind)
     except UnicodeDecodeError as exc:
         row = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}: row {row}: not UTF-8 text") from None
-    except csv.Error as exc:
+    except (csv.Error, DataError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    if not rows or rows[0][:1] != [""]:
-        raise DataError(f"{path}: expected a header row starting with an empty cell")
-    names = tuple(rows[0][1:])
-    values = []
-    for k, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(values) == len(names) or row[0] != names[len(values)]:
-            raise DataError(f"{path}: row {k}: label {row[0]!r} does not match header order")
-        if len(row) != len(names) + 1:
-            raise DataError(f"{path}: row {k}: {len(row) - 1} values for {len(names)} names")
-        try:
-            values.append([float(x) for x in row[1:]])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {k}: {exc}") from None
-    return AffinityMatrix(names=names, values=np.array(values), kind=kind)

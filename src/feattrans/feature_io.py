@@ -89,7 +89,6 @@ class PairedSet:
 
     source: FeatureSet
     target: FeatureSet
-    n_dropped: int = 0
 
     def __post_init__(self):
         if self.source.ids != self.target.ids:
@@ -171,11 +170,17 @@ def _check_writable(ids, forbidden: str, path) -> None:
 
 
 def save_feature_set(fs: FeatureSet, vec_path, ids_path) -> None:
-    """Write the binary vector file and sidecar ids file."""
+    """Write the binary vector file and sidecar ids file; DataError, before either
+    is written, for a set load_feature_set could not read back."""
     _check_writable(fs.ids, "\n\r", ids_path)
+    if not len(fs):
+        raise DataError(f"{vec_path}: no records to write")
     records = np.empty((len(fs), 1 + fs.dim), "<f4")
     records.view("<u4")[:, 0] = fs.dim
-    records[:, 1:] = fs.vectors
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, found below
+        records[:, 1:] = fs.vectors
+    if not (finite := np.isfinite(records[:, 1:]).all(axis=1)).all():
+        raise DataError(f"{vec_path}: record {finite.argmin() + 1}: value beyond float32 range")
     with open(vec_path, "wb") as f:
         f.write(records)
     with open(ids_path, "w", encoding="utf-8") as f:
@@ -225,8 +230,7 @@ def l2_normalize(fs: FeatureSet) -> FeatureSet:
 def align_pairs(src: FeatureSet, tgt: FeatureSet) -> PairedSet:
     """Restrict both sets to their id intersection, sorted lexicographically.
 
-    Row order of the inputs is irrelevant; the result is canonical. The count
-    of ids dropped from either side is reported on the result.
+    Row order of the inputs is irrelevant; the result is canonical.
     """
     common = sorted(set(src.ids) & set(tgt.ids))
     if not common:
@@ -234,5 +238,4 @@ def align_pairs(src: FeatureSet, tgt: FeatureSet) -> PairedSet:
     return PairedSet(
         source=src.take(common),
         target=tgt.take(common),
-        n_dropped=len(src) + len(tgt) - 2 * len(common),
     )

@@ -14,7 +14,7 @@ so member outputs do not depend on which other members are requested.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class SynthSpec:
 class SynthResult:
     feature_sets: dict[str, FeatureSet]
     ground_truth: GroundTruth
-    cluster_of: dict[str, int]
 
 
 def _cluster_latents(rng: np.random.Generator, n: int, dim: int, k: int) -> np.ndarray:
@@ -110,10 +109,9 @@ def generate(spec: SynthSpec) -> SynthResult:
 
     # id i lies in cluster i % n_clusters, as _cluster_latents assigns it
     clusters = [frozenset(ids[c::spec.n_clusters]) for c in range(spec.n_clusters)]
-    cluster_of = {q: i % spec.n_clusters for i, q in enumerate(ids)}
-    relevant = {q: clusters[c] - {q} for q, c in cluster_of.items() if len(clusters[c]) > 1}
+    cluster_id = {q: i % spec.n_clusters for i, q in enumerate(ids)}
+    relevant = {q: clusters[c] - {q} for q, c in cluster_id.items() if len(clusters[c]) > 1}
     return SynthResult(
         feature_sets=feature_sets,
         ground_truth=GroundTruth(relevant=relevant),
-        cluster_of=cluster_of,
     )

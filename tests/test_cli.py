@@ -728,8 +728,12 @@ U_CSV = b",fx,fy\nfx,0.0,1.0\nfy,1.0,0.0\n"
         (U_CSV.replace(b"fy,1.0,0.0", b"fy,1.0"), "row 3:"),
         (U_CSV.replace(b"fy,1.0,0.0", b"f\xffy,1.0,0.0"), "row 3:"),
         (U_CSV.replace(b"fy,1.0", b"fy," + b"1" * 200_000), "field larger than field limit"),
+        (U_CSV.replace(b"fy,1.0,0.0", b"fy,nan,0.0"), "affinity matrix contains non-finite"),
+        (U_CSV.replace(b"fy,1.0,0.0", b"fy,0.5,0.0"), "undirected matrix must be symmetric"),
+        (U_CSV.replace(b"fy,1.0,0.0\n", b""), "expected square matrix"),
     ],
-    ids=["extra-row", "non-numeric-cell", "short-row", "not-utf8", "cell-over-csv-limit"],
+    ids=["extra-row", "non-numeric-cell", "short-row", "not-utf8", "cell-over-csv-limit",
+         "non-finite-cell", "asymmetric", "missing-row"],
 )
 def test_mst_malformed_matrix_csv_exits_3(tmp_path, capsys, text, where):
     bad = tmp_path / "U.csv"

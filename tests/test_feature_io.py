@@ -162,7 +162,6 @@ class TestAlign:
         tgt = fio.FeatureSet("t", ("b", "c", "d"), np.eye(3))
         paired = fio.align_pairs(src, tgt)
         assert paired.order == ("b", "c")
-        assert paired.n_dropped == 2
 
     def test_row_order_irrelevant(self):
         rng = np.random.default_rng(1)
@@ -173,7 +172,6 @@ class TestAlign:
         tgt = fio.FeatureSet("t", tuple(ids[i] for i in perm), vecs[perm])
         paired = fio.align_pairs(src, tgt)
         assert len(paired) == 4
-        assert paired.n_dropped == 0
         np.testing.assert_array_equal(paired.source.vectors, paired.target.vectors)
 
     def test_disjoint_sets(self):
@@ -314,6 +312,19 @@ class TestSave:
     def test_id_the_ids_file_cannot_hold_rejected_before_writing(self, tmp_path, bad):
         fs = fio.FeatureSet("x", ("ok", bad), np.zeros((2, 3)))
         with pytest.raises(DataError, match=re.escape(repr(bad))):
+            fio.save_feature_set(fs, tmp_path / "x.vec", tmp_path / "x.ids")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("big", [1e39, -1e39])
+    def test_value_beyond_float32_rejected_before_writing(self, tmp_path, big):
+        fs = fio.FeatureSet("x", ("a", "b"), [[1, 2], [big, 3]])
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'x.vec'}: record 2: ")):
+            fio.save_feature_set(fs, tmp_path / "x.vec", tmp_path / "x.ids")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_set_rejected_before_writing(self, tmp_path):
+        fs = fio.FeatureSet("x", (), np.zeros((0, 3)))
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'x.vec'}: no records")):
             fio.save_feature_set(fs, tmp_path / "x.vec", tmp_path / "x.ids")
         assert list(tmp_path.iterdir()) == []
 

@@ -221,8 +221,13 @@ class TestAdam:
         state = nn.AdamState.init(p, lr=0.1)
         state.m = [np.array([0.5, 0.5])]
         nn.adam_step(p, [np.zeros(2)], state)
-        # moments decay but with zero gradient m_hat/(sqrt(v_hat)+eps) stays
-        # finite; with zero moments the update is exactly zero
+        # m decays with a zero gradient and v stays zero, so the first step is
+        # lr * m / eps: large but finite
+        np.testing.assert_array_equal(state.m[0], nn.BETA1 * 0.5)
+        np.testing.assert_array_equal(state.v[0], 0.0)
+        assert np.all(np.isfinite(p[0]))
+        np.testing.assert_allclose(p[0], np.array([1.0, 2.0]) - 0.1 * 0.45 / nn.ADAM_EPS, rtol=1e-12)
+        # with zero moments the update is exactly zero
         p2 = [np.array([1.0, 2.0])]
         s2 = nn.AdamState.init(p2, lr=0.1)
         nn.adam_step(p2, [np.zeros(2)], s2)

@@ -82,9 +82,10 @@ class TestGenerate:
 
     def test_ground_truth_marks_cluster_mates(self):
         res = synth.generate(spec(n_vectors=10, n_clusters=5))
+        # generate puts id i in cluster i % n_clusters
+        cluster_of = {q: i % 5 for i, q in enumerate(res.feature_sets["a"].ids)}
         for qid, rel in res.ground_truth.relevant.items():
-            q_cluster = res.cluster_of[qid]
-            assert all(res.cluster_of[r] == q_cluster for r in rel)
+            assert all(cluster_of[r] == cluster_of[qid] for r in rel)
             assert qid not in rel
 
     def test_members_do_not_depend_on_each_other(self):
