@@ -8,7 +8,8 @@ file holding data only, as `synth` writes it: the feature-set registry (`feature
 name -> vec/ids paths), checked whole when read, and the ground truth (`gt`); any
 other key is a data error. Every training setting is a flag of `train` and `grid`,
 defaulting to the library's. Every command L2-normalizes each registered set at load;
-`train` and `grid` train via pipeline.train_pair, which makes `--out` first.
+`train` and `grid` train via pipeline.train_pair, which builds the model before it makes
+`--out`. An input file that cannot be opened exits 3, with the OS message naming it.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
@@ -31,19 +32,16 @@ EXIT_NUMERIC = 4
 
 
 def _load_config(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"config file not found: {p}")
-    with open(p, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f:
         try:
             config = json.load(f)
         except ValueError as exc:
-            raise DataError(f"{p}: malformed config JSON: {exc}") from None
+            raise DataError(f"{path}: malformed config JSON: {exc}") from None
     if not isinstance(config, dict):
-        raise DataError(f"{p}: config must be a JSON object")
+        raise DataError(f"{path}: config must be a JSON object")
     for key in config:
         if key not in ("features", "gt"):
-            raise DataError(f"{p}: unknown config key {key!r} (a config holds 'features' "
+            raise DataError(f"{path}: unknown config key {key!r} (a config holds 'features' "
                             "and 'gt'; every training setting is a flag)")
     if not isinstance(config.setdefault("features", {}), dict):
         raise DataError("config key 'features' must be an object of feature sets")
@@ -59,11 +57,8 @@ def _load_config(path: str) -> dict:
 def _load_registered(config: dict, name: str) -> fio.FeatureSet:
     if name not in config["features"]:
         raise DataError(f"feature set {name!r} not found in config registry")
-    vec, ids = (Path(config["features"][name][key]) for key in ("vec", "ids"))
-    for p in (vec, ids):
-        if not p.exists():
-            raise DataError(f"input path does not exist: {p}")
-    return fio.l2_normalize(fio.load_feature_set(vec, ids, name))
+    entry = config["features"][name]
+    return fio.l2_normalize(fio.load_feature_set(entry["vec"], entry["ids"], name))
 
 
 def _load_names(args, config: dict) -> tuple[tuple[str, ...], dict[str, fio.FeatureSet]]:
@@ -80,8 +75,6 @@ def _ground_truth(config: dict) -> fio.GroundTruth:
     path = config.get("gt")
     if not isinstance(path, str):
         raise DataError(f"config key 'gt' must be a ground-truth path string, got {path!r}")
-    if not Path(path).exists():
-        raise DataError(f"input path does not exist: {path}")
     return fio.load_ground_truth(path)
 
 

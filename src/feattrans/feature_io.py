@@ -130,12 +130,12 @@ def load_feature_set(vec_path, ids_path, name: str) -> FeatureSet:
     record header is checked against the first, and the file size against
     the record size, before the vectors are allocated. Each fault names the
     file it is in."""
+    with open(vec_path, "rb") as f:
+        raw = f.read()
     ids = _read_lines(ids_path)
     if any(i == "" for i in ids):
         raise DataError(f"{ids_path}: blank line in ids file")
 
-    with open(vec_path, "rb") as f:
-        raw = f.read()
     if 0 < len(raw) < 4:
         raise DataError(f"{vec_path}: truncated record header at record 1")
     dim = int.from_bytes(raw[:4], "little")

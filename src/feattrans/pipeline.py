@@ -79,11 +79,11 @@ def train_pair(
     model_seed: int, latent_dim: int, kind: str, out_dir,
 ) -> tuple[translator.TranslatorModel, translator.TrainLog]:
     """Build, align and train a `kind` translator source.name -> target.name, then write
-    model_file(s, t) and <s>2<t>.trainlog.csv into `out_dir` (made if missing)."""
+    model_file(s, t) and <s>2<t>.trainlog.csv into `out_dir`, made once the model is built."""
     path = Path(out_dir) / model_file(source.name, target.name)
-    path.parent.mkdir(parents=True, exist_ok=True)
     model = translator.build(source.dim, target.dim, latent_dim, kind, seed=model_seed,
                              source_name=source.name, target_name=target.name)
+    path.parent.mkdir(parents=True, exist_ok=True)
     model, tlog = translator.train(model, align_pairs(source, target), cfg)
     translator.save_model(model, path)
     write_train_log(tlog, path.with_suffix(".trainlog.csv"))

@@ -422,38 +422,41 @@ def load_model(path) -> TranslatorModel:
     model build() makes. Every length is checked against the file size, and
     every stack header against _stack_header() of the layout given by the kind,
     the outer dims and the latent dim, before the parameters are allocated;
-    anything else raises DataError."""
+    anything else raises DataError naming the file."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise DataError(f"not a model file (magic {magic!r})")
-        (version,) = struct.unpack("<H", _read_exact(f, 2))
-        if version != _VERSION:
-            raise DataError(f"unsupported model format version {version}")
-        (kind_byte,) = struct.unpack("<B", _read_exact(f, 1))
-        if kind_byte not in _KIND_NAMES:
-            raise DataError(f"unknown model kind byte {kind_byte}")
-        kind = _KIND_NAMES[kind_byte]
-        source_name = _read_str(f)
-        target_name = _read_str(f)
-        (latent_dim,) = struct.unpack("<I", _read_exact(f, 4))
-        headers = [_read_stack_header(f) for _ in range(1 if kind == KIND_MLP else 3)]
-        if f.read(1):
-            raise DataError("trailing bytes after model payload")
-        source_dim, target_dim = headers[0][1][0], headers[-1][1][-1]
-        if min(source_dim, target_dim) < 1 or (latent_dim == 0) != (kind == KIND_MLP):
-            raise DataError(f"build() makes no {kind} model of dims {source_dim} -> "
-                            f"{target_dim} and latent dim {latent_dim}")
-        layout = _layout(kind, source_dim, target_dim, latent_dim)
-        for k, ((raw, _, _), (dims, final_norm)) in enumerate(zip(headers, layout)):
-            if raw != _stack_header(dims, final_norm):
-                raise DataError(f"model stack {k + 1} header (dims, normalization, "
-                                f"activations) does not match a {kind} model")
-        flat = np.empty(_size(layout), dtype="<f8")
-        for k, ((_, _, offset), payload) in enumerate(zip(headers, _payloads(flat, layout))):
-            f.seek(offset)
-            if f.readinto(payload) != payload.nbytes:
-                raise DataError("truncated model file")
-            if not np.isfinite(payload).all():
-                raise DataError(f"non-finite parameter in model stack {k + 1}")
+        try:
+            magic = f.read(4)
+            if magic != _MAGIC:
+                raise DataError(f"not a model file (magic {magic!r})")
+            (version,) = struct.unpack("<H", _read_exact(f, 2))
+            if version != _VERSION:
+                raise DataError(f"unsupported model format version {version}")
+            (kind_byte,) = struct.unpack("<B", _read_exact(f, 1))
+            if kind_byte not in _KIND_NAMES:
+                raise DataError(f"unknown model kind byte {kind_byte}")
+            kind = _KIND_NAMES[kind_byte]
+            source_name = _read_str(f)
+            target_name = _read_str(f)
+            (latent_dim,) = struct.unpack("<I", _read_exact(f, 4))
+            headers = [_read_stack_header(f) for _ in range(1 if kind == KIND_MLP else 3)]
+            if f.read(1):
+                raise DataError("trailing bytes after model payload")
+            source_dim, target_dim = headers[0][1][0], headers[-1][1][-1]
+            if min(source_dim, target_dim) < 1 or (latent_dim == 0) != (kind == KIND_MLP):
+                raise DataError(f"build() makes no {kind} model of dims {source_dim} -> "
+                                f"{target_dim} and latent dim {latent_dim}")
+            layout = _layout(kind, source_dim, target_dim, latent_dim)
+            for k, ((raw, _, _), (dims, final_norm)) in enumerate(zip(headers, layout)):
+                if raw != _stack_header(dims, final_norm):
+                    raise DataError(f"model stack {k + 1} header (dims, normalization, "
+                                    f"activations) does not match a {kind} model")
+            flat = np.empty(_size(layout), dtype="<f8")
+            for k, ((_, _, offset), payload) in enumerate(zip(headers, _payloads(flat, layout))):
+                f.seek(offset)
+                if f.readinto(payload) != payload.nbytes:
+                    raise DataError("truncated model file")
+                if not np.isfinite(payload).all():
+                    raise DataError(f"non-finite parameter in model stack {k + 1}")
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     return TranslatorModel(source_name, target_name, layout, flat)

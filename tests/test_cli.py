@@ -1,4 +1,5 @@
 import csv
+import errno
 import itertools
 import json
 import os
@@ -355,6 +356,7 @@ def test_bad_settings_exit_with_code(workspace, tmp_path, capsys, argv, code):
     argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == code
     assert capsys.readouterr().err.startswith("usage error:" if code == 2 else "error:")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -453,6 +455,41 @@ def test_unreadable_input_exits_3(workspace, tmp_path, capsys, case):
                  "--source", "fx", "--target", "fy", "--out", str(tmp_path / "out")])
     assert code == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("missing", ["config", "vec", "ids", "gt", "model"])
+def test_missing_input_exits_3_naming_it(workspace, tmp_path, capsys, missing):
+    """No pre-check: the reader's own open() fails, naming the path in the OS message."""
+    config = json.loads((workspace / "data" / "config.json").read_text())
+    gone = tmp_path / f"gone.{missing}"
+    cfg, model = tmp_path / "c.json", workspace / "models" / "fx2fy.haet"
+    if missing in ("vec", "ids"):
+        config["features"]["fx"][missing] = str(gone)
+    elif missing == "gt":
+        config["gt"] = str(gone)
+    elif missing == "model":
+        model = gone
+    cfg.write_text(json.dumps(config))
+    if missing == "config":
+        cfg = gone
+    code = main(["eval", "--config", str(cfg), "--model", str(model), "--source", "fx",
+                 "--target", "fy", "--out", str(tmp_path / "out")])
+    assert code == 3
+    no_file = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+    assert capsys.readouterr().err == f"error: {no_file}: {str(gone)!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_affinity_truncated_model_names_its_file(workspace, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "models", models)
+    cut = models / "fy2fx.haet"
+    cut.write_bytes(cut.read_bytes()[:100])
+    code = main(["affinity", "--config", str(workspace / "data" / "config.json"),
+                 "--models-dir", str(models), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {cut}: truncated model file\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_writes_what_run_grid_gives(tmp_path):

@@ -422,15 +422,17 @@ class TestSerialization:
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "m.haet").write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(DataError, match=r"^not a model file \(magic b'NOPE'\)$"):
+        with pytest.raises(DataError, match=_load_error(tmp_path / "m.haet",
+                                                        r"not a model file \(magic b'NOPE'\)")):
             translator.load_model(tmp_path / "m.haet")
 
     def test_truncated_file(self, tmp_path, rotation_fixture):
         translator.save_model(rotation_fixture.model, tmp_path / "m.haet")
         raw = (tmp_path / "m.haet").read_bytes()
-        (tmp_path / "cut.haet").write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(DataError, match="^truncated model file$"):
-            translator.load_model(tmp_path / "cut.haet")
+        cut = tmp_path / "cut.haet"
+        cut.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(DataError, match=_load_error(cut, "truncated model file")):
+            translator.load_model(cut)
 
 
 class TestFlatBuffer:
@@ -509,13 +511,18 @@ class TestSplitBuild:
         assert (tmp_path / "2.haet").read_bytes() == want == (tmp_path / "3.haet").read_bytes()
 
 
+def _load_error(path, pattern: str) -> str:
+    """The whole message, as a regex, of load_model's `pattern` fault in the file at `path`."""
+    return rf"^{re.escape(str(path))}: {pattern}$"
+
+
 def _haet_header(kind_byte: int, latent: int) -> bytes:
     names = b"".join(struct.pack("<I", 1) + c for c in (b"s", b"t"))
     return b"HAET" + struct.pack("<HB", 1, kind_byte) + names + struct.pack("<I", latent)
 
 
-_HEADER_MISMATCH = (r"^model stack \d header \(dims, normalization, activations\) "
-                    r"does not match a {} model$")
+_HEADER_MISMATCH = (r"model stack \d header \(dims, normalization, activations\) "
+                    r"does not match a {} model")
 
 
 class TestModelFileHeaders:
@@ -526,7 +533,8 @@ class TestModelFileHeaders:
         (tmp_path / "m.haet").write_bytes(raw)
         tracemalloc.start()
         try:
-            with pytest.raises(DataError, match="^truncated model file$"):
+            with pytest.raises(DataError, match=_load_error(tmp_path / "m.haet",
+                                                            "truncated model file")):
                 translator.load_model(tmp_path / "m.haet")
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -535,14 +543,16 @@ class TestModelFileHeaders:
 
     def test_huge_layer_count_rejected(self, tmp_path):
         (tmp_path / "m.haet").write_bytes(_haet_header(1, 0) + struct.pack("<I", 2**32 - 1))
-        with pytest.raises(DataError, match="^truncated model file$"):
+        with pytest.raises(DataError,
+                           match=_load_error(tmp_path / "m.haet", "truncated model file")):
             translator.load_model(tmp_path / "m.haet")
 
     def test_layout_other_than_build_rejected(self, tmp_path):
         # a well-formed 4 -> 4 mlp stack with one layer, where build() makes three
         raw = _haet_header(1, 0) + struct.pack("<III", 1, 4, 4) + b"\x01\x00" + bytes(8 * 20)
         (tmp_path / "m.haet").write_bytes(raw)
-        with pytest.raises(DataError, match=_HEADER_MISMATCH.format("mlp_baseline")):
+        with pytest.raises(DataError, match=_load_error(tmp_path / "m.haet",
+                                                        _HEADER_MISMATCH.format("mlp_baseline"))):
             translator.load_model(tmp_path / "m.haet")
 
     @pytest.mark.parametrize(
@@ -554,8 +564,9 @@ class TestModelFileHeaders:
         layout = translator._layout(kind, *dims)
         model = translator.TranslatorModel("s", "t", layout, np.full(translator._size(layout), 0.1))
         translator.save_model(model, tmp_path / "m.haet")
-        with pytest.raises(DataError, match=rf"^build\(\) makes no {kind} model of dims {dims[0]} -> "
-                                            rf"{dims[1]} and latent dim {dims[2]}$"):
+        message = (rf"build\(\) makes no {kind} model of dims {dims[0]} -> {dims[1]} "
+                   rf"and latent dim {dims[2]}")
+        with pytest.raises(DataError, match=_load_error(tmp_path / "m.haet", message)):
             translator.load_model(tmp_path / "m.haet")
 
     @pytest.mark.parametrize(
@@ -567,7 +578,8 @@ class TestModelFileHeaders:
         model = translator.build(4, 4, 2, "hae", seed=0)
         getattr(model.translate_path[stack].layers[layer], attr)[index] = value
         translator.save_model(model, tmp_path / "m.haet")
-        with pytest.raises(DataError, match=f"^non-finite parameter in model stack {number}$"):
+        message = f"non-finite parameter in model stack {number}"
+        with pytest.raises(DataError, match=_load_error(tmp_path / "m.haet", message)):
             translator.load_model(tmp_path / "m.haet")
 
 
@@ -614,7 +626,7 @@ class TestModelFileFuzz:
         for n in range(len(raw)):
             (root / "cut.haet").write_bytes(raw[:n])
             message = f"not a model file (magic {raw[:n]!r})" if n < 4 else "truncated model file"
-            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            with pytest.raises(DataError, match=_load_error(root / "cut.haet", re.escape(message))):
                 translator.load_model(root / "cut.haet")
 
     @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
@@ -628,7 +640,8 @@ class TestModelFileFuzz:
             swapped = bytearray(raw)
             swapped[i] ^= 1  # relu <-> linear
             (root / "act.haet").write_bytes(bytes(swapped))
-            with pytest.raises(DataError, match=_HEADER_MISMATCH.format(kind)):
+            with pytest.raises(DataError, match=_load_error(root / "act.haet",
+                                                            _HEADER_MISMATCH.format(kind))):
                 translator.load_model(root / "act.haet")
 
     @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
@@ -643,7 +656,8 @@ class TestModelFileFuzz:
                 changed = bytearray(raw)
                 changed[i] = value
                 (root / "norm.haet").write_bytes(bytes(changed))
-                with pytest.raises(DataError, match=_HEADER_MISMATCH.format(kind)):
+                with pytest.raises(DataError, match=_load_error(root / "norm.haet",
+                                                                _HEADER_MISMATCH.format(kind))):
                     translator.load_model(root / "norm.haet")
 
     @settings(max_examples=400, deadline=None)
