@@ -62,12 +62,9 @@ def _load_registered(config: dict, name: str) -> fio.FeatureSet:
 
 
 def _load_names(args, config: dict) -> tuple[tuple[str, ...], dict[str, fio.FeatureSet]]:
-    """The `--names` (default: every registry name, sorted) and their loaded
-    sets; DataError if pipeline.check_names rejects them."""
+    """The `--names` (default: every registry name, sorted) and their loaded sets."""
     names = tuple(args.names.split(",") if args.names else sorted(config["features"]))
-    sets = {n: _load_registered(config, n) for n in dict.fromkeys(names)}
-    pipeline.check_names(sets, names)
-    return names, sets
+    return names, {n: _load_registered(config, n) for n in dict.fromkeys(names)}
 
 
 def _ground_truth(config: dict) -> fio.GroundTruth:
@@ -112,8 +109,8 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     cfg = _training(args)
     model_path = Path(args.out) / pipeline.model_file(args.source, args.target)
-    src, tgt = _load_registered(config, args.source), _load_registered(config, args.target)
-    model, tlog = pipeline.train_pair(src, tgt, cfg, cfg.seed, args.latent, args.kind, args.out)
+    paired = fio.align_pairs(*(_load_registered(config, n) for n in (args.source, args.target)))
+    model, tlog = pipeline.train_pair(paired, cfg, cfg.seed, args.latent, args.kind, args.out)
     print(f"trained {args.source}->{args.target} ({model.kind}): {tlog.epochs_run} epochs, "
           f"best val total {min(tlog.val_total):.6f} -> {model_path}")
     return EXIT_OK
@@ -154,13 +151,12 @@ def cmd_eval(args) -> int:
 
 def cmd_affinity(args) -> int:
     names, sets = _load_names(args, _load_config(args.config))
+    pipeline.check_names(sets, names)
     models_dir = Path(args.models_dir)
 
     def entry(s: str, t: str) -> float:
-        path = models_dir / pipeline.model_file(s, t)
-        if not path.exists():
-            raise DataError(aff.MISSING_PAIR.format(s, t))
-        return aff.dam_entry(translator.load_model(path), fio.align_pairs(sets[s], sets[t]))
+        model = translator.load_model(models_dir / pipeline.model_file(s, t))
+        return aff.dam_entry(model, fio.align_pairs(sets[s], sets[t]))
 
     m = aff.directed_matrix(names, entry)
     r, c = aff.normalize_rows(m), aff.normalize_cols(m)

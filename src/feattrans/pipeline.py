@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import affinity, mst, retrieval, translator
 from .errors import DataError
-from .feature_io import FeatureSet, GroundTruth, align_pairs, check_name
+from .feature_io import FeatureSet, GroundTruth, PairedSet, check_name
 
 TRAIN_FRACTION = 0.8  # of the first name's ids, in file order; M uses the rest
 
@@ -75,16 +75,17 @@ def write_train_log(tlog: translator.TrainLog, path: Path) -> None:
 
 
 def train_pair(
-    source: FeatureSet, target: FeatureSet, cfg: translator.TrainConfig,
+    paired: PairedSet, cfg: translator.TrainConfig,
     model_seed: int, latent_dim: int, kind: str, out_dir,
 ) -> tuple[translator.TranslatorModel, translator.TrainLog]:
-    """Build, align and train a `kind` translator source.name -> target.name, then write
+    """Build and train a `kind` translator on the aligned `paired`, then write
     model_file(s, t) and <s>2<t>.trainlog.csv into `out_dir`, made once the model is built."""
+    source, target = paired.source, paired.target
     path = Path(out_dir) / model_file(source.name, target.name)
     model = translator.build(source.dim, target.dim, latent_dim, kind, seed=model_seed,
                              source_name=source.name, target_name=target.name)
     path.parent.mkdir(parents=True, exist_ok=True)
-    model, tlog = translator.train(model, align_pairs(source, target), cfg)
+    model, tlog = translator.train(model, paired, cfg)
     translator.save_model(model, path)
     write_train_log(tlog, path.with_suffix(".trainlog.csv"))
     return model, tlog
@@ -95,19 +96,20 @@ def run_grid(
     cfg: translator.TrainConfig, model_seed: int, latent_dim: int, out_dir,
 ) -> GridResult:
     """Run the grid over `names`: score direct mAP first, which checks `gt`, then write
-    each pair's model and train log (train_pair) into `out_dir`, made if missing."""
+    each pair's model and train log (train_pair) into `out_dir`, made if missing. Each
+    pair's rows are taken once per split, in sorted id order, as align_pairs orders them."""
     names = tuple(names)
     check_names(sets, names)
     direct = {n: retrieval.evaluate(sets[n], sets[n], gt).map for n in names}
-    train_ids, eval_ids = split_ids(sets[names[0]].ids)
+    train_ids, eval_ids = (sorted(part) for part in split_ids(sets[names[0]].ids))
     logs, translated = {}, {}
 
     def entry(s: str, t: str) -> float:
-        model, logs[(s, t)] = train_pair(sets[s].take(train_ids), sets[t].take(train_ids), cfg,
-                                         model_seed, latent_dim, translator.KIND_HAE, out_dir)
+        model, logs[(s, t)] = train_pair(PairedSet(sets[s].take(train_ids), sets[t].take(train_ids)),
+                                         cfg, model_seed, latent_dim, translator.KIND_HAE, out_dir)
         if s != t:
             translated[(s, t)] = retrieval.cross_feature_evaluate(model, sets[s], sets[t], gt).map
-        return affinity.dam_entry(model, align_pairs(sets[s].take(eval_ids), sets[t].take(eval_ids)))
+        return affinity.dam_entry(model, PairedSet(sets[s].take(eval_ids), sets[t].take(eval_ids)))
 
     dam = affinity.directed_matrix(names, entry)
     r, c = affinity.normalize_rows(dam), affinity.normalize_cols(dam)

@@ -299,7 +299,8 @@ def test_affinity_missing_model(workspace, tmp_path, capsys):
         "--out", str(tmp_path),
     ])
     assert code == 3
-    assert "no trained model" in capsys.readouterr().err
+    missing = tmp_path / "empty" / "fx2fx.haet"
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_affinity_over_baseline_model(workspace, tmp_path, capsys):
@@ -576,13 +577,14 @@ def test_registered_all_zero_row_exits_3(workspace, tmp_path, capsys, command):
 
 
 def test_train_writes_what_train_pair_gives(workspace, tmp_path):
-    """The workspace's `train` run and pipeline.train_pair on the same
-    normalized sets, flags and seeds write the same bytes."""
+    """The workspace's `train` run and pipeline.train_pair on the align_pairs of
+    the same normalized sets, with the same flags and seeds, write the same bytes."""
     data = workspace / "data"
     fx, fy = (fio.l2_normalize(fio.load_feature_set(data / f"{n}.vec", data / f"{n}.ids", n))
               for n in ("fx", "fy"))
     cfg = translator.TrainConfig(lr=1e-3, max_epochs=15, patience=15, seed=0)
-    pipeline.train_pair(fx, fy, cfg, model_seed=0, latent_dim=8, kind="hae", out_dir=tmp_path)
+    pipeline.train_pair(fio.align_pairs(fx, fy), cfg, model_seed=0, latent_dim=8, kind="hae",
+                        out_dir=tmp_path)
     for name in ("fx2fy.haet", "fx2fy.trainlog.csv"):
         assert (tmp_path / name).read_bytes() == (workspace / "models" / name).read_bytes(), name
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -56,6 +57,34 @@ def test_grid_keeps_one_model_alive(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         models + [m.replace(".haet", ".trainlog.csv") for m in models]
     )
+
+
+TRACE_SPEC = synth.SynthSpec(
+    n_vectors=400, latent_dim=4, output_dim=64, n_clusters=4, seed=0,
+    members=(("a", "orthogonal_linear"), ("b", "orthogonal_linear"), ("c", "independent")),
+)
+
+
+def test_grid_holds_one_copy_of_each_pairs_training_rows(tmp_path, monkeypatch):
+    """Beyond the model, the memory traced as each pair starts training stays under
+    three times one side's training rows: the two sides it trains on plus small
+    bookkeeping. Taking the split and then aligning it again would hold four."""
+    train, held = translator.train, []
+
+    def traced(model, paired, cfg):
+        held.append((tracemalloc.get_traced_memory()[0] - model.flat.nbytes)
+                    / paired.source.vectors.nbytes)
+        return train(model, paired, cfg)
+
+    monkeypatch.setattr(translator, "train", traced)
+    data = synth.generate(TRACE_SPEC)
+    tracemalloc.start()
+    try:
+        pipeline.run_grid(data.feature_sets, data.ground_truth, ("a", "b", "c"), SMALL_CFG,
+                          model_seed=0, latent_dim=4, out_dir=tmp_path)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 9 and max(held) < 3, held
 
 
 def _sets(*names, ids=tuple(f"i{k}" for k in range(10))):
