@@ -7,7 +7,7 @@ Every command takes `--out`; all but `synth` and `mst` require `--config`, a JSO
 file holding data only, as `synth` writes it: the feature-set registry (`features`:
 name -> vec/ids paths), checked whole when read, and the ground truth (`gt`); any
 other key is a data error. Every training setting is a flag of `train` and `grid`,
-defaulting to the library's. Every command L2-normalizes each registered set at load;
+defaulting to the library's. Every command loads and L2-normalizes each set it names once;
 `train` and `grid` train via pipeline.train_pair, which builds the model before it makes
 `--out`. An input file that cannot be opened exits 3, with the OS message naming it.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
@@ -54,17 +54,21 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _load_registered(config: dict, name: str) -> fio.FeatureSet:
-    if name not in config["features"]:
-        raise DataError(f"feature set {name!r} not found in config registry")
-    entry = config["features"][name]
-    return fio.l2_normalize(fio.load_feature_set(entry["vec"], entry["ids"], name))
+def _load_sets(config: dict, names) -> list[fio.FeatureSet]:
+    """The registered sets of `names`, in order; each is loaded and L2-normalized once."""
+    sets = {}
+    for name in dict.fromkeys(names):
+        if name not in config["features"]:
+            raise DataError(f"feature set {name!r} not found in config registry")
+        entry = config["features"][name]
+        sets[name] = fio.l2_normalize(fio.load_feature_set(entry["vec"], entry["ids"], name))
+    return [sets[n] for n in names]
 
 
 def _load_names(args, config: dict) -> tuple[tuple[str, ...], dict[str, fio.FeatureSet]]:
     """The `--names` (default: every registry name, sorted) and their loaded sets."""
     names = tuple(args.names.split(",") if args.names else sorted(config["features"]))
-    return names, {n: _load_registered(config, n) for n in dict.fromkeys(names)}
+    return names, dict(zip(names, _load_sets(config, names)))
 
 
 def _ground_truth(config: dict) -> fio.GroundTruth:
@@ -109,7 +113,7 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     cfg = _training(args)
     model_path = Path(args.out) / pipeline.model_file(args.source, args.target)
-    paired = fio.align_pairs(*(_load_registered(config, n) for n in (args.source, args.target)))
+    paired = fio.align_pairs(*_load_sets(config, (args.source, args.target)))
     model, tlog = pipeline.train_pair(paired, cfg, cfg.seed, args.latent, args.kind, args.out)
     print(f"trained {args.source}->{args.target} ({model.kind}): {tlog.epochs_run} epochs, "
           f"best val total {min(tlog.val_total):.6f} -> {model_path}")
@@ -121,7 +125,7 @@ def cmd_translate(args) -> int:
     model = translator.load_model(args.model)
     vec = Path(args.out) / pipeline.model_file(model.source_name, model.target_name)
     vec = vec.with_suffix(".vec")
-    src = _load_registered(config, args.source)
+    (src,) = _load_sets(config, (args.source,))
     vec.parent.mkdir(parents=True, exist_ok=True)
     translated = translator.translate(model, src)
     fio.save_feature_set(translated, vec, vec.with_suffix(".ids"))
@@ -134,9 +138,8 @@ def cmd_eval(args) -> int:
     csv_path = Path(args.out) / pipeline.model_file(args.source, args.target)
     csv_path = csv_path.with_suffix(".eval.csv")
     model = translator.load_model(args.model)
-    source_refs = _load_registered(config, args.source)
-    target = _load_registered(config, args.target)
-    queries = _load_registered(config, args.queries) if args.queries else target
+    names = (args.source, args.target, args.queries or args.target)
+    source_refs, target, queries = _load_sets(config, names)
     gt = _ground_truth(config)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
 

@@ -356,19 +356,15 @@ def reconstruct(model: TranslatorModel, tgt: FeatureSet) -> FeatureSet:
 
 
 _MAGIC = b"HAET"
-_VERSION = 1
+_VERSION = 2
 _KIND_BYTES = {KIND_HAE: 0, KIND_MLP: 1}
 _KIND_NAMES = {v: k for k, v in _KIND_BYTES.items()}
 
 
-def _check_fits(f, n: int) -> None:
-    # before any read, so a corrupt length allocates nothing
+def _read_exact(f, n: int) -> bytes:
+    # checked before the read, so a corrupt length allocates nothing
     if n > os.fstat(f.fileno()).st_size - f.tell():
         raise DataError("truncated model file")
-
-
-def _read_exact(f, n: int) -> bytes:
-    _check_fits(f, n)
     return f.read(n)
 
 
@@ -380,49 +376,24 @@ def _read_str(f) -> str:
         raise DataError("model file name is not UTF-8") from None
 
 
-def _stack_header(dims: tuple[int, ...], final_norm: bool) -> bytes:
-    """A stack's .haet header: its layer count, its dims, its final L2
-    normalization byte and its activation bytes, relu (1) on every layer but
-    the last, which is linear (0), the one layout nn_core runs."""
-    n_layers = len(dims) - 1
-    return struct.pack(f"<{n_layers + 2}IB", n_layers, *dims, final_norm) + (
-        b"\x01" * (n_layers - 1) + b"\x00")
-
-
-def _read_stack_header(f) -> tuple[bytes, tuple[int, ...], int]:
-    """(raw header, dims, payload offset) of the next stack; leaves f after its
-    payload, which must fit in the file."""
-    count = _read_exact(f, 4)
-    (n_layers,) = struct.unpack("<I", count)
-    rest = _read_exact(f, 4 * (n_layers + 1) + 1 + n_layers)  # dims, normalization, activations
-    dims = struct.unpack_from(f"<{n_layers + 1}I", rest)
-    offset, size = f.tell(), 8 * stack_size(dims)
-    _check_fits(f, size)
-    f.seek(offset + size)
-    return count + rest, dims, offset
-
-
 def save_model(model: TranslatorModel, path) -> None:
-    """Write a .haet file: magic, version, kind, the two names, the latent dim
-    (0 for the baseline), then each stack's _stack_header() and its float64
-    parameters."""
+    """Write a .haet file: magic, version, kind, the two names, the dims build()
+    takes (source, target, and latent, 0 for the baseline), then model.flat as
+    float64 in one write."""
     names = [name.encode("utf-8") for name in (model.source_name, model.target_name)]
     with open(path, "wb") as f:
         f.write(_MAGIC + struct.pack("<HB", _VERSION, _KIND_BYTES[model.kind]))
         for raw in names:
             f.write(struct.pack("<I", len(raw)) + raw)
-        f.write(struct.pack("<I", model.latent_dim))
-        for (dims, final_norm), payload in zip(model.layout, _payloads(model.flat, model.layout)):
-            f.write(_stack_header(dims, final_norm))
-            f.write(payload.astype("<f8", copy=False))
+        f.write(struct.pack("<3I", model.source_dim, model.target_dim, model.latent_dim))
+        f.write(model.flat.astype("<f8", copy=False))
 
 
 def load_model(path) -> TranslatorModel:
     """Read a .haet file, accepting exactly the bytes save_model() writes for a
-    model build() makes. Every length is checked against the file size, and
-    every stack header against _stack_header() of the layout given by the kind,
-    the outer dims and the latent dim, before the parameters are allocated;
-    anything else raises DataError naming the file."""
+    model build() makes. The layout is _layout() of the stored kind and dims, and
+    the bytes left must be its parameters exactly, checked before they are
+    allocated; anything else raises DataError naming the file."""
     with open(path, "rb") as f:
         try:
             magic = f.read(4)
@@ -437,24 +408,19 @@ def load_model(path) -> TranslatorModel:
             kind = _KIND_NAMES[kind_byte]
             source_name = _read_str(f)
             target_name = _read_str(f)
-            (latent_dim,) = struct.unpack("<I", _read_exact(f, 4))
-            headers = [_read_stack_header(f) for _ in range(1 if kind == KIND_MLP else 3)]
-            if f.read(1):
-                raise DataError("trailing bytes after model payload")
-            source_dim, target_dim = headers[0][1][0], headers[-1][1][-1]
+            source_dim, target_dim, latent_dim = struct.unpack("<3I", _read_exact(f, 12))
             if min(source_dim, target_dim) < 1 or (latent_dim == 0) != (kind == KIND_MLP):
                 raise DataError(f"build() makes no {kind} model of dims {source_dim} -> "
                                 f"{target_dim} and latent dim {latent_dim}")
             layout = _layout(kind, source_dim, target_dim, latent_dim)
-            for k, ((raw, _, _), (dims, final_norm)) in enumerate(zip(headers, layout)):
-                if raw != _stack_header(dims, final_norm):
-                    raise DataError(f"model stack {k + 1} header (dims, normalization, "
-                                    f"activations) does not match a {kind} model")
-            flat = np.empty(_size(layout), dtype="<f8")
-            for k, ((_, _, offset), payload) in enumerate(zip(headers, _payloads(flat, layout))):
-                f.seek(offset)
-                if f.readinto(payload) != payload.nbytes:
-                    raise DataError("truncated model file")
+            left, size = os.fstat(f.fileno()).st_size - f.tell(), _size(layout)
+            if left != 8 * size:
+                raise DataError("truncated model file" if left < 8 * size
+                                else "trailing bytes after model payload")
+            flat = np.empty(size, dtype="<f8")
+            if f.readinto(flat) != flat.nbytes:
+                raise DataError("truncated model file")
+            for k, payload in enumerate(_payloads(flat, layout)):
                 if not np.isfinite(payload).all():
                     raise DataError(f"non-finite parameter in model stack {k + 1}")
         except DataError as exc:

@@ -122,6 +122,18 @@ def test_translate(workspace, tmp_path):
     assert (tmp_path / "fx2fy.vec").exists()
 
 
+def test_translate_version_1_model_exits_3(workspace, tmp_path, capsys):
+    raw = (workspace / "models" / "fx2fy.haet").read_bytes()
+    old = tmp_path / "fx2fy.haet"
+    old.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
+    code = main([
+        "translate", "--config", str(workspace / "data" / "config.json"),
+        "--model", str(old), "--source", "fx", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {old}: unsupported model format version 1\n"
+
+
 def test_translate_with_model_of_other_source_dim_exits_3(workspace, tmp_path, capsys):
     model = translator.build(8, 16, 4, seed=0, source_name="fx", target_name="fy")
     translator.save_model(model, tmp_path / "fx2fy.haet")
@@ -587,6 +599,37 @@ def test_train_writes_what_train_pair_gives(workspace, tmp_path):
                         out_dir=tmp_path)
     for name in ("fx2fy.haet", "fx2fy.trainlog.csv"):
         assert (tmp_path / name).read_bytes() == (workspace / "models" / name).read_bytes(), name
+
+
+def test_each_named_set_is_loaded_once(workspace, tmp_path, monkeypatch):
+    """`train` and `eval` naming fx as both source and target load it once, and
+    write what the library writes from two separate loads of it."""
+    data, loaded, load = workspace / "data", [], fio.load_feature_set
+    fx = [fio.l2_normalize(load(data / "fx.vec", data / "fx.ids", "fx")) for _ in range(2)]
+    monkeypatch.setattr(fio, "load_feature_set",
+                        lambda vec, ids, name: loaded.append(name) or load(vec, ids, name))
+    cfg = str(data / "config.json")
+    assert main(["train", "--config", cfg, "--source", "fx", "--target", "fx", "--latent", "8",
+                 "--lr", "1e-3", "--epochs", "5", "--patience", "5", "--seed", "0",
+                 "--out", str(tmp_path / "train")]) == 0
+    assert loaded == ["fx"]
+    train_cfg = translator.TrainConfig(lr=1e-3, max_epochs=5, patience=5, seed=0)
+    pipeline.train_pair(fio.align_pairs(*fx), train_cfg, model_seed=0, latent_dim=8, kind="hae",
+                        out_dir=tmp_path / "expected")
+    for name in ("fx2fx.haet", "fx2fx.trainlog.csv"):
+        want = (tmp_path / "expected" / name).read_bytes()
+        assert (tmp_path / "train" / name).read_bytes() == want, name
+
+    loaded.clear()
+    model = tmp_path / "train" / "fx2fx.haet"
+    assert main(["eval", "--config", cfg, "--model", str(model), "--source", "fx",
+                 "--target", "fx", "--out", str(tmp_path / "eval")]) == 0
+    assert loaded == ["fx"]
+    gt = fio.load_ground_truth(json.loads((data / "config.json").read_text())["gt"])
+    expected = retrieval.cross_feature_evaluate(translator.load_model(model), *fx, gt)
+    retrieval.write_eval_csv(expected, tmp_path / "expected.csv")
+    written = (tmp_path / "eval" / "fx2fx.eval.csv").read_bytes()
+    assert written == (tmp_path / "expected.csv").read_bytes()
 
 
 @pytest.mark.parametrize("names", ["fx,fx", "fx,nope"], ids=["duplicate", "unknown"])
