@@ -552,6 +552,17 @@ class TestModelFileHeaders:
                                                         "trailing bytes after model payload")):
             translator.load_model(tmp_path / "m.haet")
 
+    def test_layout_other_than_build_rejected(self, tmp_path):
+        # each payload of a 4 -> 4 model under the header of the other kind
+        hae = translator.build(4, 4, 2, "hae", seed=0)
+        mlp = translator.build(4, 4, 0, "mlp_baseline", seed=0)
+        cases = [(_haet_header(2, 1, (4, 4, 0)), hae, "trailing bytes after model payload"),
+                 (_haet_header(2, 0, (4, 4, 2)), mlp, "truncated model file")]
+        for header, payload, message in cases:
+            (tmp_path / "m.haet").write_bytes(header + payload.flat.astype("<f8").tobytes())
+            with pytest.raises(DataError, match=_load_error(tmp_path / "m.haet", message)):
+                translator.load_model(tmp_path / "m.haet")
+
     def test_version_1_rejected(self, tmp_path):
         (tmp_path / "m.haet").write_bytes(_haet_header(1, 0, (2,)))
         with pytest.raises(DataError, match=_load_error(tmp_path / "m.haet",
@@ -613,6 +624,42 @@ class TestModelFileFuzz:
             message = f"not a model file (magic {raw[:n]!r})" if n < 4 else "truncated model file"
             with pytest.raises(DataError, match=_load_error(root / "cut.haet", re.escape(message))):
                 translator.load_model(root / "cut.haet")
+
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_every_other_kind_byte_rejected(self, saved, kind):
+        root, models = saved
+        model, raw = models[kind]
+        assert raw[6] == (kind != "hae")
+        other = "hae" if kind != "hae" else "mlp_baseline"
+        for value in set(range(256)) - {raw[6]}:
+            changed = bytearray(raw)
+            changed[6] = value
+            (root / "kind.haet").write_bytes(bytes(changed))
+            message = (rf"build\(\) makes no {other} model of dims 3 -> 4 and latent dim "
+                       rf"{model.latent_dim}" if value in (0, 1)
+                       else f"unknown model kind byte {value}")
+            with pytest.raises(DataError, match=_load_error(root / "kind.haet", message)):
+                translator.load_model(root / "kind.haet")
+
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_every_other_header_dim_rejected(self, saved, kind):
+        # source, target and latent dim: the three words before the parameters
+        root, models = saved
+        model, raw = models[kind]
+        end = len(raw) - 8 * model.flat.size
+        assert struct.unpack_from("<3I", raw, end - 12) == (3, 4, model.latent_dim)
+        faults = (r"(build\(\) makes no .* model of dims \d+ -> \d+ and latent dim \d+"
+                  r"|truncated model file|trailing bytes after model payload)")
+        for pos in range(end - 12, end, 4):
+            (saved_value,) = struct.unpack_from("<I", raw, pos)
+            for value in [*range(65), 2**32 - 1]:
+                if value == saved_value:
+                    continue
+                changed = bytearray(raw)
+                struct.pack_into("<I", changed, pos, value)
+                (root / "dim.haet").write_bytes(bytes(changed))
+                with pytest.raises(DataError, match=_load_error(root / "dim.haet", faults)):
+                    translator.load_model(root / "dim.haet")
 
     @settings(max_examples=400, deadline=None)
     @given(kind=st.sampled_from(["hae", "mlp_baseline"]), data=st.data())
