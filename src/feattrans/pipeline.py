@@ -95,11 +95,13 @@ def run_grid(
     sets: dict[str, FeatureSet], gt: GroundTruth, names: tuple[str, ...],
     cfg: translator.TrainConfig, model_seed: int, latent_dim: int, out_dir,
 ) -> GridResult:
-    """Run the grid over `names`: score direct mAP first, which checks `gt`, then write
-    each pair's model and train log (train_pair) into `out_dir`, made if missing. Each
-    pair's rows are taken once per split, in sorted id order, as align_pairs orders them."""
+    """Run the grid over `names`: check them and the latent dim, score direct mAP, which
+    checks `gt`, then write each pair's model and train log (train_pair) into `out_dir`,
+    made if missing. Each pair's rows are taken once per split, in sorted id order, as
+    align_pairs orders them."""
     names = tuple(names)
     check_names(sets, names)
+    translator.check_latent(translator.KIND_HAE, latent_dim)
     direct = {n: retrieval.evaluate(sets[n], sets[n], gt).map for n in names}
     train_ids, eval_ids = (sorted(part) for part in split_ids(sets[names[0]].ids))
     logs, translated = {}, {}

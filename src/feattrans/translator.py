@@ -1,7 +1,7 @@
 """Hybrid auto-encoder translators between feature spaces.
 
-A translator is one record: its names, its layout (each stack's dims and final
-L2 normalization, in .haet order) and one flat buffer that its stacks view:
+A translator is one record: its names, what build() takes (the kind and the
+source, target and latent dims) and one flat buffer that its stacks view:
 (source encoder, target encoder, decoder) for the hybrid auto-encoder (HAE), or
 the one regression stack of the MLP baseline. The *translate path* (source
 encoder, decoder) and the *reconstruct path* (target encoder, decoder) are
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,12 +45,6 @@ VAL_FRACTION = 0.1  # share of the pairs held out for early stopping
 Layout = tuple[tuple[tuple[int, ...], bool], ...]
 
 
-def _payloads(flat: np.ndarray, layout: Layout) -> list[np.ndarray]:
-    """The consecutive slices of `flat` that the stacks of `layout` occupy."""
-    ends = list(accumulate((stack_size(dims) for dims, _ in layout), initial=0))
-    return [flat[a:b] for a, b in zip(ends, ends[1:])]
-
-
 def _size(layout: Layout) -> int:
     """The number of parameters of a model of `layout`."""
     return sum(stack_size(dims) for dims, _ in layout)
@@ -59,15 +52,23 @@ def _size(layout: Layout) -> int:
 
 @dataclass
 class TranslatorModel:
+    """What build() takes and .haet stores: the names, the kind, the source, target
+    and latent dims (latent 0 for the baseline) and `flat`, every parameter in .haet
+    order. The stacks, _layout() of the kind and dims, are views into `flat`."""
     source_name: str
     target_name: str
-    layout: Layout
-    flat: np.ndarray  # every parameter, in .haet order; the stacks hold views into it
+    kind: str
+    source_dim: int
+    target_dim: int
+    latent_dim: int
+    flat: np.ndarray
     stacks: tuple[LayerStack, ...] = field(init=False)  # (enc_s, enc_t, dec) or (mlp,)
 
     def __post_init__(self):
-        self.stacks = tuple(stack_views(payload, dims, final_norm) for (dims, final_norm), payload
-                            in zip(self.layout, _payloads(self.flat, self.layout)))
+        layout = _layout(self.kind, self.source_dim, self.target_dim, self.latent_dim)
+        ends = np.cumsum([0] + [stack_size(dims) for dims, _ in layout])
+        self.stacks = tuple(stack_views(self.flat[a:b], dims, final_norm)
+                            for (dims, final_norm), a, b in zip(layout, ends, ends[1:]))
 
     @property
     def translate_path(self) -> tuple[LayerStack, ...]:
@@ -77,25 +78,9 @@ class TranslatorModel:
     def reconstruct_path(self) -> tuple[LayerStack, ...]:
         return self.stacks[1:]  # empty for the baseline
 
-    @property
-    def kind(self) -> str:
-        return KIND_HAE if len(self.stacks) > 1 else KIND_MLP
-
-    @property
-    def latent_dim(self) -> int:
-        return self.stacks[0].out_dim if self.kind == KIND_HAE else 0
-
-    @property
-    def source_dim(self) -> int:
-        return self.stacks[0].in_dim
-
-    @property
-    def target_dim(self) -> int:
-        return self.stacks[-1].out_dim
-
     def on(self, flat: np.ndarray) -> "TranslatorModel":
-        """A model of this one's names and layout over another flat buffer."""
-        return TranslatorModel(self.source_name, self.target_name, self.layout, flat)
+        """A model of this one's names, kind and dims over another flat buffer."""
+        return replace(self, flat=flat)
 
     def copy(self) -> "TranslatorModel":
         return self.on(self.flat.copy())  # the shared decoder stays shared
@@ -154,6 +139,14 @@ def _layout(kind: str, source_dim: int, target_dim: int, latent_dim: int) -> Lay
     return ((enc_s_dims, False), (enc_t_dims, False), (tuple(reversed(enc_t_dims)), True))
 
 
+def check_latent(kind: str, latent_dim: int) -> int:
+    """The latent dim a `kind` model built with `latent_dim` records, 0 for the
+    baseline; InvalidConfig for an HAE one below 1."""
+    if kind == KIND_HAE and latent_dim < 1:
+        raise InvalidConfig("latent dim must be >= 1")
+    return latent_dim if kind == KIND_HAE else 0
+
+
 def build(
     source_dim: int,
     target_dim: int,
@@ -167,10 +160,9 @@ def build(
     one flat buffer."""
     if source_dim < 1 or target_dim < 1:
         raise DataError("dims must be >= 1")
-    if kind == KIND_HAE and latent_dim < 1:
-        raise InvalidConfig("latent dim must be >= 1")
-    layout = _layout(kind, source_dim, target_dim, latent_dim)
-    model = TranslatorModel(source_name, target_name, layout, np.empty(_size(layout)))
+    dims = (source_dim, target_dim, check_latent(kind, latent_dim))
+    model = TranslatorModel(source_name, target_name, kind, *dims,
+                            np.empty(_size(_layout(kind, *dims))))
     rng = np.random.default_rng(seed)
     for stack in model.stacks:
         he_init(stack, rng)
@@ -412,17 +404,19 @@ def load_model(path) -> TranslatorModel:
             if min(source_dim, target_dim) < 1 or (latent_dim == 0) != (kind == KIND_MLP):
                 raise DataError(f"build() makes no {kind} model of dims {source_dim} -> "
                                 f"{target_dim} and latent dim {latent_dim}")
-            layout = _layout(kind, source_dim, target_dim, latent_dim)
-            left, size = os.fstat(f.fileno()).st_size - f.tell(), _size(layout)
+            size = _size(_layout(kind, source_dim, target_dim, latent_dim))
+            left = os.fstat(f.fileno()).st_size - f.tell()
             if left != 8 * size:
                 raise DataError("truncated model file" if left < 8 * size
                                 else "trailing bytes after model payload")
             flat = np.empty(size, dtype="<f8")
             if f.readinto(flat) != flat.nbytes:
                 raise DataError("truncated model file")
-            for k, payload in enumerate(_payloads(flat, layout)):
-                if not np.isfinite(payload).all():
-                    raise DataError(f"non-finite parameter in model stack {k + 1}")
+            model = TranslatorModel(source_name, target_name, kind, source_dim, target_dim,
+                                    latent_dim, flat)
+            for k, stack in enumerate(model.stacks, 1):
+                if not all(np.isfinite(p).all() for p in stack.parameters()):
+                    raise DataError(f"non-finite parameter in model stack {k}")
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
-    return TranslatorModel(source_name, target_name, layout, flat)
+    return model

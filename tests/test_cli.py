@@ -669,6 +669,17 @@ def test_malformed_entry_of_an_unused_name_exits_3(workspace, tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+def test_grid_latent_0_exits_2_before_scoring(workspace, tmp_path, capsys, monkeypatch):
+    calls, evaluate = [], retrieval.evaluate
+    monkeypatch.setattr(retrieval, "evaluate", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+    code = main(["grid", "--config", str(workspace / "data" / "config.json"), "--latent", "0",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_unknown_relevant_id_exits_3_before_training(workspace, tmp_path, capsys,
                                                           monkeypatch):
     gt = (workspace / "data" / "gt.tsv").read_text().splitlines()

@@ -486,6 +486,46 @@ class TestFlatBuffer:
         assert hashlib.sha256(raw[-8 * model.flat.size :]).hexdigest()[:16] == digest
 
 
+def _fields(model: translator.TranslatorModel) -> dict:
+    """Every field of `model` but `flat` and the stacks that view it."""
+    return {f.name: getattr(model, f.name) for f in dataclasses.fields(model)
+            if f.name not in ("flat", "stacks")}
+
+
+class TestRecord:
+    """A model records what build() takes and .haet stores."""
+
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_load_of_save_keeps_every_field(self, tmp_path, kind):
+        model = translator.build(6, 5, 4, kind, seed=1, source_name="src", target_name="tgt")
+        translator.save_model(model, tmp_path / "m.haet")
+        back = translator.load_model(tmp_path / "m.haet")
+        assert _fields(back) == _fields(model) == {
+            "source_name": "src", "target_name": "tgt", "kind": kind,
+            "source_dim": 6, "target_dim": 5, "latent_dim": 4 if kind == "hae" else 0,
+        }
+        assert back.flat.tobytes() == model.flat.tobytes()
+
+    def test_baseline_records_and_writes_latent_0(self, tmp_path):
+        model = translator.build(6, 5, latent_dim=510, kind="mlp_baseline", seed=1)
+        assert model.latent_dim == 0
+        translator.save_model(model, tmp_path / "m.haet")
+        raw = (tmp_path / "m.haet").read_bytes()
+        assert struct.unpack_from("<3I", raw, len(raw) - 8 * model.flat.size - 12) == (6, 5, 0)
+
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_on_keeps_the_fields_and_views_the_buffer(self, kind):
+        model = translator.build(6, 5, 4, kind, seed=1, source_name="src", target_name="tgt")
+        buf = np.zeros_like(model.flat)
+        other = model.on(buf)
+        assert _fields(other) == _fields(model)
+        assert other.flat is buf
+        params = [p for s in other.stacks for p in s.parameters()]
+        assert sum(p.size for p in params) == buf.size
+        assert all(np.shares_memory(p, buf) and not np.shares_memory(p, model.flat)
+                   for p in params)
+
+
 class TestSplitBuild:
     """At sizes where he_init fills layers in shares, the build and its file
     do not depend on the number of workers."""
@@ -574,10 +614,10 @@ class TestModelFileHeaders:
         ids=["hae-latent-0", "hae-source-0", "mlp-target-0"],
     )
     def test_zero_dim_rejected(self, tmp_path, kind, dims):
-        # a layout build() refuses, written as save_model() writes any layout
-        layout = translator._layout(kind, *dims)
-        model = translator.TranslatorModel("s", "t", layout, np.full(translator._size(layout), 0.1))
-        translator.save_model(model, tmp_path / "m.haet")
+        # the header of a model build() refuses, then that layout's payload
+        payload = np.full(translator._size(translator._layout(kind, *dims)), 0.1)
+        (tmp_path / "m.haet").write_bytes(_haet_header(2, kind != "hae", dims)
+                                          + payload.astype("<f8").tobytes())
         message = (rf"build\(\) makes no {kind} model of dims {dims[0]} -> {dims[1]} "
                    rf"and latent dim {dims[2]}")
         with pytest.raises(DataError, match=_load_error(tmp_path / "m.haet", message)):
@@ -598,7 +638,7 @@ class TestModelFileHeaders:
 
 
 def _structure(model: translator.TranslatorModel):
-    return model.kind, model.latent_dim, model.layout
+    return model.kind, model.latent_dim, [(s.dims, s.final_l2_normalize) for s in model.stacks]
 
 
 class TestModelFileFuzz:
