@@ -110,6 +110,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    translator.check_latent(args.kind, args.latent)
     config = _load_config(args.config)
     cfg = _training(args)
     model_path = Path(args.out) / pipeline.model_file(args.source, args.target)

@@ -49,16 +49,18 @@ class FeatureSet:
             raise DataError(
                 f"{len(self.ids)} ids but {vecs.shape[0]} vector rows"
             )
-        seen = set()
-        for i in self.ids:
-            if i in seen:
-                raise DataError(f"duplicate id {i!r}")
-            seen.add(i)
-        if not np.all(np.isfinite(vecs)):
+        if len(set(self.ids)) != len(self.ids):
+            seen = set()
+            for i in self.ids:
+                if i in seen:
+                    raise DataError(f"duplicate id {i!r}")
+                seen.add(i)
+        # NaN propagates through min and max, and an inf is one of them: no (n, d) temporary
+        if vecs.size and not (np.isfinite(vecs.min()) and np.isfinite(vecs.max())):
             bad = int(np.argwhere(~np.isfinite(vecs).all(axis=1))[0, 0])
             raise DataError(f"record {bad + 1}: non-finite value")
         if self.normalized and len(self.ids):
-            norms = np.linalg.norm(vecs, axis=1)
+            norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
             if np.any(np.abs(norms - 1.0) > NORM_TOL):
                 bad = int(np.argmax(np.abs(norms - 1.0)))
                 raise DataError(
@@ -77,9 +79,12 @@ class FeatureSet:
         return self.vectors[self.ids.index(image_id)]
 
     def take(self, ids) -> FeatureSet:
-        """The rows for ``ids``, in that order (KeyError for an id not in the set)."""
-        index = {i: k for k, i in enumerate(self.ids)}
+        """The rows for ``ids``, in that order (KeyError for an id not in the set);
+        the set itself when ``ids`` is its own id sequence, as it is frozen."""
         ids = tuple(ids)
+        if ids == self.ids:
+            return self
+        index = {i: k for k, i in enumerate(self.ids)}
         return FeatureSet(self.name, ids, self.vectors[[index[i] for i in ids]], self.normalized)
 
 
@@ -230,9 +235,10 @@ def l2_normalize(fs: FeatureSet) -> FeatureSet:
 def align_pairs(src: FeatureSet, tgt: FeatureSet) -> PairedSet:
     """Restrict both sets to their id intersection, sorted lexicographically.
 
-    Row order of the inputs is irrelevant; the result is canonical.
+    Row order of the inputs is irrelevant; the result is canonical. Inputs that
+    already hold the same sorted ids come back themselves, uncopied.
     """
-    common = sorted(set(src.ids) & set(tgt.ids))
+    common = sorted(src.ids) if src.ids == tgt.ids else sorted(set(src.ids) & set(tgt.ids))
     if not common:
         raise DataError("source and target feature sets share no ids")
     return PairedSet(

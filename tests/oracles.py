@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: plain-Python
 distance loops for AP, exhaustive spanning-tree enumeration for the MST,
 central finite differences for gradients, a record-by-record reader for
-the .vec format, and linear CKA, a closed-form affinity between two sets.
+the .vec format, linear CKA, a closed-form affinity between two sets, and
+a FeatureSet fault check by per-id loop, (n, d) masks and linalg.norm.
 """
 from __future__ import annotations
 
@@ -134,6 +135,28 @@ def linear_cka(x, y) -> float:
     y = np.asarray(y, dtype=np.float64) - np.mean(y, axis=0)
     cross = np.linalg.norm(y.T @ x) ** 2
     return float(cross / (np.linalg.norm(x.T @ x) * np.linalg.norm(y.T @ y)))
+
+
+def feature_set_fault(ids, vectors, normalized: bool, tol: float):
+    """The first fault a FeatureSet over (ids, vectors) holds, checked in the
+    order duplicate id, non-finite value, norm: the message of a duplicate or
+    non-finite fault, (row, norm) of the row farthest from unit norm when
+    `normalized` and some row is off by more than `tol`, else None."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            return f"duplicate id {i!r}"
+        seen.add(i)
+    if not np.all(np.isfinite(vectors)):
+        bad = int(np.argwhere(~np.isfinite(vectors).all(axis=1))[0, 0])
+        return f"record {bad + 1}: non-finite value"
+    if normalized and len(ids):
+        norms = np.linalg.norm(vectors, axis=1)
+        if np.any(np.abs(norms - 1.0) > tol):
+            bad = int(np.argmax(np.abs(norms - 1.0)))
+            return bad, float(norms[bad])
+    return None
+
 
 def vec_records(raw: bytes):
     """Read .vec bytes one record at a time: the (n, dim) float32 rows, or the

@@ -680,6 +680,20 @@ def test_grid_latent_0_exits_2_before_scoring(workspace, tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
+def test_train_latent_0_exits_2_before_loading(workspace, tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("load_feature_set", "align_pairs"):
+        real = getattr(fio, name)
+        monkeypatch.setattr(fio, name, lambda *a, _name=name, _real=real, **k:
+                            calls.append(_name) or _real(*a, **k))
+    code = main(["train", "--config", str(workspace / "data" / "config.json"), "--source", "fx",
+                 "--target", "fy", "--latent", "0", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_unknown_relevant_id_exits_3_before_training(workspace, tmp_path, capsys,
                                                           monkeypatch):
     gt = (workspace / "data" / "gt.tsv").read_text().splitlines()

@@ -5,13 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from feattrans import feature_io as fio
 from feattrans.errors import DataError
-from oracles import vec_records
+from oracles import feature_set_fault, vec_records
 
 
 def write_vec_file(path, rows, dims=None):
@@ -355,6 +355,102 @@ class TestTake:
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
             make_fs(n=2).take(["img9"])
+
+
+class TestPassThrough:
+    """A frozen set is its own copy: `take` of its own ids and `align_pairs` of two
+    sets over the same sorted ids hand back the inputs."""
+
+    def test_take_of_own_ids_is_the_set(self):
+        fs = make_fs(n=4)
+        assert fs.take(fs.ids) is fs
+        assert fs.take(list(fs.ids)) is fs
+
+    def test_align_of_same_sorted_ids_returns_the_inputs(self):
+        src, tgt = make_fs("s", n=4, dim=3, seed=1), make_fs("t", n=4, dim=2, seed=2)
+        paired = fio.align_pairs(src, tgt)
+        assert paired.source is src and paired.target is tgt
+
+    @pytest.mark.parametrize("src_ids, tgt_ids, order", [
+        (("c", "a", "b"), ("c", "a", "b"), ("a", "b", "c")),
+        (("a", "b", "c"), ("a", "b", "d"), ("a", "b")),
+    ], ids=["same-unsorted", "different"])
+    def test_align_otherwise_copies_the_sorted_intersection(self, src_ids, tgt_ids, order):
+        rng = np.random.default_rng(3)
+        src = fio.FeatureSet("s", src_ids, rng.normal(size=(3, 2)))
+        tgt = fio.FeatureSet("t", tgt_ids, rng.normal(size=(3, 4)))
+        paired = fio.align_pairs(src, tgt)
+        assert paired.order == order
+        for out, fs in ((paired.source, src), (paired.target, tgt)):
+            assert out is not fs and not np.shares_memory(out.vectors, fs.vectors)
+            np.testing.assert_array_equal(out.vectors, [fs.row(i) for i in order])
+
+
+SCALES = (0.5, 0.999, 1.5, 2.0, 3.0)  # distinct, so the row farthest from unit norm is one row
+WHERE = {"first": lambda n: 0, "middle": lambda n: n // 2, "last": lambda n: n - 1}
+
+
+@st.composite
+def faulty_sets(draw):
+    """(ids, vectors, normalized): unit rows, some scaled off unit norm, some holding
+    NaN or an inf in the first, middle or last row, over unique or repeating ids."""
+    n, dim = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        ids = tuple(f"i{k}" for k in range(n))
+    else:
+        ids = tuple(draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n)))
+    vecs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    if n:
+        scaled = st.tuples(st.integers(0, n - 1), st.sampled_from(SCALES))
+        for row, scale in draw(st.lists(scaled, max_size=3, unique_by=(lambda t: t[0], lambda t: t[1]))):
+            vecs[row] *= scale
+        bad = st.tuples(st.sampled_from(sorted(WHERE)), st.integers(0, dim - 1),
+                        st.sampled_from((np.nan, np.inf, -np.inf)))
+        for where, col, value in draw(st.lists(bad, max_size=2)):
+            vecs[WHERE[where](n), col] = value
+    return ids, vecs, draw(st.booleans())
+
+
+class TestChecks:
+    """FeatureSet's whole-array checks report the first fault the per-id loop,
+    (n, d) masks and linalg.norm of oracles.feature_set_fault find."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=faulty_sets())
+    @example(case=(("a", "b", "b", "a"), np.eye(4), False))
+    @example(case=((), np.empty((0, 3)), True))
+    def test_same_fault_as_oracle(self, case):
+        ids, vecs, normalized = case
+        expected = feature_set_fault(ids, vecs, normalized, fio.NORM_TOL)
+        if expected is None:
+            fio.FeatureSet("x", ids, vecs, normalized)
+            return
+        with pytest.raises(DataError) as err:
+            fio.FeatureSet("x", ids, vecs, normalized)
+        if isinstance(expected, str):
+            assert str(err.value) == expected
+        else:
+            row, norm = expected
+            pattern = rf"row {row} \({re.escape(repr(ids[row]))}\) flagged normalized but has norm (\S+)"
+            found = re.fullmatch(pattern, str(err.value))
+            assert found and abs(float(found[1]) - norm) < 1e-12
+
+    def test_norm_message(self):
+        with pytest.raises(DataError, match=r"^row 0 \('a'\) flagged normalized but has norm 2\.0$"):
+            fio.FeatureSet("x", ("a",), np.array([[2.0, 0.0]]), normalized=True)
+
+    def test_normalized_check_traces_under_a_quarter_of_the_vectors(self):
+        vecs = np.random.default_rng(0).normal(size=(2000, 256))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        ids = tuple(f"i{k}" for k in range(2000))
+        tracemalloc.start()
+        try:
+            fio.FeatureSet("x", ids, vecs, normalized=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < vecs.nbytes / 4
 
 
 class TestFileFuzz:
