@@ -66,30 +66,19 @@ def dam_entry(model: TranslatorModel, paired: PairedSet) -> float:
     return trans - recon
 
 
-def directed_matrix(names: list[str] | tuple[str, ...], entry) -> AffinityMatrix:
-    """The directed matrix over `names`, diagonal included, from `entry(s, t)`.
-
-    `entry` is called once per ordered pair, row by row, and its model is
-    needed only for that call, so a caller that loads or trains the model
-    inside `entry` keeps one alive at a time."""
-    names = tuple(names)
-    values = [[entry(s, t) for t in names] for s in names]
-    return AffinityMatrix(names=names, values=values, kind=DIRECTED_M)
-
-
 def build_dam(
     models: dict[tuple[str, str], TranslatorModel],
     pairs: dict[tuple[str, str], PairedSet],
     names: list[str] | tuple[str, ...],
 ) -> AffinityMatrix:
-    """directed_matrix over models and held-out pairs already in memory;
-    DataError for a pair absent from either."""
+    """The directed matrix over `names`, diagonal included, from models and held-out
+    pairs already in memory, row by row; DataError for a pair absent from either."""
     def entry(s: str, t: str) -> float:
         if (s, t) not in models or (s, t) not in pairs:
             raise DataError(MISSING_PAIR.format(s, t))
         return dam_entry(models[(s, t)], pairs[(s, t)])
 
-    return directed_matrix(names, entry)
+    return AffinityMatrix(names, [[entry(s, t) for t in names] for s in names], DIRECTED_M)
 
 
 def _minmax(m: AffinityMatrix, axis: int, kind: str) -> AffinityMatrix:

@@ -31,11 +31,20 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+def _check_path(value, where: str) -> None:
+    """DataError naming `where` unless `value` is a path string open() takes
+    (fio.is_path_text). Only a string is quoted: deep JSON cannot be."""
+    if not isinstance(value, str):
+        raise DataError(f"{where} must be a path string")
+    if not fio.is_path_text(value):
+        raise DataError(f"{where} holds a NUL or a character no file name can hold: {value!r}")
+
+
 def _load_config(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
         try:
             config = json.load(f)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise DataError(f"{path}: malformed config JSON: {exc}") from None
     if not isinstance(config, dict):
         raise DataError(f"{path}: config must be a JSON object")
@@ -49,8 +58,9 @@ def _load_config(path: str) -> dict:
         if not isinstance(entry, dict):
             raise DataError(f"config registry entry {name!r} must be an object with 'vec' and 'ids'")
         for key in ("vec", "ids"):
-            if not isinstance(entry.get(key), str):
-                raise DataError(f"config registry entry {name!r} needs a {key!r} path string")
+            _check_path(entry.get(key), f"config registry entry {name!r} key {key!r}")
+    if "gt" in config:
+        _check_path(config["gt"], "config key 'gt'")
     return config
 
 
@@ -72,11 +82,10 @@ def _load_names(args, config: dict) -> tuple[tuple[str, ...], dict[str, fio.Feat
 
 
 def _ground_truth(config: dict) -> fio.GroundTruth:
-    """The ground truth at the config's 'gt' path."""
-    path = config.get("gt")
-    if not isinstance(path, str):
-        raise DataError(f"config key 'gt' must be a ground-truth path string, got {path!r}")
-    return fio.load_ground_truth(path)
+    """The ground truth at the config's 'gt' path, which _load_config checked."""
+    if "gt" not in config:
+        raise DataError("config has no 'gt' ground-truth path")
+    return fio.load_ground_truth(config["gt"])
 
 
 def _training(args) -> translator.TrainConfig:
@@ -162,7 +171,7 @@ def cmd_affinity(args) -> int:
         model = translator.load_model(models_dir / pipeline.model_file(s, t))
         return aff.dam_entry(model, fio.align_pairs(sets[s], sets[t]))
 
-    m = aff.directed_matrix(names, entry)
+    m = aff.AffinityMatrix(names, [[entry(s, t) for t in names] for s in names], aff.DIRECTED_M)
     r, c = aff.normalize_rows(m), aff.normalize_cols(m)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -178,7 +187,7 @@ def cmd_grid(args) -> int:
     gt = _ground_truth(config)
     grid = pipeline.run_grid(sets, gt, names, cfg, cfg.seed, args.latent, args.out)
     pipeline.write_grid(grid, args.out)
-    print(f"wrote {len(grid.logs)} models, M/R/C/U, MST and retrieval_summary.csv to {args.out}")
+    print(f"wrote {len(grid.pairs)} models, M/R/C/U, MST and retrieval_summary.csv to {args.out}")
     return EXIT_OK
 
 

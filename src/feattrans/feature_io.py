@@ -20,13 +20,24 @@ from .errors import DataError
 NORM_TOL = 1e-6  # how far from 1 a row norm may be and still count as unit
 
 
+def is_path_text(text: str) -> bool:
+    """Whether open() takes `text` in a path: it holds no NUL and os.fsencode encodes it."""
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError:
+        return False
+    return "\0" not in text
+
+
 def check_name(name: str) -> str:
-    """`name`, which output files are named after; DataError if it is empty or
-    holds a path separator, so no such file lands outside its directory."""
+    """`name`, which output files are named after; DataError if it is empty, holds a
+    path separator (its file would land outside its directory) or is not path text."""
     if not name:
         raise DataError("empty feature-set name")
     if {"/", os.sep, os.altsep} & set(name):
         raise DataError(f"feature-set name {name!r} holds a path separator")
+    if not is_path_text(name):
+        raise DataError(f"feature-set name {name!r} holds a NUL or a character no file name can hold")
     return name
 
 

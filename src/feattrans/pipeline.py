@@ -18,16 +18,22 @@ TRAIN_FRACTION = 0.8  # of the first name's ids, in file order; M uses the rest
 
 
 @dataclass(frozen=True)
+class PairRecord:
+    log: translator.TrainLog
+    dam: float  # M's entry, on the held-out ids
+    translated_map: float | None  # mAP of the source translated into the target; None if s == t
+
+
+@dataclass(frozen=True)
 class GridResult:
     names: tuple[str, ...]
-    logs: dict[tuple[str, str], translator.TrainLog]
+    pairs: dict[tuple[str, str], PairRecord]  # every ordered pair, row by row
     dam: affinity.AffinityMatrix  # on the held-out ids
     row_norm: affinity.AffinityMatrix
     col_norm: affinity.AffinityMatrix
     uam: affinity.AffinityMatrix
     tree: mst.MstResult
     direct_map: dict[str, float]  # name -> mAP of the set against itself
-    translated_map: dict[tuple[str, str], float]  # (s, t), s != t -> mAP of s translated into t
 
 
 def model_file(source: str, target: str) -> str:
@@ -96,27 +102,29 @@ def run_grid(
     cfg: translator.TrainConfig, model_seed: int, latent_dim: int, out_dir,
 ) -> GridResult:
     """Run the grid over `names`: check them and the latent dim, score direct mAP, which
-    checks `gt`, then write each pair's model and train log (train_pair) into `out_dir`,
-    made if missing. Each pair's rows are taken once per split, in sorted id order, as
-    align_pairs orders them."""
+    checks `gt`, then score each ordered pair, row by row, into a PairRecord, writing its
+    model and train log (train_pair) into `out_dir`, made if missing. Each pair's rows are
+    taken once per split, in sorted id order, as align_pairs orders them."""
     names = tuple(names)
     check_names(sets, names)
     translator.check_latent(translator.KIND_HAE, latent_dim)
     direct = {n: retrieval.evaluate(sets[n], sets[n], gt).map for n in names}
     train_ids, eval_ids = (sorted(part) for part in split_ids(sets[names[0]].ids))
-    logs, translated = {}, {}
 
-    def entry(s: str, t: str) -> float:
-        model, logs[(s, t)] = train_pair(PairedSet(sets[s].take(train_ids), sets[t].take(train_ids)),
-                                         cfg, model_seed, latent_dim, translator.KIND_HAE, out_dir)
-        if s != t:
-            translated[(s, t)] = retrieval.cross_feature_evaluate(model, sets[s], sets[t], gt).map
-        return affinity.dam_entry(model, PairedSet(sets[s].take(eval_ids), sets[t].take(eval_ids)))
+    def score(s: str, t: str) -> PairRecord:
+        model, tlog = train_pair(PairedSet(sets[s].take(train_ids), sets[t].take(train_ids)),
+                                 cfg, model_seed, latent_dim, translator.KIND_HAE, out_dir)
+        translated = (retrieval.cross_feature_evaluate(model, sets[s], sets[t], gt).map
+                      if s != t else None)
+        held_out = PairedSet(sets[s].take(eval_ids), sets[t].take(eval_ids))
+        return PairRecord(tlog, affinity.dam_entry(model, held_out), translated)
 
-    dam = affinity.directed_matrix(names, entry)
+    pairs = {(s, t): score(s, t) for s in names for t in names}
+    dam = affinity.AffinityMatrix(names, [[pairs[(s, t)].dam for t in names] for s in names],
+                                  affinity.DIRECTED_M)
     r, c = affinity.normalize_rows(dam), affinity.normalize_cols(dam)
     u = affinity.uam(r, c)
-    return GridResult(names, logs, dam, r, c, u, mst.kruskal(u), direct, translated)
+    return GridResult(names, pairs, dam, r, c, u, mst.kruskal(u), direct)
 
 
 def write_matrices(matrices, out_dir: Path) -> None:
@@ -133,8 +141,10 @@ def write_grid(grid: GridResult, out_dir) -> None:
     with open(out_dir / "retrieval_summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source", "target", "direct_map", "translated_map", "drop", "u"])
-        for (s, t), translated in grid.translated_map.items():
-            direct = grid.direct_map[t]
+        for (s, t), record in grid.pairs.items():
+            if s == t:
+                continue
+            direct, translated = grid.direct_map[t], record.translated_map
             writer.writerow([
                 s, t, f"{direct:.2f}", f"{translated:.2f}",
                 f"{direct - translated:.2f}", f"{grid.uam.entry(s, t):.4f}",

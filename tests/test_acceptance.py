@@ -236,7 +236,7 @@ def test_uam_predictiveness(grid_fixture):
             if i == j:
                 continue
             u_vals.append(grid_fixture.uam.values[i, j])
-            drops.append(grid_fixture.direct_map[t] - grid_fixture.translated_map[(s, t)])
+            drops.append(grid_fixture.direct_map[t] - grid_fixture.pairs[(s, t)].translated_map)
     rho = float(spearmanr(u_vals, drops).statistic)
 
     homologous = grid_fixture.uam.entry("fa", "fb")

@@ -114,12 +114,6 @@ class TestBuildDam:
         with pytest.raises(DataError, match=r"^no trained model for pair \('fb', 'fa'\)$"):
             aff.build_dam(models, pairs, grid_fixture.names)
 
-    def test_directed_matrix_calls_each_entry_once_row_by_row(self):
-        calls = []
-        m = aff.directed_matrix(("x", "y"), lambda s, t: calls.append((s, t)) or float(len(calls)))
-        assert calls == [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
-        assert m.kind == aff.DIRECTED_M and m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-
 
 class TestNormalization:
     def test_row_hand_example(self):

@@ -1,5 +1,6 @@
 import csv
 import errno
+import gc
 import itertools
 import json
 import os
@@ -10,6 +11,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +262,25 @@ def test_affinity_m_matches_library(workspace, tmp_path):
     assert np.array_equal(m.values, expected.values)
 
 
+def test_affinity_loads_each_model_row_by_row_one_alive(workspace, tmp_path, monkeypatch):
+    load, loaded, alive = translator.load_model, [], []
+
+    def tracked(path):
+        gc.collect()
+        alive.append(sum(ref() is not None for _, ref in loaded))
+        model = load(path)
+        loaded.append((Path(path).name, weakref.ref(model)))
+        return model
+
+    monkeypatch.setattr(translator, "load_model", tracked)
+    assert main([
+        "affinity", "--config", str(workspace / "data" / "config.json"),
+        "--models-dir", str(workspace / "models"), "--out", str(tmp_path),
+    ]) == 0
+    assert [name for name, _ in loaded] == ["fx2fx.haet", "fx2fy.haet", "fy2fx.haet", "fy2fy.haet"]
+    assert alive == [0] * 4
+
+
 def test_affinity_duplicate_names(workspace, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(translator, "load_model", lambda path: pytest.fail(f"loaded {path}"))
     code = main([
@@ -396,6 +417,46 @@ def test_bad_config_value_names_its_key(workspace, tmp_path, capsys, change, key
     assert err.startswith("error:") and repr(key) in err
 
 
+UNOPENABLE = "holds a NUL or a character no file name can hold"
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("train", lambda c: "[" * 100_000 + "]" * 100_000,
+         "{path}: malformed config JSON: maximum recursion depth exceeded while decoding a "
+         "JSON array from a unicode string"),
+        ("train", lambda c: c["features"]["fx"].update(vec="fx\0.vec"),
+         f"config registry entry 'fx' key 'vec' {UNOPENABLE}: 'fx\\x00.vec'"),
+        ("train", lambda c: c["features"]["fy"].update(ids="\ud800.ids"),
+         f"config registry entry 'fy' key 'ids' {UNOPENABLE}: '\\ud800.ids'"),
+        ("eval", lambda c: c.update(gt="gt\0.tsv"), f"config key 'gt' {UNOPENABLE}: 'gt\\x00.tsv'"),
+        ("eval", lambda c: c.update(gt="\ud800"), f"config key 'gt' {UNOPENABLE}: '\\ud800'"),
+        ("grid", lambda c: c["features"].update({"f\0z": c["features"]["fx"]}),
+         f"feature-set name 'f\\x00z' {UNOPENABLE}"),
+    ],
+    ids=["nested-100000-deep", "vec-nul", "ids-surrogate", "gt-nul", "gt-surrogate",
+         "registry-name-nul"],
+)
+def test_config_open_cannot_take_exits_3(workspace, tmp_path, capsys, monkeypatch,
+                                         command, edit, message):
+    """Config text that json, open() or a file name cannot take is a data error that
+    names the file or the key, before anything is trained or written."""
+    config = json.loads((workspace / "data" / "config.json").read_text())
+    edited = edit(config)
+    path = tmp_path / "c.json"
+    path.write_text(edited if isinstance(edited, str) else json.dumps(config))
+    monkeypatch.setattr(translator, "train", lambda *a, **k: pytest.fail("trained a model"))
+    argv = {"train": ["--source", "fx", "--target", "fy"],
+            "eval": ["--model", str(workspace / "models" / "fx2fy.haet"), "--source", "fx",
+                     "--target", "fy"],
+            "grid": []}[command]
+    code = main([command, "--config", str(path), *argv, "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -431,15 +492,22 @@ def test_training_flag_of_wrong_type_is_a_usage_error(capsys, command, flag, val
     assert f"argument {flag}: invalid" in err and repr(value) in err
 
 
-def test_eval_gt_not_a_path(workspace, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "gt, message",
+    [(5, "config key 'gt' must be a path string"), (None, "config has no 'gt' ground-truth path")],
+    ids=["not-a-string", "missing"],
+)
+def test_eval_gt_not_a_path(workspace, tmp_path, capsys, gt, message):
     config = json.loads((workspace / "data" / "config.json").read_text())
-    config["gt"] = 5
+    config["gt"] = gt
+    if gt is None:
+        del config["gt"]
     (tmp_path / "c.json").write_text(json.dumps(config))
     code = main(["eval", "--config", str(tmp_path / "c.json"),
                  "--model", str(workspace / "models" / "fx2fy.haet"),
                  "--source", "fx", "--target", "fy", "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "'gt'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

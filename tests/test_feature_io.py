@@ -386,7 +386,7 @@ class TestPassThrough:
             np.testing.assert_array_equal(out.vectors, [fs.row(i) for i in order])
 
 
-SCALES = (0.5, 0.999, 1.5, 2.0, 3.0)  # distinct, so the row farthest from unit norm is one row
+SCALES = (0.25, 0.999, 1.5, 2.0, 3.0)  # distinct distances from 1: one row is farthest
 WHERE = {"first": lambda n: 0, "middle": lambda n: n // 2, "last": lambda n: n - 1}
 
 
@@ -435,6 +435,22 @@ class TestChecks:
             pattern = rf"row {row} \({re.escape(repr(ids[row]))}\) flagged normalized but has norm (\S+)"
             found = re.fullmatch(pattern, str(err.value))
             assert found and abs(float(found[1]) - norm) < 1e-12
+
+    def test_norm_tie_names_either_tied_row(self):
+        """Rows 1.5 and 0.5 from unit norm are tied: rounding decides which is farther,
+        and linalg.norm (row 1 here) and the library's einsum may round apart."""
+        vecs = np.random.default_rng(0).normal(size=(2, 3))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        vecs *= [[1.5], [0.5]]
+        ids = ("a", "b")
+        with pytest.raises(DataError) as err:
+            fio.FeatureSet("x", ids, vecs, normalized=True)
+        found = re.fullmatch(r"row ([01]) \((\S+)\) flagged normalized but has norm (\S+)",
+                             str(err.value))
+        assert found
+        row = int(found[1])
+        assert found[2] == repr(ids[row])
+        assert abs(float(found[3]) - np.linalg.norm(vecs[row])) < 1e-12
 
     def test_norm_message(self):
         with pytest.raises(DataError, match=r"^row 0 \('a'\) flagged normalized but has norm 2\.0$"):

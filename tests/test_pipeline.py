@@ -31,6 +31,16 @@ def test_grid_measures_m_on_ids_it_did_not_train_on(grid_fixture, grid_dir):
     assert np.array_equal(model.flat, models[("fa", "fc")].flat)
 
 
+def test_grid_keeps_one_record_per_pair_row_by_row(grid_fixture, grid_dir):
+    names = grid_fixture.names
+    assert list(grid_fixture.pairs) == list(itertools.product(names, repeat=2))
+    for (s, t), record in grid_fixture.pairs.items():
+        assert record.dam == grid_fixture.dam.entry(s, t)
+        assert (record.translated_map is None) == (s == t)
+        trainlog = grid_dir / pipeline.model_file(s, t).replace(".haet", ".trainlog.csv")
+        assert len(trainlog.read_text().splitlines()) == record.log.epochs_run + 1
+
+
 SMALL_SPEC = synth.SynthSpec(
     n_vectors=40, latent_dim=4, output_dim=8, n_clusters=4, seed=0,
     members=(("a", "orthogonal_linear"), ("b", "orthogonal_linear"), ("c", "independent")),
@@ -99,6 +109,8 @@ def _sets(*names, ids=tuple(f"i{k}" for k in range(10))):
     (_sets("a", "a2", "b", "2b"), ("a", "a2", "b", "2b"), "share the model file a22b.haet"),
     (_sets("a", "b/c"), ("a", "b/c"), "'b/c' holds a path separator"),
     (_sets("a", ""), ("a", ""), "empty feature-set name"),
+    (_sets("a", "b\0"), ("a", "b\0"), r"'b\\x00' holds a NUL or a character no file name"),
+    (_sets("a", "b\ud800"), ("a", "b\ud800"), r"'b\\ud800' holds a NUL or a character"),
     ({"a": _sets("a")["a"], "b": _sets("a")["a"]}, ("a", "b"), "'b' is named 'a'"),
 ])
 def test_bad_names_fail_before_any_training(sets, names, match, tmp_path, monkeypatch):
