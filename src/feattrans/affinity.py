@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .feature_io import PairedSet
-from .translator import NO_RECONSTRUCT, TranslatorModel, _batch_losses, _check_dim
+from .translator import NO_RECONSTRUCT, TranslatorModel, _batch_losses
 
 DIRECTED_M = "directed_M"
 ROW_NORM_R = "row_norm_R"
@@ -60,8 +60,7 @@ def dam_entry(model: TranslatorModel, paired: PairedSet) -> float:
     DataError for a model with no reconstruct path."""
     if not model.reconstruct_path:
         raise DataError(NO_RECONSTRUCT)
-    _check_dim(model.reconstruct_path, paired.target, "target")
-    _check_dim(model.translate_path, paired.source, "source")
+    model.check(paired.source, paired.target)
     trans, recon = _batch_losses(model, paired.source.vectors, paired.target.vectors, paired.order)
     return trans - recon
 

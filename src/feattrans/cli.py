@@ -76,8 +76,9 @@ def _load_sets(config: dict, names) -> list[fio.FeatureSet]:
 
 
 def _load_names(args, config: dict) -> tuple[tuple[str, ...], dict[str, fio.FeatureSet]]:
-    """The `--names` (default: every registry name, sorted) and their loaded sets."""
+    """The `--names` (default: all registry names, sorted), checked by name alone, and their sets."""
     names = tuple(args.names.split(",") if args.names else sorted(config["features"]))
+    pipeline.check_names(config["features"], names)
     return names, dict(zip(names, _load_sets(config, names)))
 
 
@@ -164,7 +165,7 @@ def cmd_eval(args) -> int:
 
 def cmd_affinity(args) -> int:
     names, sets = _load_names(args, _load_config(args.config))
-    pipeline.check_names(sets, names)
+    pipeline.check_sets(sets, names)
     models_dir = Path(args.models_dir)
 
     def entry(s: str, t: str) -> float:
@@ -181,6 +182,7 @@ def cmd_affinity(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    translator.check_latent(translator.KIND_HAE, args.latent)
     config = _load_config(args.config)
     cfg = _training(args)
     names, sets = _load_names(args, config)

@@ -30,13 +30,14 @@ def is_path_text(text: str) -> bool:
 
 
 def check_name(name: str) -> str:
-    """`name`, which output files are named after; DataError if it is empty, holds a
-    path separator (its file would land outside its directory) or is not path text."""
+    """`name`, which output files are named after and hold as UTF-8; DataError if it is empty,
+    not path text, or holds a path separator (its file would land outside its directory) or a
+    surrogate."""
     if not name:
         raise DataError("empty feature-set name")
     if {"/", os.sep, os.altsep} & set(name):
         raise DataError(f"feature-set name {name!r} holds a path separator")
-    if not is_path_text(name):
+    if not is_path_text(name) or any("\ud800" <= c <= "\udfff" for c in name):
         raise DataError(f"feature-set name {name!r} holds a NUL or a character no file name can hold")
     return name
 

@@ -42,26 +42,32 @@ def model_file(source: str, target: str) -> str:
     return f"{check_name(source)}2{check_name(target)}.haet"
 
 
-def check_names(sets: dict[str, FeatureSet], names: tuple[str, ...]) -> None:
-    """DataError unless `names` are at least two distinct names of `sets`, each set named
-    by its key and holding every id of the first, and no two ordered pairs share a model file."""
+def check_names(known: dict, names: tuple[str, ...]) -> None:
+    """DataError unless `names` are at least two distinct names in `known` (a registry or
+    a dict of sets) and no two ordered pairs share a model file; reads no set."""
     if len(names) < 2:
         raise DataError(f"a grid needs at least two feature-set names, got {list(names)}")
     if len(set(names)) != len(names):
         raise DataError(f"duplicate feature-set names in {list(names)}")
     for n in names:
-        if n not in sets:
+        if n not in known:
             raise DataError(f"unknown feature-set name {n!r}")
-        if sets[n].name != n:
-            raise DataError(f"feature set {n!r} is named {sets[n].name!r}")
-        lacking = set(sets[names[0]].ids).difference(sets[n].ids)
-        if lacking:
-            raise DataError(f"feature set {n!r} lacks {len(lacking)} ids of {names[0]!r}")
     owner: dict[str, tuple[str, str]] = {}
     for pair in itertools.product(names, names):
         other = owner.setdefault(model_file(*pair), pair)
         if other != pair:
             raise DataError(f"pairs {other} and {pair} share the model file {model_file(*pair)}")
+
+
+def check_sets(sets: dict[str, FeatureSet], names: tuple[str, ...]) -> None:
+    """check_names, then DataError unless each set is named by its key and holds the first's ids."""
+    check_names(sets, names)
+    for n in names:
+        if sets[n].name != n:
+            raise DataError(f"feature set {n!r} is named {sets[n].name!r}")
+        lacking = set(sets[names[0]].ids).difference(sets[n].ids)
+        if lacking:
+            raise DataError(f"feature set {n!r} lacks {len(lacking)} ids of {names[0]!r}")
 
 
 def split_ids(ids: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -106,7 +112,7 @@ def run_grid(
     model and train log (train_pair) into `out_dir`, made if missing. Each pair's rows are
     taken once per split, in sorted id order, as align_pairs orders them."""
     names = tuple(names)
-    check_names(sets, names)
+    check_sets(sets, names)
     translator.check_latent(translator.KIND_HAE, latent_dim)
     direct = {n: retrieval.evaluate(sets[n], sets[n], gt).map for n in names}
     train_ids, eval_ids = (sorted(part) for part in split_ids(sets[names[0]].ids))

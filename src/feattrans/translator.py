@@ -78,6 +78,12 @@ class TranslatorModel:
     def reconstruct_path(self) -> tuple[LayerStack, ...]:
         return self.stacks[1:]  # empty for the baseline
 
+    def check(self, source: FeatureSet | None = None, target: FeatureSet | None = None) -> None:
+        """DataError for each set given, target first, whose dim is not this model's on its side."""
+        for fs, side, dim in ((target, "target", self.target_dim), (source, "source", self.source_dim)):
+            if fs is not None and fs.dim != dim:
+                raise DataError(f"input dim {fs.dim} does not match model {side} dim {dim}")
+
     def on(self, flat: np.ndarray) -> "TranslatorModel":
         """A model of this one's names, kind and dims over another flat buffer."""
         return replace(self, flat=flat)
@@ -123,17 +129,20 @@ def _hidden_count(dim: int) -> int:
 
 
 def _layout(kind: str, source_dim: int, target_dim: int, latent_dim: int) -> Layout:
-    """The layout of the model build() makes.
+    """The layout of the model build() makes; DataError for any other kind or dims.
 
     Encoder widths repeat the input dim for the hidden layers then project to
     the latent dim; the decoder mirrors the target-side encoder reversed and
     ends in L2 normalization. The MLP baseline is a single stack of the same
     hidden widths mapping straight to the target dim.
     """
+    if kind not in (KIND_HAE, KIND_MLP):
+        raise DataError(f"unknown model kind {kind!r}")
+    if min(source_dim, target_dim) < 1 or (latent_dim < 1 if kind == KIND_HAE else latent_dim != 0):
+        raise DataError(f"build() makes no {kind} model of dims {source_dim} -> "
+                        f"{target_dim} and latent dim {latent_dim}")
     if kind == KIND_MLP:
         return (((source_dim,) * _hidden_count(source_dim) + (target_dim,), True),)
-    if kind != KIND_HAE:
-        raise DataError(f"unknown model kind {kind!r}")
     enc_s_dims = (source_dim,) * (1 + _hidden_count(source_dim)) + (latent_dim,)
     enc_t_dims = (target_dim,) * (1 + _hidden_count(target_dim)) + (latent_dim,)
     return ((enc_s_dims, False), (enc_t_dims, False), (tuple(reversed(enc_t_dims)), True))
@@ -158,8 +167,6 @@ def build(
 ) -> TranslatorModel:
     """Construct an untrained translator, with the stacks of _layout() over
     one flat buffer."""
-    if source_dim < 1 or target_dim < 1:
-        raise DataError("dims must be >= 1")
     dims = (source_dim, target_dim, check_latent(kind, latent_dim))
     model = TranslatorModel(source_name, target_name, kind, *dims,
                             np.empty(_size(_layout(kind, *dims))))
@@ -249,11 +256,7 @@ def train(
     """
     if len(paired) == 0:
         raise DataError("empty paired set")
-    if paired.source.dim != model.source_dim or paired.target.dim != model.target_dim:
-        raise DataError(
-            f"paired dims ({paired.source.dim}, {paired.target.dim}) do not match model "
-            f"({model.source_dim}, {model.target_dim})"
-        )
+    model.check(paired.source, paired.target)
     if not paired.target.normalized:
         raise DataError(
             f"target feature set {paired.target.name!r} must be L2-normalized before training"
@@ -310,12 +313,6 @@ def train(
     return (model if log.best_epoch == log.epochs_run - 1 else best), log
 
 
-def _check_dim(path: tuple[LayerStack, ...], fs: FeatureSet, side: str) -> None:
-    """`fs` must have the input dim of `path`, the model's `side` dim."""
-    if fs.dim != path[0].in_dim:
-        raise DataError(f"input dim {fs.dim} does not match model {side} dim {path[0].in_dim}")
-
-
 def _check_nonzero_rows(out: np.ndarray, ids: tuple[str, ...]) -> None:
     # an all-dead ReLU path leaves the L2-normalized output at exactly zero
     norms = _row_norms(out)
@@ -324,9 +321,8 @@ def _check_nonzero_rows(out: np.ndarray, ids: tuple[str, ...]) -> None:
         raise NumericError(f"model produced an all-zero output row for id {bad!r}")
 
 
-def _infer(path: tuple[LayerStack, ...], fs: FeatureSet, side: str, name: str) -> FeatureSet:
-    """Run `fs` through `path`, whose input is the model's `side` dim."""
-    _check_dim(path, fs, side)
+def _infer(path: tuple[LayerStack, ...], fs: FeatureSet, name: str) -> FeatureSet:
+    """Run `fs`, of `path`'s input dim, through `path`."""
     out = _untaped(path[:1], (fs.vectors,), path[1:]).copy()  # frees the scratch
     _check_nonzero_rows(out, fs.ids)
     return FeatureSet(name=name, ids=fs.ids, vectors=out, normalized=True)
@@ -334,7 +330,8 @@ def _infer(path: tuple[LayerStack, ...], fs: FeatureSet, side: str, name: str) -
 
 def translate(model: TranslatorModel, src: FeatureSet) -> FeatureSet:
     """Map source features into the target space; output rows are unit-norm."""
-    return _infer(model.translate_path, src, "source", f"{model.source_name}2{model.target_name}")
+    model.check(source=src)
+    return _infer(model.translate_path, src, f"{model.source_name}2{model.target_name}")
 
 
 NO_RECONSTRUCT = "reconstruct is undefined for the mlp_baseline model (no target encoder)"
@@ -344,7 +341,8 @@ def reconstruct(model: TranslatorModel, tgt: FeatureSet) -> FeatureSet:
     """Auto-encode target features through the reconstruct path."""
     if not model.reconstruct_path:
         raise DataError(NO_RECONSTRUCT)
-    return _infer(model.reconstruct_path, tgt, "target", f"{model.target_name}_reconstructed")
+    model.check(target=tgt)
+    return _infer(model.reconstruct_path, tgt, f"{model.target_name}_reconstructed")
 
 
 _MAGIC = b"HAET"
@@ -401,9 +399,6 @@ def load_model(path) -> TranslatorModel:
             source_name = _read_str(f)
             target_name = _read_str(f)
             source_dim, target_dim, latent_dim = struct.unpack("<3I", _read_exact(f, 12))
-            if min(source_dim, target_dim) < 1 or (latent_dim == 0) != (kind == KIND_MLP):
-                raise DataError(f"build() makes no {kind} model of dims {source_dim} -> "
-                                f"{target_dim} and latent dim {latent_dim}")
             size = _size(_layout(kind, source_dim, target_dim, latent_dim))
             left = os.fstat(f.fileno()).st_size - f.tell()
             if left != 8 * size:

@@ -1,6 +1,9 @@
+import contextlib
+import copy
 import csv
 import errno
 import gc
+import io
 import itertools
 import json
 import os
@@ -16,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from feattrans import affinity as aff
 from feattrans import cli, errors, feature_io as fio, pipeline, retrieval, translator
@@ -434,9 +439,12 @@ UNOPENABLE = "holds a NUL or a character no file name can hold"
         ("eval", lambda c: c.update(gt="\ud800"), f"config key 'gt' {UNOPENABLE}: '\\ud800'"),
         ("grid", lambda c: c["features"].update({"f\0z": c["features"]["fx"]}),
          f"feature-set name 'f\\x00z' {UNOPENABLE}"),
+        # os.fsencode takes this surrogate (surrogateescape), but UTF-8 text cannot hold it
+        ("grid", lambda c: c["features"].update({"f\udc80z": c["features"]["fx"]}),
+         f"feature-set name 'f\\udc80z' {UNOPENABLE}"),
     ],
     ids=["nested-100000-deep", "vec-nul", "ids-surrogate", "gt-nul", "gt-surrogate",
-         "registry-name-nul"],
+         "registry-name-nul", "registry-name-escaped-byte"],
 )
 def test_config_open_cannot_take_exits_3(workspace, tmp_path, capsys, monkeypatch,
                                          command, edit, message):
@@ -455,6 +463,70 @@ def test_config_open_cannot_take_exits_3(workspace, tmp_path, capsys, monkeypatc
     assert code == 3
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert not (tmp_path / "out").exists()
+
+
+def _configs(data: Path, models: Path):
+    """JSON values to write as a config: the fixture's config with up to three values
+    replaced, each at a key path or whole. A value may nest, and a path, a name or a key
+    may be a real file, a directory, a missing file, or hold a NUL or a lone surrogate."""
+    odd = st.sampled_from(["", "\0", "fx\0.vec", "\ud800", "f\udc80"])
+    files = [data / f for f in ("fx.vec", "fx.ids", "fy.vec", "fy.ids", "gt.tsv")]
+    paths = st.sampled_from([*map(str, files), str(data), str(data / "missing.vec"),
+                             str(models / "fx2fy.haet")]) | odd
+    names = st.sampled_from(["fx", "fy", "gt", "vec"]) | odd
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | paths,
+        lambda kids: st.lists(kids, max_size=2) | st.dictionaries(names, kids, max_size=2),
+        max_leaves=4,
+    )
+    real = json.loads((data / "config.json").read_text())
+    real_entries = st.sampled_from(list(real["features"].values()))
+    entries = real_entries | st.fixed_dictionaries({"vec": paths, "ids": paths})
+    where = (st.sampled_from([(), ("gt",), ("features",), ("features", "fx", "vec"),
+                              ("features", "fy", "ids")])
+             | st.tuples(names) | st.tuples(st.just("features"), names))
+    # half the edits register a real set under a drawn name, so some reach training
+    edits = (st.tuples(where, entries | paths | values)
+             | st.tuples(st.tuples(st.just("features"), names), real_entries))
+
+    def edited(edits):
+        root = {"": copy.deepcopy(real)}
+        for keys, value in edits:  # an edit below a value that is no object is dropped
+            node, keys = root, ("", *keys)
+            for key in keys[:-1]:
+                node = node.get(key) if isinstance(node, dict) else None
+            if isinstance(node, dict):
+                node[keys[-1]] = copy.deepcopy(value)
+        return root[""]
+
+    return st.lists(edits, max_size=3).map(edited)
+
+
+_FUZZ_TRAINING = ["--epochs", "1", "--latent", "4"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_never_raises_out_of_main(workspace, tmp_path_factory, data):
+    """Every registry command, on any config the strategy writes, exits 0, 2, 3 or 4
+    with at most one stderr line; no exception leaves main."""
+    models = workspace / "models"
+    config = data.draw(_configs(workspace / "data", models), label="config")
+    argv = data.draw(st.sampled_from([
+        ["train", "--source", "fx", "--target", "fy", *_FUZZ_TRAINING],
+        ["translate", "--model", str(models / "fx2fy.haet"), "--source", "fx"],
+        ["eval", "--model", str(models / "fx2fy.haet"), "--source", "fx", "--target", "fy"],
+        ["affinity", "--models-dir", str(models)],
+        ["grid", *_FUZZ_TRAINING],
+    ]), label="argv")
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", str(root / "c.json"), "--out", str(root / "out")])
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 @pytest.mark.parametrize(
@@ -737,14 +809,28 @@ def test_malformed_entry_of_an_unused_name_exits_3(workspace, tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
-def test_grid_latent_0_exits_2_before_scoring(workspace, tmp_path, capsys, monkeypatch):
-    calls, evaluate = [], retrieval.evaluate
-    monkeypatch.setattr(retrieval, "evaluate", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
-    code = main(["grid", "--config", str(workspace / "data" / "config.json"), "--latent", "0",
-                 "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("usage error:")
-    assert calls == []
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["grid", "--latent", "0"], 2, "usage error: latent dim must be >= 1"),
+        (["grid", "--names", "fx,fy,fx"], 3,
+         "error: duplicate feature-set names in ['fx', 'fy', 'fx']"),
+        (["grid", "--names", "fx,fy,nope"], 3, "error: unknown feature-set name 'nope'"),
+        (["affinity", "--models-dir", "{models}", "--names", "fx,fx"], 3,
+         "error: duplicate feature-set names in ['fx', 'fx']"),
+    ],
+    ids=["grid-latent-0", "grid-duplicate", "grid-unknown", "affinity-duplicate"],
+)
+def test_names_and_latent_checked_before_any_file_is_read(workspace, tmp_path, capsys,
+                                                          monkeypatch, argv, code, message):
+    reads = []
+    for name in ("load_feature_set", "load_ground_truth"):
+        monkeypatch.setattr(fio, name, lambda *a, _name=name, **k: reads.append(_name))
+    argv = [a.format(models=workspace / "models") for a in argv]
+    assert main(argv + ["--config", str(workspace / "data" / "config.json"),
+                        "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert reads == []
     assert not (tmp_path / "out").exists()
 
 

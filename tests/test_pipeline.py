@@ -112,6 +112,7 @@ def _sets(*names, ids=tuple(f"i{k}" for k in range(10))):
     (_sets("a", "b\0"), ("a", "b\0"), r"'b\\x00' holds a NUL or a character no file name"),
     (_sets("a", "b\ud800"), ("a", "b\ud800"), r"'b\\ud800' holds a NUL or a character"),
     ({"a": _sets("a")["a"], "b": _sets("a")["a"]}, ("a", "b"), "'b' is named 'a'"),
+    (_sets("a", "b\udc80"), ("a", "b\udc80"), r"'b\\udc80' holds a NUL or a character"),
 ])
 def test_bad_names_fail_before_any_training(sets, names, match, tmp_path, monkeypatch):
     monkeypatch.setattr(translator, "build", lambda *a, **k: pytest.fail("built a model"))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feattrans import feature_io as fio, nn_core as nn, translator
+from feattrans import affinity, feature_io as fio, nn_core as nn, translator
 from feattrans.errors import DataError, InvalidConfig, NumericError
 from oracles import finite_diff_grads
 
@@ -395,6 +395,32 @@ def test_all_zero_output_row_is_numeric_error(run, dim):
         run(model, fs)
 
 
+_INPUT_RUNS = {  # each entry point that takes sets for a model: (model, source, target) -> ...
+    "train": lambda m, s, t: translator.train(m, fio.PairedSet(s, t),
+                                              translator.TrainConfig(max_epochs=1)),
+    "translate": lambda m, s, t: translator.translate(m, s),
+    "reconstruct": lambda m, s, t: translator.reconstruct(m, t),
+    "dam_entry": lambda m, s, t: affinity.dam_entry(m, fio.PairedSet(s, t)),
+}
+# the wrong sets fed to a 4 -> 3 model: (source dim, target dim), then the side named and its dim
+_MISMATCHES = {"source": ((5, 3), "source", 4), "target": ((4, 5), "target", 3),
+               "both": ((5, 5), "target", 3)}  # the target is checked first
+
+
+@pytest.mark.parametrize("run, case", [
+    (run, case) for run in _INPUT_RUNS for case in _MISMATCHES
+    # translate reads only the source set, reconstruct only the target set
+    if case == {"translate": "source", "reconstruct": "target"}.get(run, case)
+])
+def test_input_dim_fault_names_its_side(run, case):
+    dims, side, dim = _MISMATCHES[case]
+    model = translator.build(4, 3, 2, "hae", seed=0)
+    source, target = (fio.l2_normalize(fio.FeatureSet(name, ("a", "b"), np.ones((2, d))))
+                      for name, d in zip("st", dims))
+    with pytest.raises(DataError, match=rf"^input dim 5 does not match model {side} dim {dim}$"):
+        _INPUT_RUNS[run](model, source, target)
+
+
 class TestSerialization:
     def test_save_load_save_identical_bytes(self, tmp_path, rotation_fixture):
         p1, p2 = tmp_path / "m1.haet", tmp_path / "m2.haet"
@@ -513,6 +539,27 @@ class TestRecord:
         raw = (tmp_path / "m.haet").read_bytes()
         assert struct.unpack_from("<3I", raw, len(raw) - 8 * model.flat.size - 12) == (6, 5, 0)
 
+    @pytest.mark.parametrize(
+        "kind, dims",
+        [("hae", (0, 4, 2)), ("hae", (3, 0, 2)), ("hae", (3, 4, 0)), ("hae", (3, 4, -1)),
+         ("mlp_baseline", (0, 4, 0)), ("mlp_baseline", (3, 4, 2))],
+        ids=["hae-source-0", "hae-target-0", "hae-latent-0", "hae-latent-negative",
+             "mlp-source-0", "mlp-latent-2"],
+    )
+    def test_record_of_dims_build_refuses_rejected(self, kind, dims):
+        message = (rf"^build\(\) makes no {kind} model of dims {dims[0]} -> {dims[1]} "
+                   rf"and latent dim {dims[2]}$")
+        with pytest.raises(DataError, match=message):
+            translator.TranslatorModel("s", "t", kind, *dims, np.zeros(0))
+
+    @pytest.mark.parametrize("args", [(0, 4, 2, "hae"), (3, 0, 2, "mlp_baseline")])
+    def test_build_refuses_dim_below_1(self, args):
+        latent = args[2] if args[3] == "hae" else 0  # the baseline records latent 0
+        message = (rf"^build\(\) makes no {args[3]} model of dims {args[0]} -> {args[1]} "
+                   rf"and latent dim {latent}$")
+        with pytest.raises(DataError, match=message):
+            translator.build(*args)
+
     @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
     def test_on_keeps_the_fields_and_views_the_buffer(self, kind):
         model = translator.build(6, 5, 4, kind, seed=1, source_name="src", target_name="tgt")
@@ -614,8 +661,10 @@ class TestModelFileHeaders:
         ids=["hae-latent-0", "hae-source-0", "mlp-target-0"],
     )
     def test_zero_dim_rejected(self, tmp_path, kind, dims):
-        # the header of a model build() refuses, then that layout's payload
-        payload = np.full(translator._size(translator._layout(kind, *dims)), 0.1)
+        # the header of a model build() refuses, then the payload of the nearest model it
+        # makes (each refused dim raised to its least valid value): the dims are refused
+        least = (max(dims[0], 1), max(dims[1], 1), max(dims[2], int(kind == "hae")))
+        payload = np.full(translator._size(translator._layout(kind, *least)), 0.1)
         (tmp_path / "m.haet").write_bytes(_haet_header(2, kind != "hae", dims)
                                           + payload.astype("<f8").tobytes())
         message = (rf"build\(\) makes no {kind} model of dims {dims[0]} -> {dims[1]} "
