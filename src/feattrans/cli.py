@@ -5,11 +5,13 @@ runs the whole experiment (pipeline.run_grid), the others one step each.
 
 Every command takes `--out`; all but `synth` and `mst` require `--config`, a JSON
 file holding data only, as `synth` writes it: the feature-set registry (`features`:
-name -> vec/ids paths), checked whole when read, and the ground truth (`gt`); any
-other key is a data error. Every training setting is a flag of `train` and `grid`,
-defaulting to the library's. Every command loads and L2-normalizes each set it names once;
-`train` and `grid` train via pipeline.train_pair, which builds the model before it makes
-`--out`. An input file that cannot be opened exits 3, with the OS message naming it.
+name -> vec/ids paths), checked whole when read, with the set names the command
+takes, and the ground truth (`gt`); any other key is a data error. A path flag
+that open() cannot take is a usage error. Every training setting is a flag of
+`train` and `grid`, defaulting to the library's. Every command loads and
+L2-normalizes each set it names once; `train` and `grid` train via
+pipeline.train_pair, which builds the model before it makes `--out`. An input
+file that cannot be opened exits 3, with the OS message naming it.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
@@ -40,7 +42,17 @@ def _check_path(value, where: str) -> None:
         raise DataError(f"{where} holds a NUL or a character no file name can hold: {value!r}")
 
 
-def _load_config(path: str) -> dict:
+def _path_flag(text: str) -> str:
+    """A path flag's value; argparse's usage error unless open() takes it (fio.is_path_text)."""
+    if not fio.is_path_text(text):
+        raise argparse.ArgumentTypeError(
+            f"holds a NUL or a character no file name can hold: {text!r}")
+    return text
+
+
+def _load_config(path: str, names=()) -> dict:
+    """The config at `path`, its registry checked whole and `names` checked against it
+    (pipeline.check_known), so a command names no unknown set before it reads another file."""
     with open(path, encoding="utf-8") as f:
         try:
             config = json.load(f)
@@ -61,15 +73,14 @@ def _load_config(path: str) -> dict:
             _check_path(entry.get(key), f"config registry entry {name!r} key {key!r}")
     if "gt" in config:
         _check_path(config["gt"], "config key 'gt'")
+    pipeline.check_known(config["features"], names)
     return config
 
 
 def _load_sets(config: dict, names) -> list[fio.FeatureSet]:
-    """The registered sets of `names`, in order; each is loaded and L2-normalized once."""
+    """The sets of `names` (_load_config checked them), in order; each read and normalized once."""
     sets = {}
     for name in dict.fromkeys(names):
-        if name not in config["features"]:
-            raise DataError(f"feature set {name!r} not found in config registry")
         entry = config["features"][name]
         sets[name] = fio.l2_normalize(fio.load_feature_set(entry["vec"], entry["ids"], name))
     return [sets[n] for n in names]
@@ -121,7 +132,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     translator.check_latent(args.kind, args.latent)
-    config = _load_config(args.config)
+    config = _load_config(args.config, (args.source, args.target))
     cfg = _training(args)
     model_path = Path(args.out) / pipeline.model_file(args.source, args.target)
     paired = fio.align_pairs(*_load_sets(config, (args.source, args.target)))
@@ -132,7 +143,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, (args.source,))
     model = translator.load_model(args.model)
     vec = Path(args.out) / pipeline.model_file(model.source_name, model.target_name)
     vec = vec.with_suffix(".vec")
@@ -145,11 +156,11 @@ def cmd_translate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
+    names = (args.source, args.target, args.queries or args.target)
+    config = _load_config(args.config, names)
     csv_path = Path(args.out) / pipeline.model_file(args.source, args.target)
     csv_path = csv_path.with_suffix(".eval.csv")
     model = translator.load_model(args.model)
-    names = (args.source, args.target, args.queries or args.target)
     source_refs, target, queries = _load_sets(config, names)
     gt = _ground_truth(config)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -207,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="feattrans")
     sub = parser.add_subparsers(dest="command", required=True)
     out = argparse.ArgumentParser(add_help=False)  # shared by every command
-    out.add_argument("--out", required=True)
+    out.add_argument("--out", required=True, type=_path_flag)
     registry = argparse.ArgumentParser(add_help=False)  # the commands that read a registry
-    registry.add_argument("--config", required=True,
+    registry.add_argument("--config", required=True, type=_path_flag,
                           help="JSON holding the 'features' registry and the 'gt' path")
     training = argparse.ArgumentParser(add_help=False)  # the flags of train and grid
     default = translator.TrainConfig()
@@ -246,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", parents=[out, registry],
                        help="apply a trained translator to a feature set")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, type=_path_flag)
     p.add_argument("--source", required=True)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("eval", parents=[out, registry],
                        help="retrieval mAP of translated vs target features")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, type=_path_flag)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--queries")
@@ -263,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="build M/R/C/U matrices from models trained elsewhere, with M measured on "
              "whichever sets are registered (grid measures M on held-out ids)",
     )
-    p.add_argument("--models-dir", required=True)
+    p.add_argument("--models-dir", required=True, type=_path_flag)
     p.add_argument("--names", help="comma list; defaults to all registry names")
     p.set_defaults(func=cmd_affinity)
 
@@ -276,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("mst", parents=[out], help="minimum spanning tree from a U matrix CSV")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True, type=_path_flag)
     p.set_defaults(func=cmd_mst)
     return parser
 

@@ -42,6 +42,13 @@ def model_file(source: str, target: str) -> str:
     return f"{check_name(source)}2{check_name(target)}.haet"
 
 
+def check_known(known: dict, names) -> None:
+    """DataError naming the first of `names` not in `known` (a registry or a dict of sets)."""
+    for n in names:
+        if n not in known:
+            raise DataError(f"unknown feature-set name {n!r}")
+
+
 def check_names(known: dict, names: tuple[str, ...]) -> None:
     """DataError unless `names` are at least two distinct names in `known` (a registry or
     a dict of sets) and no two ordered pairs share a model file; reads no set."""
@@ -49,9 +56,7 @@ def check_names(known: dict, names: tuple[str, ...]) -> None:
         raise DataError(f"a grid needs at least two feature-set names, got {list(names)}")
     if len(set(names)) != len(names):
         raise DataError(f"duplicate feature-set names in {list(names)}")
-    for n in names:
-        if n not in known:
-            raise DataError(f"unknown feature-set name {n!r}")
+    check_known(known, names)
     owner: dict[str, tuple[str, str]] = {}
     for pair in itertools.product(names, names):
         other = owner.setdefault(model_file(*pair), pair)

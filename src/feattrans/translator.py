@@ -12,6 +12,7 @@ baseline's reconstruct path is empty, so it trains on translation alone.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -176,9 +177,9 @@ def build(
     return model
 
 
-def _scratch(stacks: tuple[LayerStack, ...], rows: int) -> np.ndarray:
-    """_untaped's two arrays of `rows` rows (every head's) by the widest layer."""
-    return np.empty((2, rows, max(w for s in stacks for w in s.dims[1:])))
+def _scratch_shape(stacks: tuple[LayerStack, ...], rows: int) -> tuple[int, int, int]:
+    """The shape of _untaped's two arrays of `rows` rows (every head's) by the widest layer."""
+    return 2, rows, max(w for s in stacks for w in s.dims[1:])
 
 
 def _untaped(heads: tuple, xs: tuple, tail: tuple, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -187,7 +188,7 @@ def _untaped(heads: tuple, xs: tuple, tail: tuple, scratch: np.ndarray | None = 
     its input; a head's last layer writes its row block of the tail's input.
     Returns a view."""
     rows = sum(map(len, xs))
-    scratch = _scratch((*heads, *tail), rows) if scratch is None else scratch
+    scratch = np.empty(_scratch_shape((*heads, *tail), rows)) if scratch is None else scratch
     flat, width = scratch.reshape(2, -1), scratch.shape[2]
     def layer(k, start, n, w):  # n rows of width w in scratch[k % 2], from head row `start` on
         return flat[k % 2, start * width : start * width + n * w].reshape(n, w)
@@ -270,9 +271,14 @@ def train(
     val_idx = perm[:n_val] if n_val else train_idx  # one pair validates on itself
     vs_all, vt_all = paired.source.vectors, paired.target.vectors
     passes = [(vs_all[idx], vt_all[idx]) for idx in (train_idx, val_idx)]  # the epoch-end rows
-    scratch = _scratch(model.stacks, len(model.stacks[:2]) * max(map(len, (train_idx, val_idx))))
-
-    grads = model.on(np.empty_like(model.flat))  # written in full by every step
+    rows = len(model.stacks[:2]) * max(map(len, (train_idx, val_idx)))  # of the epoch-end pass
+    shape = _scratch_shape(model.stacks, rows)
+    # one workspace: every step writes every gradient before adam_step reads them, and the
+    # epoch-end passes run between an epoch's last update and the next epoch's first step
+    # (the best-epoch snapshot copies model.flat), so their scratch lives in the gradients
+    work = np.empty(max(model.flat.size, math.prod(shape)))
+    grads = model.on(work[: model.flat.size])
+    scratch = work[: math.prod(shape)].reshape(shape)
     state = AdamState.init([model.flat], lr=cfg.lr)
     log = TrainLog()
     best = None  # the snapshot, made only when an epoch would overwrite the best

@@ -465,6 +465,34 @@ def test_config_open_cannot_take_exits_3(workspace, tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(argv, flag) for argv, flags in [
+        (["synth"], ["--out"]),
+        (["train", "--source", "fx", "--target", "fy"], ["--out", "--config"]),
+        (["translate", "--model", "m.haet", "--source", "fx"], ["--out", "--config", "--model"]),
+        (["eval", "--model", "m.haet", "--source", "fx", "--target", "fy"],
+         ["--out", "--config", "--model"]),
+        (["affinity", "--models-dir", "m"], ["--out", "--config", "--models-dir"]),
+        (["grid"], ["--out", "--config"]),
+        (["mst", "--input", "U.csv"], ["--out", "--input"]),
+    ] for flag in flags],
+    ids=lambda v: v[0] if isinstance(v, list) else v.lstrip("-"),
+)
+def test_path_flag_open_cannot_take_is_a_usage_error(workspace, tmp_path, capsys, argv, flag):
+    """Every path flag is checked as argparse reads it, before any file is read or made."""
+    args = dict(zip(argv[1::2], argv[2::2]), **{"--out": str(tmp_path / "out")})
+    if argv[0] not in ("synth", "mst"):
+        args["--config"] = str(workspace / "data" / "config.json")
+    args[flag] = "a\0b"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *(x for kv in args.items() for x in kv)])
+    assert exc.value.code == 2
+    assert (f"argument {flag}: holds a NUL or a character no file name can hold: 'a\\x00b'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def _configs(data: Path, models: Path):
     """JSON values to write as a config: the fixture's config with up to three values
     replaced, each at a key path or whole. A value may nest, and a path, a name or a key
@@ -818,14 +846,22 @@ def test_malformed_entry_of_an_unused_name_exits_3(workspace, tmp_path, capsys, 
         (["grid", "--names", "fx,fy,nope"], 3, "error: unknown feature-set name 'nope'"),
         (["affinity", "--models-dir", "{models}", "--names", "fx,fx"], 3,
          "error: duplicate feature-set names in ['fx', 'fx']"),
+        (["translate", "--model", "{models}/fx2fy.haet", "--source", "nope"], 3,
+         "error: unknown feature-set name 'nope'"),
+        (["eval", "--model", "{models}/fx2fy.haet", "--source", "fx", "--target", "nope"], 3,
+         "error: unknown feature-set name 'nope'"),
+        (["train", "--source", "fx", "--target", "nope"], 3,
+         "error: unknown feature-set name 'nope'"),
     ],
-    ids=["grid-latent-0", "grid-duplicate", "grid-unknown", "affinity-duplicate"],
+    ids=["grid-latent-0", "grid-duplicate", "grid-unknown", "affinity-duplicate",
+         "translate-unknown", "eval-unknown", "train-unknown"],
 )
 def test_names_and_latent_checked_before_any_file_is_read(workspace, tmp_path, capsys,
                                                           monkeypatch, argv, code, message):
     reads = []
-    for name in ("load_feature_set", "load_ground_truth"):
-        monkeypatch.setattr(fio, name, lambda *a, _name=name, **k: reads.append(_name))
+    for module, name in ((fio, "load_feature_set"), (fio, "load_ground_truth"),
+                         (translator, "load_model")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: reads.append(_name))
     argv = [a.format(models=workspace / "models") for a in argv]
     assert main(argv + ["--config", str(workspace / "data" / "config.json"),
                         "--out", str(tmp_path / "out")]) == code

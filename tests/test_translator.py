@@ -116,6 +116,36 @@ class TestTrain:
         assert log.best_epoch == 0
         assert peak - base < 4 * model.flat.nbytes
 
+    # 540 training rows of 384-d: scratch 6.6 MB, below the 7.7 MB of parameters;
+    # 630 of 256-d: scratch 5.2 MB, above the 3.6 MB of parameters
+    @pytest.mark.parametrize("n, dim", [(600, 384), (700, 256)])
+    def test_epoch_end_scratch_lives_in_the_gradient_buffer(self, n, dim):
+        """One workspace of max(parameters, scratch) elements holds the gradients and,
+        between steps, the epoch-end loss pass's scratch. Its bytes on both sides of the
+        max are TestUntapedPass::test_train_bit_identical_to_fresh_arrays's (n = 1 and 2
+        below, n = 101 above)."""
+        src, tgt = random_pairs(n, dim, dim, seed=8)
+        model = translator.build(dim, dim, 64, "hae", seed=0)
+        cfg = translator.TrainConfig(lr=1e-3, batch_size=8, max_epochs=1, seed=0)
+        paired = fio.align_pairs(src, tgt)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            translator.train(model, paired, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_train = n - round(translator.VAL_FRACTION * n)
+        flat, rows = model.flat.nbytes, 2 * n_train * dim * 8  # both paths' training rows
+        scratch = 2 * rows  # _untaped's two arrays of those rows by the widest layer, dim
+        row_copies = 2 * n * dim * 8  # the epoch-end rows of both sides
+        share = nn._share(model.flat.size)
+        adam = -(-model.flat.size // share) * min(nn.ADAM_CHUNK, share) * 8  # chunk scratch
+        # m, v and the workspace; the decoder's row-norm temporary over the pass's rows,
+        # Adam's chunk scratch and 512 KiB for a batch of 8's step temporaries
+        workspace = max(flat, scratch)
+        assert peak - base < 2 * flat + workspace + row_copies + rows + adam + (1 << 19)
+
     def test_non_finite_validation_loss_raises(self):
         # source rows of 1e308 overflow on the validation rows alone, so every
         # training step stays finite and only the epoch-end pass turns NaN
