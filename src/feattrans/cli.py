@@ -11,7 +11,8 @@ that open() cannot take is a usage error. Every training setting is a flag of
 `train` and `grid`, defaulting to the library's. Every command loads and
 L2-normalizes each set it names once; `train` and `grid` train via
 pipeline.train_pair, which builds the model before it makes `--out`. An input
-file that cannot be opened exits 3, with the OS message naming it.
+file that cannot be opened exits 3, with the OS message naming it, and so does
+an allocation the machine refuses.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
@@ -303,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

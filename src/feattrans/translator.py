@@ -151,9 +151,11 @@ def _layout(kind: str, source_dim: int, target_dim: int, latent_dim: int) -> Lay
 
 def check_latent(kind: str, latent_dim: int) -> int:
     """The latent dim a `kind` model built with `latent_dim` records, 0 for the
-    baseline; InvalidConfig for an HAE one below 1."""
+    baseline; InvalidConfig for an HAE one below 1 or one .haet's u32 cannot hold."""
     if kind == KIND_HAE and latent_dim < 1:
         raise InvalidConfig("latent dim must be >= 1")
+    if kind == KIND_HAE and latent_dim >= 1 << 32:
+        raise InvalidConfig("latent dim must be < 2**32: a model file stores it in 32 bits")
     return latent_dim if kind == KIND_HAE else 0
 
 
@@ -178,28 +180,18 @@ def build(
 
 
 def _scratch_shape(stacks: tuple[LayerStack, ...], rows: int) -> tuple[int, int, int]:
-    """The shape of _untaped's two arrays of `rows` rows (every head's) by the widest layer."""
+    """The shape of _untaped's two arrays of `rows` rows by the widest layer of `stacks`."""
     return 2, rows, max(w for s in stacks for w in s.dims[1:])
 
 
-def _untaped(heads: tuple, xs: tuple, tail: tuple, scratch: np.ndarray | None = None) -> np.ndarray:
-    """_loss_and_grads's forward output without a tape. The layers go alternately
-    into the two scratch arrays, a head's in its own row block, so none overwrites
-    its input; a head's last layer writes its row block of the tail's input.
-    Returns a view."""
-    rows = sum(map(len, xs))
-    scratch = np.empty(_scratch_shape((*heads, *tail), rows)) if scratch is None else scratch
-    flat, width = scratch.reshape(2, -1), scratch.shape[2]
-    def layer(k, start, n, w):  # n rows of width w in scratch[k % 2], from head row `start` on
-        return flat[k % 2, start * width : start * width + n * w].reshape(n, w)
-    x, start, k = layer(0, 0, rows, heads[0].out_dim), 0, 1  # x in scratch[0], so k = 1 next
-    for stack, rows_in in zip(heads, xs):
-        n, depth = len(rows_in), len(stack.layers)
-        outs = [layer(depth - 1 - j, start, n, w) for j, w in enumerate(stack.dims[1:-1])]
-        forward(stack, rows_in, [*outs, x[start : start + n]])
-        start += n
-    for stack in tail:
-        x = forward(stack, x, [layer(k + j, 0, rows, w) for j, w in enumerate(stack.dims[1:])])[0]
+def _untaped(path: tuple, x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """`path`'s forward output on `x` without a tape. The layers go alternately into
+    the two scratch arrays, so none overwrites its input. Returns a view."""
+    scratch = np.empty(_scratch_shape(path, len(x))) if scratch is None else scratch
+    flat, rows, k = scratch.reshape(2, -1), len(x), 0
+    for stack in path:
+        outs = [flat[(k + j) % 2, : rows * w].reshape(rows, w) for j, w in enumerate(stack.dims[1:])]
+        x = forward(stack, x, outs)[0]
         k += len(stack.layers)
     return x
 
@@ -207,17 +199,20 @@ def _untaped(heads: tuple, xs: tuple, tail: tuple, scratch: np.ndarray | None = 
 def _batch_losses(model: TranslatorModel, vs: np.ndarray, vt: np.ndarray,
                   ids: tuple[str, ...] | None = None, scratch: np.ndarray | None = None
                   ) -> tuple[float, float]:
-    """(translation error, reconstruction error) on one batch, no gradients,
-    in `scratch` if given; the baseline's reconstruction error is 0.0. Given the
-    ids, an all-zero output row raises NumericError, reconstruction rows first."""
-    heads, n = model.stacks[:2], len(vt)
-    out = _untaped(heads, (vs, vt)[: len(heads)], model.stacks[2:], scratch)
-    blocks = [out[i * n : (i + 1) * n] for i in range(len(heads))]
-    if ids is not None:
-        for rows in reversed(blocks):
-            _check_nonzero_rows(rows, ids)
-    losses = [_mean_distance(np.subtract(rows, vt, out=rows))[0] for rows in blocks]
-    return losses[0], losses[1] if len(losses) > 1 else 0.0
+    """(translation error, reconstruction error) on one batch, no gradients, each
+    path run as reconstruct() and translate() run it, in turn in one scratch (`scratch`
+    if given); the baseline's reconstruction error is 0.0. Given the ids, an all-zero
+    output row raises NumericError, reconstruction rows first."""
+    scratch = np.empty(_scratch_shape(model.stacks, len(vt))) if scratch is None else scratch
+
+    def loss(path, x):
+        out = _untaped(path, x, scratch)
+        if ids is not None:
+            _check_nonzero_rows(out, ids)
+        return _mean_distance(np.subtract(out, vt, out=out))[0]
+
+    recon = loss(model.reconstruct_path, vt) if model.reconstruct_path else 0.0
+    return loss(model.translate_path, vs), recon
 
 
 def _loss_and_grads(
@@ -271,8 +266,7 @@ def train(
     val_idx = perm[:n_val] if n_val else train_idx  # one pair validates on itself
     vs_all, vt_all = paired.source.vectors, paired.target.vectors
     passes = [(vs_all[idx], vt_all[idx]) for idx in (train_idx, val_idx)]  # the epoch-end rows
-    rows = len(model.stacks[:2]) * max(map(len, (train_idx, val_idx)))  # of the epoch-end pass
-    shape = _scratch_shape(model.stacks, rows)
+    shape = _scratch_shape(model.stacks, max(map(len, (train_idx, val_idx))))
     # one workspace: every step writes every gradient before adam_step reads them, and the
     # epoch-end passes run between an epoch's last update and the next epoch's first step
     # (the best-epoch snapshot copies model.flat), so their scratch lives in the gradients
@@ -329,7 +323,7 @@ def _check_nonzero_rows(out: np.ndarray, ids: tuple[str, ...]) -> None:
 
 def _infer(path: tuple[LayerStack, ...], fs: FeatureSet, name: str) -> FeatureSet:
     """Run `fs`, of `path`'s input dim, through `path`."""
-    out = _untaped(path[:1], (fs.vectors,), path[1:]).copy()  # frees the scratch
+    out = _untaped(path, fs.vectors).copy()  # frees the scratch
     _check_nonzero_rows(out, fs.ids)
     return FeatureSet(name=name, ids=fs.ids, vectors=out, normalized=True)
 

@@ -52,6 +52,18 @@ class TestDamEntry:
         )
         assert abs(aff.dam_entry(model, paired) - manual) < 1e-9
 
+    @pytest.mark.parametrize("rows", [1, 2, 9])
+    def test_equals_translate_minus_reconstruct_bit_for_bit(self, rows):
+        # at 1 row, one decoder call over both paths' stacked rows would round differently
+        model = translator.build(12, 10, 14, "hae", seed=2)
+        ids = tuple(f"v{i}" for i in range(rows))
+        rng = np.random.default_rng(0)
+        src = fio.FeatureSet("s", ids, rng.normal(size=(rows, 12)))
+        tgt = fio.l2_normalize(fio.FeatureSet("t", ids, rng.normal(size=(rows, 10))))
+        trans = nn_core.euclid_loss(translator.translate(model, src).vectors, tgt.vectors)[0]
+        recon = nn_core.euclid_loss(translator.reconstruct(model, tgt).vectors, tgt.vectors)[0]
+        assert aff.dam_entry(model, fio.PairedSet(source=src, target=tgt)) == trans - recon
+
     @pytest.mark.parametrize("source_dim, target_dim", [(4, 3), (3, 4), (3, 1)])
     def test_wrong_dim_rejected(self, source_dim, target_dim):
         model = translator.build(3, 3, 2, "hae", seed=2)

@@ -837,6 +837,9 @@ def test_malformed_entry_of_an_unused_name_exits_3(workspace, tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+LATENT_U32 = "usage error: latent dim must be < 2**32: a model file stores it in 32 bits"
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [
@@ -852,9 +855,12 @@ def test_malformed_entry_of_an_unused_name_exits_3(workspace, tmp_path, capsys, 
          "error: unknown feature-set name 'nope'"),
         (["train", "--source", "fx", "--target", "nope"], 3,
          "error: unknown feature-set name 'nope'"),
+        (["grid", "--latent", str(2**32)], 2, LATENT_U32),
+        (["train", "--source", "fx", "--target", "fy", "--latent", str(2**32)], 2, LATENT_U32),
     ],
     ids=["grid-latent-0", "grid-duplicate", "grid-unknown", "affinity-duplicate",
-         "translate-unknown", "eval-unknown", "train-unknown"],
+         "translate-unknown", "eval-unknown", "train-unknown", "grid-latent-2**32",
+         "train-latent-2**32"],
 )
 def test_names_and_latent_checked_before_any_file_is_read(workspace, tmp_path, capsys,
                                                           monkeypatch, argv, code, message):
@@ -1068,6 +1074,17 @@ def test_one_error_type_per_exit_code(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "cmd_mst", fail)
         assert main(["mst", "--input", str(tmp_path / "U.csv"), "--out", str(tmp_path)]) == code
         assert capsys.readouterr().err == f"{prefix} {error.__name__} raised\n"
+
+
+def test_refused_allocation_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(args):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array with shape "
+                          "(1000000000000000, 1) and data type float64")
+
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    assert main(["synth", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == ("error: Unable to allocate 7.11 PiB for an array with "
+                                       "shape (1000000000000000, 1) and data type float64\n")
 
 
 def test_train_idempotent_bytes(workspace, tmp_path):
