@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .feature_io import PairedSet
+from .nn_core import _mean
 from .translator import NO_RECONSTRUCT, TranslatorModel, _batch_losses
 
 DIRECTED_M = "directed_M"
@@ -62,7 +63,7 @@ def dam_entry(model: TranslatorModel, paired: PairedSet) -> float:
         raise DataError(NO_RECONSTRUCT)
     model.check(paired.source, paired.target)
     trans, recon = _batch_losses(model, paired.source.vectors, paired.target.vectors, paired.order)
-    return trans - recon
+    return _mean(trans) - _mean(recon)
 
 
 def build_dam(

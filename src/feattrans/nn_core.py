@@ -162,7 +162,8 @@ def forward(stack: LayerStack, batch: np.ndarray, out=None) -> tuple[np.ndarray,
             np.maximum(x, 0.0, out=x)
     norms = None
     if stack.final_l2_normalize:
-        norms = np.maximum(_row_norms(x)[:, None], _EPS)
+        norms = _row_norms(x)[:, None]
+        np.maximum(norms, _EPS, out=norms)
         x /= norms
     return x, Tape(inputs=inputs, out=None if norms is None else x, norms=norms)
 
@@ -197,17 +198,24 @@ def backward(
     return out, g
 
 
+_TILE_BYTES = 1 << 18  # the squares of one tile of rows in _row_norms
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=1) of a real array by its own operations, without
-    its wrapper and conj() copy."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+    """np.linalg.norm(x, axis=1) of a real 2-d array by its own operations, without
+    its wrapper and conj() copy, squaring a _TILE_BYTES tile of rows at a time: each
+    row's sum does not depend on how many rows share the call."""
+    out = np.empty(len(x))
+    step = max(1, _TILE_BYTES // (8 * x.shape[1]))
+    for lo in range(0, len(x), step):
+        rows = x[lo : lo + step]
+        np.add.reduce(rows * rows, axis=1, out=out[lo : lo + step])
+    return np.sqrt(out, out=out)
 
 
-def _mean_distance(diff: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean over rows of the Euclidean norm of `diff` (pred - tgt), and the
-    row norms: euclid_loss's value without its gradient."""
-    dists = _row_norms(diff)
-    return float(np.add.reduce(dists) / dists.size), dists
+def _mean(dists: np.ndarray) -> float:
+    """The mean of per-row distances, as every loss is taken from them."""
+    return float(np.add.reduce(dists) / dists.size)
 
 
 def euclid_loss(pred: np.ndarray, tgt: np.ndarray) -> tuple[float, np.ndarray]:
@@ -217,7 +225,8 @@ def euclid_loss(pred: np.ndarray, tgt: np.ndarray) -> tuple[float, np.ndarray]:
     denominator.
     """
     grad = pred - tgt
-    loss, dists = _mean_distance(grad)
+    dists = _row_norms(grad)
+    loss = _mean(dists)
     grad /= (dists + _EPS)[:, None]
     grad /= pred.shape[0]
     return loss, grad

@@ -44,6 +44,13 @@ class SynthSpec:
             raise InvalidConfig("n_vectors, latent_dim, output_dim must be >= 1")
         if self.output_dim < self.latent_dim:
             raise InvalidConfig("output_dim must be >= latent_dim for orthogonal maps")
+        # generate()'s largest float64 arrays are (n, output), (n, 2 latent) and (output,
+        # 2 latent); numpy refuses, with a ValueError, any array of more bytes than np.intp holds
+        sizes = (self.n_vectors * max(self.output_dim, 2 * self.latent_dim),
+                 self.output_dim * 2 * self.latent_dim)
+        if 8 * max(sizes) > np.iinfo(np.intp).max:
+            raise InvalidConfig("n_vectors, latent_dim and output_dim ask for an array "
+                                "larger than numpy can index")
         if self.n_clusters < 1 or self.n_vectors % self.n_clusters != 0:
             raise InvalidConfig("n_clusters must divide n_vectors")
         if not 0 <= self.noise_sigma < np.inf:

@@ -24,7 +24,7 @@ from .feature_io import FeatureSet, PairedSet
 from .nn_core import (
     AdamState,
     LayerStack,
-    _mean_distance,
+    _mean,
     _row_norms,
     adam_step,
     backward,
@@ -198,21 +198,21 @@ def _untaped(path: tuple, x: np.ndarray, scratch: np.ndarray | None = None) -> n
 
 def _batch_losses(model: TranslatorModel, vs: np.ndarray, vt: np.ndarray,
                   ids: tuple[str, ...] | None = None, scratch: np.ndarray | None = None
-                  ) -> tuple[float, float]:
-    """(translation error, reconstruction error) on one batch, no gradients, each
-    path run as reconstruct() and translate() run it, in turn in one scratch (`scratch`
-    if given); the baseline's reconstruction error is 0.0. Given the ids, an all-zero
-    output row raises NumericError, reconstruction rows first."""
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's (translation, reconstruction) distance to its target, no gradients,
+    each path run as reconstruct() and translate() run it, in turn in one scratch
+    (`scratch` if given); the baseline's reconstruction distances are zeros. Given
+    the ids, an all-zero output row raises NumericError, reconstruction rows first."""
     scratch = np.empty(_scratch_shape(model.stacks, len(vt))) if scratch is None else scratch
 
-    def loss(path, x):
+    def dists(path, x):
         out = _untaped(path, x, scratch)
         if ids is not None:
             _check_nonzero_rows(out, ids)
-        return _mean_distance(np.subtract(out, vt, out=out))[0]
+        return _row_norms(np.subtract(out, vt, out=out))
 
-    recon = loss(model.reconstruct_path, vt) if model.reconstruct_path else 0.0
-    return loss(model.translate_path, vs), recon
+    recon = dists(model.reconstruct_path, vt) if model.reconstruct_path else np.zeros(len(vt))
+    return dists(model.translate_path, vs), recon
 
 
 def _loss_and_grads(
@@ -265,11 +265,10 @@ def train(
     train_idx = perm[n_val:]
     val_idx = perm[:n_val] if n_val else train_idx  # one pair validates on itself
     vs_all, vt_all = paired.source.vectors, paired.target.vectors
-    passes = [(vs_all[idx], vt_all[idx]) for idx in (train_idx, val_idx)]  # the epoch-end rows
-    shape = _scratch_shape(model.stacks, max(map(len, (train_idx, val_idx))))
+    shape = _scratch_shape(model.stacks, n)  # the epoch-end pass runs every row as stored
     # one workspace: every step writes every gradient before adam_step reads them, and the
-    # epoch-end passes run between an epoch's last update and the next epoch's first step
-    # (the best-epoch snapshot copies model.flat), so their scratch lives in the gradients
+    # epoch-end pass runs between an epoch's last update and the next epoch's first step
+    # (the best-epoch snapshot copies model.flat), so its scratch lives in the gradients
     work = np.empty(max(model.flat.size, math.prod(shape)))
     grads = model.on(work[: model.flat.size])
     scratch = work[: math.prod(shape)].reshape(shape)
@@ -294,7 +293,9 @@ def train(
                 if not np.isfinite(total):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
 
-            (tr_t, tr_r), (va_t, va_r) = (_batch_losses(model, *p, scratch=scratch) for p in passes)
+            trans, recon = _batch_losses(model, vs_all, vt_all, scratch=scratch)
+            tr_t, tr_r, va_t, va_r = (_mean(d[idx]) for idx in (train_idx, val_idx)
+                                      for d in (trans, recon))
             log.train_translation.append(tr_t)
             log.train_reconstruction.append(tr_r)
             log.train_total.append(tr_t + tr_r)

@@ -1087,6 +1087,18 @@ def test_refused_allocation_exits_3(tmp_path, capsys, monkeypatch):
                                        "shape (1000000000000000, 1) and data type float64\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", str(10**20), "--clusters", "1"],
+    ["--n", str(2**60), "--clusters", "1", "--dim", "8", "--latent-dim", "4"],
+    ["--n", "1", "--clusters", "1", "--dim", str(2**59), "--latent-dim", "4"],
+], ids=["n-past-intp", "n-by-dim", "dim-by-latent"])
+def test_synth_size_numpy_cannot_index_is_a_usage_error(tmp_path, capsys, argv):
+    assert main(["synth", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("usage error: n_vectors, latent_dim and output_dim ask "
+                                       "for an array larger than numpy can index\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_idempotent_bytes(workspace, tmp_path):
     cfg = str(workspace / "data" / "config.json")
     for out in ("one", "two"):

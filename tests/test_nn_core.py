@@ -141,6 +141,17 @@ class TestRowNorms:
         with np.errstate(all="ignore"):
             assert same_bits(nn._row_norms(rows), np.linalg.norm(rows, axis=1))
 
+    @pytest.mark.parametrize("tile_bytes", [1, 1 << 10, 3 << 10, 16 << 10, 32 << 10, None])
+    def test_tiles_keep_the_bits_of_squaring_the_whole_input(self, monkeypatch, tile_bytes):
+        """A row's sum of squares does not depend on how many rows share its tile."""
+        if tile_bytes is not None:  # None: nn._TILE_BYTES as it is
+            monkeypatch.setattr(nn, "_TILE_BYTES", tile_bytes)
+        rng = np.random.default_rng(24)
+        for shape in [(1, 32), (3, 7), (17, 2048), (250, 1), (130, 300), (1000, 510)]:
+            x = rng.normal(size=shape)
+            for rows in (x, x[::3], x[:, ::2]):  # strided views too
+                assert same_bits(nn._row_norms(rows), np.sqrt(np.add.reduce(rows * rows, axis=1)))
+
 
 class TestEuclidLoss:
     def test_coincident_points(self):

@@ -35,6 +35,25 @@ class TestSpecValidation:
         with pytest.raises(InvalidConfig, match=next(iter(setting))):
             spec(**setting)
 
+    @pytest.mark.parametrize("sizes, ok", [
+        # (n_vectors, latent_dim, output_dim): (n, 2 latent), (n, output) and
+        # (output, 2 latent) float64s, each at most np.intp's largest value in bytes
+        ((2**59 - 1, 1, 1), True), ((2**59, 1, 1), False),
+        ((2**59 - 1, 1, 2), True), ((2**59, 1, 2), False),
+        ((1, 4, 2**57 - 1), True), ((1, 4, 2**57), False),
+    ], ids=["n-2-latent-last", "n-2-latent-past", "n-output-last", "n-output-past",
+            "output-2-latent-last", "output-2-latent-past"])
+    def test_sizes_numpy_cannot_index_rejected(self, sizes, ok):
+        """Sizes one of whose arrays numpy would refuse with a ValueError are
+        InvalidConfig, at numpy's own byte limit; the spec allocates nothing."""
+        n, latent, output = sizes
+        kw = dict(n_vectors=n, latent_dim=latent, output_dim=output, n_clusters=1)
+        if ok:
+            spec(**kw)
+        else:
+            with pytest.raises(InvalidConfig, match="larger than numpy can index"):
+                spec(**kw)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             spec(members=(("a", "bogus"),))

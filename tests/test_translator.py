@@ -116,13 +116,13 @@ class TestTrain:
         assert log.best_epoch == 0
         assert peak - base < 4 * model.flat.nbytes
 
-    # 540 training rows of 384-d: scratch 3.3 MB, below the 7.7 MB of parameters;
-    # 900 of 256-d: scratch 3.7 MB, above the 3.6 MB of parameters
+    # 600 rows of 384-d: scratch 3.7 MB, below the 7.7 MB of parameters;
+    # 1,000 of 256-d: scratch 4.1 MB, above the 3.6 MB of parameters
     @pytest.mark.parametrize("n, dim", [(600, 384), (1000, 256)])
     def test_epoch_end_scratch_lives_in_the_gradient_buffer(self, n, dim):
         """One workspace of max(parameters, scratch) elements holds the gradients and,
-        between steps, the epoch-end loss pass's scratch, one path's rows at a time.
-        Its bytes on both sides of the max are TestUntapedPass::
+        between steps, the epoch-end loss pass's scratch, every stored row one path at
+        a time; no row is copied. Its bytes on both sides of the max are TestUntapedPass::
         test_train_bit_identical_to_fresh_arrays's (n = 1 and 2 below, n = 101 above)."""
         src, tgt = random_pairs(n, dim, dim, seed=8)
         model = translator.build(dim, dim, 64, "hae", seed=0)
@@ -135,16 +135,48 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_train = n - round(translator.VAL_FRACTION * n)
-        flat, rows = model.flat.nbytes, n_train * dim * 8  # one path's training rows
-        scratch = 2 * rows  # _untaped's two arrays of those rows by the widest layer, dim
-        row_copies = 2 * n * dim * 8  # the epoch-end rows of both sides
+        flat = model.flat.nbytes
+        scratch = 2 * n * dim * 8  # _untaped's two arrays of every row by the widest layer, dim
         share = nn._share(model.flat.size)
         adam = -(-model.flat.size // share) * min(nn.ADAM_CHUNK, share) * 8  # chunk scratch
-        # m, v and the workspace; the decoder's row-norm temporary over one path's rows,
-        # Adam's chunk scratch and 512 KiB for a batch of 8's step temporaries
+        # m, v and the workspace; one tile of row-norm squares, Adam's chunk scratch and
+        # 512 KiB for a batch of 8's step temporaries and the per-row distances
         workspace = max(flat, scratch)
-        assert peak - base < 2 * flat + workspace + row_copies + rows + adam + (1 << 19)
+        assert peak - base < 2 * flat + workspace + nn._TILE_BYTES + adam + (1 << 19)
+
+    @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
+    def test_logged_losses_are_split_means_of_one_pass(self, kind):
+        """Each epoch's logged losses are the means, over train()'s split of the stored
+        rows, of one _batch_losses over every row as stored."""
+        n = 101
+        src, tgt = random_pairs(n, 12, 10, seed=n)
+        cfg = translator.TrainConfig(lr=1e-3, batch_size=8, max_epochs=1, seed=1)
+        paired = fio.align_pairs(src, tgt)
+        best, log = translator.train(translator.build(12, 10, 14, kind, seed=3), paired, cfg)
+        perm = np.random.default_rng(cfg.seed).permutation(n)  # train()'s first draw
+        n_val = round(translator.VAL_FRACTION * n)
+        trans, recon = translator._batch_losses(best, src.vectors, tgt.vectors)
+        for idx, logged in ((perm[n_val:], (log.train_translation, log.train_reconstruction)),
+                            (perm[:n_val], (log.val_translation, log.val_reconstruction))):
+            assert [column[0] for column in logged] == [nn._mean(trans[idx]), nn._mean(recon[idx])]
+        assert log.train_total[0] == log.train_translation[0] + log.train_reconstruction[0]
+        assert log.val_total[0] == log.val_translation[0] + log.val_reconstruction[0]
+
+    def test_batch_losses_memory_is_the_distances_and_one_tile(self):
+        """At 2048-d, past the scratch, a _batch_losses holds the two per-row distance
+        vectors and squares one _row_norms tile at a time, not a whole path's rows."""
+        rows = 300
+        src, tgt = random_pairs(rows, 8, 2048, seed=12)
+        model = translator.build(8, 2048, 4, "hae", seed=0)
+        scratch = np.empty(translator._scratch_shape(model.stacks, rows))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            translator._batch_losses(model, src.vectors, tgt.vectors, src.ids, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2 * rows * 8 + nn._TILE_BYTES + (1 << 12)
 
     def test_non_finite_validation_loss_raises(self):
         # source rows of 1e308 overflow on the validation rows alone, so every
@@ -243,9 +275,9 @@ class TestLossAndGrads:
 
     @pytest.mark.parametrize("kind", ["hae", "mlp_baseline"])
     def test_batch_losses_match_public_paths(self, kind):
-        """The epoch-end losses equal, bit for bit, the losses of translate() and
-        reconstruct() on the same rows, at every row count: at 1 row, one decoder
-        call over both paths' stacked rows would round differently."""
+        """The epoch-end per-row distances equal, bit for bit, those of translate() and
+        reconstruct() on the same rows, at every row count: at 1 row, one decoder call
+        over both paths' stacked rows would round differently."""
         model = translator.build(6, 5, 3, kind, seed=2)
         for rows in (1, 2, 9):
             rng = np.random.default_rng(11)
@@ -256,13 +288,15 @@ class TestLossAndGrads:
             src = fio.FeatureSet(name="s", ids=ids, vectors=vs)
             tgt = fio.FeatureSet(name="t", ids=ids, vectors=vt)
 
+            def dists(out):
+                return np.linalg.norm(out.vectors - vt, axis=1).tobytes()
+
             trans, recon = translator._batch_losses(model, vs, vt)
-            assert trans == nn.euclid_loss(translator.translate(model, src).vectors, vt)[0], rows
+            assert trans.tobytes() == dists(translator.translate(model, src)), rows
             if kind == "hae":
-                expected = nn.euclid_loss(translator.reconstruct(model, tgt).vectors, vt)[0]
-                assert recon == expected, rows
+                assert recon.tobytes() == dists(translator.reconstruct(model, tgt)), rows
             else:
-                assert recon == 0.0 and type(recon) is float
+                assert recon.tobytes() == np.zeros(rows).tobytes()
 
 
 def fresh_untaped(path, x, scratch=None):
@@ -307,11 +341,12 @@ class TestUntapedPass:
         paths = [translator.translate] + ([translator.reconstruct] if kind == "hae" else [])
         inputs = [src, tgt]
         got = [path(model, fs).vectors for path, fs in zip(paths, inputs)]
-        losses = translator._batch_losses(model, src.vectors, tgt.vectors, src.ids)
+        dists = translator._batch_losses(model, src.vectors, tgt.vectors, src.ids)
         monkeypatch.setattr(translator, "_untaped", fresh_untaped)
         want = [path(model, fs).vectors for path, fs in zip(paths, inputs)]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-        assert translator._batch_losses(model, src.vectors, tgt.vectors, src.ids) == losses
+        fresh = translator._batch_losses(model, src.vectors, tgt.vectors, src.ids)
+        assert [d.tobytes() for d in fresh] == [d.tobytes() for d in dists]
         assert all(v.flags.owndata for v in got)  # translate's rows are not a scratch view
 
     def test_no_layer_writes_over_its_input(self, monkeypatch):
