@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DataError
 from .feature_io import PairedSet
-from .nn_core import _mean
-from .translator import NO_RECONSTRUCT, TranslatorModel, _batch_losses
+from .nn_core import _mean, _row_norms
+from .translator import TranslatorModel, reconstruct, translate
 
 DIRECTED_M = "directed_M"
 ROW_NORM_R = "row_norm_R"
@@ -57,13 +57,12 @@ class AffinityMatrix:
 
 
 def dam_entry(model: TranslatorModel, paired: PairedSet) -> float:
-    """Translation error minus reconstruction error on the given split;
-    DataError for a model with no reconstruct path."""
-    if not model.reconstruct_path:
-        raise DataError(NO_RECONSTRUCT)
-    model.check(paired.source, paired.target)
-    trans, recon = _batch_losses(model, paired.source.vectors, paired.target.vectors, paired.order)
-    return _mean(trans) - _mean(recon)
+    """Translation error minus reconstruction error on the given split: the mean
+    distance to the targets of translate()'s rows minus that of reconstruct()'s,
+    whose errors (the baseline's, the target dim, an all-zero row) come first."""
+    vt = paired.target.vectors
+    recon = _mean(_row_norms(reconstruct(model, paired.target).vectors - vt))
+    return _mean(_row_norms(translate(model, paired.source).vectors - vt)) - recon
 
 
 def build_dam(

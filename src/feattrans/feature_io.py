@@ -111,10 +111,6 @@ class PairedSet:
         if self.source.ids != self.target.ids:
             raise DataError("paired sets must share the exact id sequence")
 
-    @property
-    def order(self) -> tuple[str, ...]:
-        return self.source.ids
-
     def __len__(self) -> int:
         return len(self.source)
 

@@ -43,16 +43,8 @@ class LayerStack:
     final_l2_normalize: bool = False
 
     @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
-    @property
     def dims(self) -> tuple[int, ...]:
-        return (self.in_dim, *(l.out_dim for l in self.layers))
+        return (self.layers[0].in_dim, *(l.out_dim for l in self.layers))
 
     def parameters(self) -> list[np.ndarray]:
         out = []

@@ -197,18 +197,12 @@ def _untaped(path: tuple, x: np.ndarray, scratch: np.ndarray | None = None) -> n
 
 
 def _batch_losses(model: TranslatorModel, vs: np.ndarray, vt: np.ndarray,
-                  ids: tuple[str, ...] | None = None, scratch: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's (translation, reconstruction) distance to its target, no gradients,
-    each path run as reconstruct() and translate() run it, in turn in one scratch
-    (`scratch` if given); the baseline's reconstruction distances are zeros. Given
-    the ids, an all-zero output row raises NumericError, reconstruction rows first."""
-    scratch = np.empty(_scratch_shape(model.stacks, len(vt))) if scratch is None else scratch
-
+                  scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """train()'s epoch-end pass: each row's (translation, reconstruction) distance to
+    its target, no gradients, each path run as reconstruct() and translate() run it,
+    in turn in `scratch`; the baseline's reconstruction distances are zeros."""
     def dists(path, x):
         out = _untaped(path, x, scratch)
-        if ids is not None:
-            _check_nonzero_rows(out, ids)
         return _row_norms(np.subtract(out, vt, out=out))
 
     recon = dists(model.reconstruct_path, vt) if model.reconstruct_path else np.zeros(len(vt))
@@ -314,18 +308,14 @@ def train(
     return (model if log.best_epoch == log.epochs_run - 1 else best), log
 
 
-def _check_nonzero_rows(out: np.ndarray, ids: tuple[str, ...]) -> None:
-    # an all-dead ReLU path leaves the L2-normalized output at exactly zero
-    norms = _row_norms(out)
-    if np.any(norms == 0.0):
-        bad = ids[int(np.argmin(norms))]
-        raise NumericError(f"model produced an all-zero output row for id {bad!r}")
-
-
 def _infer(path: tuple[LayerStack, ...], fs: FeatureSet, name: str) -> FeatureSet:
     """Run `fs`, of `path`'s input dim, through `path`."""
     out = _untaped(path, fs.vectors).copy()  # frees the scratch
-    _check_nonzero_rows(out, fs.ids)
+    # an all-dead ReLU path leaves the L2-normalized output at exactly zero
+    norms = _row_norms(out)
+    if np.any(norms == 0.0):
+        bad = fs.ids[int(np.argmin(norms))]
+        raise NumericError(f"model produced an all-zero output row for id {bad!r}")
     return FeatureSet(name=name, ids=fs.ids, vectors=out, normalized=True)
 
 
@@ -335,13 +325,10 @@ def translate(model: TranslatorModel, src: FeatureSet) -> FeatureSet:
     return _infer(model.translate_path, src, f"{model.source_name}2{model.target_name}")
 
 
-NO_RECONSTRUCT = "reconstruct is undefined for the mlp_baseline model (no target encoder)"
-
-
 def reconstruct(model: TranslatorModel, tgt: FeatureSet) -> FeatureSet:
     """Auto-encode target features through the reconstruct path."""
     if not model.reconstruct_path:
-        raise DataError(NO_RECONSTRUCT)
+        raise DataError("reconstruct is undefined for the mlp_baseline model (no target encoder)")
     model.check(target=tgt)
     return _infer(model.reconstruct_path, tgt, f"{model.target_name}_reconstructed")
 

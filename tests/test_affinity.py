@@ -64,6 +64,22 @@ class TestDamEntry:
         recon = nn_core.euclid_loss(translator.reconstruct(model, tgt).vectors, tgt.vectors)[0]
         assert aff.dam_entry(model, fio.PairedSet(source=src, target=tgt)) == trans - recon
 
+    def test_runs_reconstruct_then_translate_once_each(self, monkeypatch):
+        model = translator.build(12, 10, 14, "hae", seed=2)
+        ids = ("a", "b", "c")
+        rng = np.random.default_rng(1)
+        src = fio.FeatureSet("s", ids, rng.normal(size=(3, 12)))
+        tgt = fio.l2_normalize(fio.FeatureSet("t", ids, rng.normal(size=(3, 10))))
+        calls = []
+        for name in ("reconstruct", "translate"):
+            def spy(m, fs, real=getattr(aff, name), name=name):
+                calls.append((name, fs.name))
+                return real(m, fs)
+
+            monkeypatch.setattr(aff, name, spy)
+        aff.dam_entry(model, fio.PairedSet(source=src, target=tgt))
+        assert calls == [("reconstruct", "t"), ("translate", "s")]
+
     @pytest.mark.parametrize("source_dim, target_dim", [(4, 3), (3, 4), (3, 1)])
     def test_wrong_dim_rejected(self, source_dim, target_dim):
         model = translator.build(3, 3, 2, "hae", seed=2)
@@ -128,6 +144,14 @@ class TestBuildDam:
 
 
 class TestNormalization:
+    @pytest.mark.parametrize("normalize", [aff.normalize_rows, aff.normalize_cols],
+                             ids=["rows", "cols"])
+    @pytest.mark.parametrize("kind", [aff.ROW_NORM_R, aff.COL_NORM_C, aff.UNDIRECTED_U])
+    def test_only_a_directed_matrix_normalizes(self, normalize, kind):
+        m = aff.AffinityMatrix(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], kind)
+        with pytest.raises(DataError, match=f"^expected a directed matrix, got kind '{kind}'$"):
+            normalize(m)
+
     def test_row_hand_example(self):
         m = directed([[2.0, 5.0, 8.0], [0.0, 1.0, 2.0], [1.0, 0.0, 3.0]])
         r = aff.normalize_rows(m)

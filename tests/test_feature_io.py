@@ -75,6 +75,7 @@ class TestLoad:
     @pytest.mark.parametrize("ids, row, message", [
         (("a", "a"), [1.0, 2.0], "^duplicate id 'a'$"),
         (("a", "b"), [np.nan, 0.0], "^record 2: non-finite value$"),
+        (("a",), [1.0, 2.0], "^1 ids but 2 vector rows$"),
     ])
     def test_set_built_in_memory_names_no_file(self, ids, row, message):
         with pytest.raises(DataError, match=message):
@@ -161,7 +162,7 @@ class TestAlign:
         src = fio.FeatureSet("s", ("a", "b", "c"), np.eye(3))
         tgt = fio.FeatureSet("t", ("b", "c", "d"), np.eye(3))
         paired = fio.align_pairs(src, tgt)
-        assert paired.order == ("b", "c")
+        assert paired.source.ids == ("b", "c")
 
     def test_row_order_irrelevant(self):
         rng = np.random.default_rng(1)
@@ -180,6 +181,14 @@ class TestAlign:
         with pytest.raises(DataError, match="^source and target feature sets share no ids$"):
             fio.align_pairs(src, tgt)
 
+    @pytest.mark.parametrize("tgt_ids", [("b", "a"), ("a", "c"), ("a",)],
+                             ids=["reordered", "other-id", "fewer"])
+    def test_paired_sides_must_hold_the_same_id_sequence(self, tgt_ids):
+        src = fio.FeatureSet("s", ("a", "b"), np.ones((2, 2)))
+        tgt = fio.FeatureSet("t", tgt_ids, np.ones((len(tgt_ids), 3)))
+        with pytest.raises(DataError, match="^paired sets must share the exact id sequence$"):
+            fio.PairedSet(source=src, target=tgt)
+
     @given(st.permutations(list("abcdef")))
     @settings(max_examples=30, deadline=None)
     def test_deterministic_output_order(self, shuffled):
@@ -193,7 +202,7 @@ class TestAlign:
         other = fio.FeatureSet("t", tuple("abcdef"), rng.normal(size=(6, 2)))
         p1 = fio.align_pairs(canonical, other)
         p2 = fio.align_pairs(permuted, other)
-        assert p1.order == p2.order
+        assert p1.source.ids == p2.source.ids
         np.testing.assert_array_equal(p1.source.vectors, p2.source.vectors)
 
 
@@ -208,6 +217,10 @@ class TestGroundTruth:
         (tmp_path / "gt.tsv").write_text("q1 no-tab-here\n")
         with pytest.raises(DataError):
             fio.load_ground_truth(tmp_path / "gt.tsv")
+
+    def test_empty_file_has_no_queries(self, tmp_path):
+        (tmp_path / "gt.tsv").write_text("")
+        assert fio.load_ground_truth(tmp_path / "gt.tsv").relevant == {}
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(DataError):
@@ -237,6 +250,15 @@ class TestLoadErrors:
             f.write(tail)
         write_ids_file(tmp_path / "v.ids", ["a", "b"])
         with pytest.raises(DataError, match="truncated record header at record 2"):
+            fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
+
+    @pytest.mark.parametrize("text", ["\na\n", "a\n\nb\n", "a\n\n"],
+                             ids=["first", "middle", "last"])
+    def test_blank_line_in_ids_file_names_it(self, tmp_path, text):
+        write_vec_file(tmp_path / "v.vec", [[1, 2], [3, 4]])
+        (tmp_path / "v.ids").write_text(text)
+        ids = re.escape(str(tmp_path / "v.ids"))
+        with pytest.raises(DataError, match=f"^{ids}: blank line in ids file$"):
             fio.load_feature_set(tmp_path / "v.vec", tmp_path / "v.ids", "v")
 
     def test_first_dim_zero(self, tmp_path):
@@ -380,7 +402,7 @@ class TestPassThrough:
         src = fio.FeatureSet("s", src_ids, rng.normal(size=(3, 2)))
         tgt = fio.FeatureSet("t", tgt_ids, rng.normal(size=(3, 4)))
         paired = fio.align_pairs(src, tgt)
-        assert paired.order == order
+        assert paired.source.ids == order
         for out, fs in ((paired.source, src), (paired.target, tgt)):
             assert out is not fs and not np.shares_memory(out.vectors, fs.vectors)
             np.testing.assert_array_equal(out.vectors, [fs.row(i) for i in order])

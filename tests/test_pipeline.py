@@ -19,7 +19,7 @@ def test_grid_measures_m_on_ids_it_did_not_train_on(grid_fixture, grid_dir):
     models, held_out = load_grid(grid_dir)
     assert len(eval_ids) == 160 and len(models) == 16
     assert train_ids + eval_ids == sets["fa"].ids
-    assert {pair.order for pair in held_out.values()} == {tuple(sorted(eval_ids))}
+    assert {pair.source.ids for pair in held_out.values()} == {tuple(sorted(eval_ids))}
     for (s, t), model in models.items():
         assert (model.source_name, model.target_name) == (s, t)
         assert grid_fixture.dam.entry(s, t) == aff.dam_entry(model, held_out[(s, t)])

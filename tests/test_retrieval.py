@@ -164,6 +164,12 @@ class TestEvaluate:
         result = retrieval.evaluate(refs, refs, gt)
         assert result.map == 100.0
 
+    def test_query_dim_must_be_the_reference_dim(self):
+        refs = feature_set("r", ["a", "b"], [[0.0], [1.0]])
+        queries = feature_set("q", ["a"], [[0.0, 1.0]])
+        with pytest.raises(DataError, match="^query dim 2 != reference dim 1$"):
+            retrieval.evaluate(queries, refs, fio.GroundTruth({"a": frozenset({"b"})}))
+
     def test_unknown_query(self):
         refs = feature_set("r", ["a"], [[0.0]])
         with pytest.raises(DataError):
@@ -178,9 +184,11 @@ class TestEvaluate:
              "relevant id 'b' for query 'b' not present in reference set"),
             ({"a": {"zz"}, "0": {"a"}}, "ground-truth query '0' missing from query feature set"),
             ({"0": {"zz"}, "a": {"b"}}, "ground-truth query '0' missing from query feature set"),
+            ({}, "ground truth contains no queries"),
         ],
         ids=["unknown-id-before-missing-query", "own-id-before-missing-query",
-             "missing-query-before-unknown-id", "missing-query-before-its-unknown-id"],
+             "missing-query-before-unknown-id", "missing-query-before-its-unknown-id",
+             "no-queries"],
     )
     def test_first_fault_in_query_then_id_order_is_raised(self, gt, message):
         refs = feature_set("r", ["a", "b", "c"], [[0.0], [1.0], [2.0]])

@@ -26,13 +26,18 @@ class TestSpecValidation:
             spec(n_vectors=100, n_clusters=7)
 
     @pytest.mark.parametrize(
-        "setting",
-        [{"noise_sigma": -0.1}, {"noise_sigma": float("nan")}, {"noise_sigma": float("inf")},
-         {"seed": -1}],
-        ids=["noise-negative", "noise-nan", "noise-inf", "seed-negative"],
+        "setting, message",
+        [({"noise_sigma": -0.1}, "noise_sigma must be finite and >= 0"),
+         ({"noise_sigma": float("nan")}, "noise_sigma must be finite and >= 0"),
+         ({"noise_sigma": float("inf")}, "noise_sigma must be finite and >= 0"),
+         ({"seed": -1}, "seed must be >= 0"),
+         ({"n_vectors": 0}, "n_vectors, latent_dim, output_dim must be >= 1"),
+         ({"output_dim": 7}, "output_dim must be >= latent_dim for orthogonal maps")],
+        ids=["noise-negative", "noise-nan", "noise-inf", "seed-negative", "n-zero",
+             "output-below-latent"],
     )
-    def test_out_of_range_setting_rejected(self, setting):
-        with pytest.raises(InvalidConfig, match=next(iter(setting))):
+    def test_out_of_range_setting_rejected(self, setting, message):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
             spec(**setting)
 
     @pytest.mark.parametrize("sizes, ok", [

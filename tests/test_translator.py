@@ -155,7 +155,7 @@ class TestTrain:
         best, log = translator.train(translator.build(12, 10, 14, kind, seed=3), paired, cfg)
         perm = np.random.default_rng(cfg.seed).permutation(n)  # train()'s first draw
         n_val = round(translator.VAL_FRACTION * n)
-        trans, recon = translator._batch_losses(best, src.vectors, tgt.vectors)
+        trans, recon = translator._batch_losses(best, src.vectors, tgt.vectors, scratch_for(best, n))
         for idx, logged in ((perm[n_val:], (log.train_translation, log.train_reconstruction)),
                             (perm[:n_val], (log.val_translation, log.val_reconstruction))):
             assert [column[0] for column in logged] == [nn._mean(trans[idx]), nn._mean(recon[idx])]
@@ -168,11 +168,11 @@ class TestTrain:
         rows = 300
         src, tgt = random_pairs(rows, 8, 2048, seed=12)
         model = translator.build(8, 2048, 4, "hae", seed=0)
-        scratch = np.empty(translator._scratch_shape(model.stacks, rows))
+        scratch = scratch_for(model, rows)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            translator._batch_losses(model, src.vectors, tgt.vectors, src.ids, scratch)
+            translator._batch_losses(model, src.vectors, tgt.vectors, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -215,6 +215,12 @@ class TestTrain:
         bad = fio.l2_normalize(fio.FeatureSet("y", ("a",), np.ones((1, 5))))
         with pytest.raises(DataError):
             translator.train(model, fio.align_pairs(fs, bad), cfg)
+
+    def test_pair_of_no_rows_rejected(self):
+        empty = fio.FeatureSet("x", (), np.empty((0, 4)), normalized=True)
+        model = translator.build(4, 4, 3, "hae")
+        with pytest.raises(DataError, match="^empty paired set$"):
+            translator.train(model, fio.PairedSet(empty, empty), translator.TrainConfig(max_epochs=1))
 
     def test_one_pair_validates_on_its_training_row(self):
         rng = np.random.default_rng(3)
@@ -291,12 +297,17 @@ class TestLossAndGrads:
             def dists(out):
                 return np.linalg.norm(out.vectors - vt, axis=1).tobytes()
 
-            trans, recon = translator._batch_losses(model, vs, vt)
+            trans, recon = translator._batch_losses(model, vs, vt, scratch_for(model, rows))
             assert trans.tobytes() == dists(translator.translate(model, src)), rows
             if kind == "hae":
                 assert recon.tobytes() == dists(translator.reconstruct(model, tgt)), rows
             else:
                 assert recon.tobytes() == np.zeros(rows).tobytes()
+
+
+def scratch_for(model, rows):
+    """A scratch of train()'s epoch-end shape for `rows` rows of `model`."""
+    return np.empty(translator._scratch_shape(model.stacks, rows))
 
 
 def fresh_untaped(path, x, scratch=None):
@@ -340,13 +351,14 @@ class TestUntapedPass:
         model = translator.build(12, 10, 14, kind, seed=5)
         paths = [translator.translate] + ([translator.reconstruct] if kind == "hae" else [])
         inputs = [src, tgt]
+        paired = fio.align_pairs(src, tgt)
         got = [path(model, fs).vectors for path, fs in zip(paths, inputs)]
-        dists = translator._batch_losses(model, src.vectors, tgt.vectors, src.ids)
+        entry = affinity.dam_entry(model, paired) if kind == "hae" else None
         monkeypatch.setattr(translator, "_untaped", fresh_untaped)
         want = [path(model, fs).vectors for path, fs in zip(paths, inputs)]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-        fresh = translator._batch_losses(model, src.vectors, tgt.vectors, src.ids)
-        assert [d.tobytes() for d in fresh] == [d.tobytes() for d in dists]
+        if kind == "hae":  # the baseline has no reconstruct path, so no M entry
+            assert affinity.dam_entry(model, paired) == entry
         assert all(v.flags.owndata for v in got)  # translate's rows are not a scratch view
 
     def test_no_layer_writes_over_its_input(self, monkeypatch):
@@ -361,7 +373,7 @@ class TestUntapedPass:
             return nn.forward(stack, batch, out)
 
         monkeypatch.setattr(translator, "forward", spy)
-        translator._batch_losses(model, src.vectors, tgt.vectors)
+        translator._batch_losses(model, src.vectors, tgt.vectors, scratch_for(model, 9))
         assert len(calls) == 4  # each path's encoder, then the decoder
         calls.clear()
         translator.translate(model, src)
