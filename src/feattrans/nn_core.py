@@ -190,7 +190,7 @@ def backward(
     return out, g
 
 
-_TILE_BYTES = 1 << 18  # the squares of one tile of rows in _row_norms
+_TILE_BYTES = 1 << 18  # the squares of one tile of rows in _row_norms and retrieval._exact
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

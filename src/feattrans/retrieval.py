@@ -16,11 +16,10 @@ references provably ahead of it. Only the references within that margin of it
 `np.linalg.norm(refs - q, axis=1)`, and are compared by (distance, id). One
 padded matrix of the block's sorted hit ranks and one running sum of
 precision@k give every AP, so every AP and the mAP are bit-identical to the
-one-query-at-a-time definition. When len(refs) <= dim one block holds every
-query, since its distances then take no more room than the query vectors;
-otherwise a block holds `_BLOCK_BYTES` of distances. `rank` is the definition
-itself, every exact distance sorted by (distance, id), and `average_precision`
-the same running sum for one ranking.
+one-query-at-a-time definition. A block holds `dim` queries, so its distances
+take no more room than the reference vectors. `rank` is the definition itself,
+every exact distance sorted by (distance, id), and `average_precision` the same
+running sum for one ranking.
 """
 from __future__ import annotations
 
@@ -31,10 +30,8 @@ import numpy as np
 
 from .errors import DataError
 from .feature_io import FeatureSet, GroundTruth
+from .nn_core import _TILE_BYTES
 from .translator import TranslatorModel, translate
-
-_TILE_BYTES = 1 << 18  # the difference buffer for one tile of exact distances
-_BLOCK_BYTES = 1 << 18  # one block of query-to-reference distances
 
 
 @dataclass(frozen=True)
@@ -205,8 +202,7 @@ def evaluate(queries: FeatureSet, refs: FeatureSet, gt: GroundTruth) -> EvalResu
     id_rank[_id_order(refs.ids)] = np.arange(len(refs))
     ref_sq = np.einsum("ij,ij->i", refs.vectors, refs.vectors)  # einsum never warns
 
-    # With len(refs) <= dim one block's distances take no more room than its queries' vectors
-    block = len(qids) if len(refs) <= refs.dim else max(1, _BLOCK_BYTES // (8 * len(refs)))
+    block = refs.dim  # a block's distances take no more room than the reference vectors
 
     def block_aps(lo: int) -> list[float]:
         hi = min(lo + block, len(qids))

@@ -73,7 +73,6 @@ def test_traced_evaluate_opens_no_executor_and_is_one_span(monkeypatch):
     usable cores, and shows one retrieval.evaluate span."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(nn_core, "_WORKERS", 2)
-    monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * 40 * 4)  # 4 queries a block
     layers = importlib.import_module("layers")
     spans = importlib.import_module("spans")
     started = []
@@ -81,7 +80,7 @@ def test_traced_evaluate_opens_no_executor_and_is_one_span(monkeypatch):
     monkeypatch.setattr(nn_core, "ThreadPoolExecutor", lambda *a: started.append(a) or pool(*a))
     rng = np.random.default_rng(2)
     ids = tuple(f"i{k:02d}" for k in range(40))
-    fs = fio.FeatureSet("s", ids, rng.normal(size=(40, 8)))
+    fs = fio.FeatureSet("s", ids, rng.normal(size=(40, 8)))  # 8 queries a block
     gt = fio.GroundTruth({i: {j} for i, j in zip(ids, ids[1:])})
 
     with layers.traced(spans.Tracer("tier-1")) as tracer:

@@ -1,3 +1,4 @@
+import itertools
 import struct
 import threading
 import tracemalloc
@@ -206,14 +207,13 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("dim", [16, 1024])
     def test_tile_and_block_edges_match_oracle(self, dim):
-        # Counts from the byte budgets: two full reference tiles and a partial
-        # one. At 16-d also two full query blocks and a partial one; at 1024-d
-        # a block holds hundreds of queries, too many for the oracle.
+        # Two full reference tiles and a partial one. At 16-d also a full
+        # block of dim queries and a partial one; at 1024-d a block holds
+        # 1,024 queries, too many for the oracle.
         tile = retrieval._TILE_BYTES // (8 * dim)
         n_refs = 2 * tile + tile // 2
-        block = retrieval._BLOCK_BYTES // (8 * n_refs)
-        n_queries = min(2 * block + block // 2, 16)
-        assert n_refs % tile and n_queries % block
+        n_queries = min(dim + dim // 2, 24)
+        assert n_refs % tile and n_queries % dim
         rng = np.random.default_rng(dim)
         ids = [f"r{k:05d}" for k in range(n_refs)]
         # lattice points: exact distances, with ties across tiles
@@ -227,21 +227,41 @@ class TestEvaluate:
         got = retrieval.evaluate(queries, refs, fio.GroundTruth(gt)).per_query_ap
         assert all(abs(got[q] - want[q]) <= 1e-12 for q in want)
 
-    def test_blocks_bit_identical_to_one_block(self, monkeypatch):
+    def test_blocks_of_dim_queries(self, blocks):
+        # 20 queries at 8-d score in blocks of 8, though the 30 references
+        # outnumber the dims.
+        rng = np.random.default_rng(8)
+        ids = [f"v{k:02d}" for k in rng.permutation(30)]
+        refs = feature_set("refs", ids, rng.integers(-2, 3, size=(30, 8)))
+        queries = feature_set("q", ids[:20], refs.vectors[:20])
+        gt = {q: frozenset(rng.choice([i for i in ids if i != q], size=int(rng.integers(1, 5)), replace=False))
+              for q in queries.ids}
+        assert_matches_oracle(queries, refs, gt)
+        assert blocks == [8, 8, 4]
+
+    def test_blocks_bit_identical_to_one_block(self, blocks):
+        # 800 queries at 32-d score in 25 blocks of 32. One-block evaluates of
+        # every size from 1 to 32 over the same queries give the same AP bits
+        # in the same order and the same mAP bits.
         rng = np.random.default_rng(5)
         ids = [f"v{k:03d}" for k in rng.permutation(800)]
         fs = feature_set("s", ids, rng.normal(size=(800, 32)))
         # 7k + 1 and 13k + 5 never equal k mod 800: no query is its own hit
         gt = fio.GroundTruth({q: frozenset({ids[(7 * k + 1) % 800], ids[(13 * k + 5) % 800]})
                               for k, q in enumerate(ids)})
-        assert 800 // (retrieval._BLOCK_BYTES // (8 * 800)) >= 4  # several blocks
         got = retrieval.evaluate(fs, fs, gt)
-        monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * 800 * 800)  # one block
-        want = retrieval.evaluate(fs, fs, gt)
-        assert list(got.per_query_ap.items()) == list(want.per_query_ap.items())
-        assert got.map == want.map
+        assert blocks == [32] * 25
+        qids, want = sorted(gt.relevant), {}
+        for size in itertools.cycle(range(1, 33)):
+            part = {q: gt.relevant[q] for q in qids[len(want) : len(want) + size]}
+            if not part:
+                break
+            want.update(retrieval.evaluate(fs, fs, fio.GroundTruth(part)).per_query_ap)
+        assert sorted(set(blocks[25:])) == list(range(1, 33))
+        assert list(got.per_query_ap.items()) == list(want.items())
+        assert got.map == 100.0 * float(np.mean(list(want.values())))
 
-    def test_evaluate_starts_no_thread(self, monkeypatch):
+    def test_evaluate_starts_no_thread(self, blocks, monkeypatch):
         def no_threads(*args):
             raise AssertionError("evaluate started a thread")
 
@@ -251,15 +271,14 @@ class TestEvaluate:
         ids = [f"v{k:03d}" for k in range(80)]
         fs = feature_set("s", ids, rng.normal(size=(80, 8)))
         gt = fio.GroundTruth({q: frozenset({ids[(k + 1) % 80]}) for k, q in enumerate(ids)})
-        retrieval.evaluate(fs, fs, gt)  # 80 queries fit one block of 80 references
-        monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * 80 * 10)  # eight blocks
         retrieval.evaluate(fs, fs, gt)
+        retrieval.evaluate(fs, fs, fio.GroundTruth({ids[0]: gt.relevant[ids[0]]}))
+        assert blocks == [8] * 10 + [1]
 
-    def test_refs_within_dim_score_in_one_block(self, blocks, monkeypatch):
-        # 60 references at 64-d: one block holds all 40 queries, even with a
-        # budget of one query's distances. Scoring each query on its own, one
-        # block each, gives the same AP reprs in the same order and mAP bits.
-        monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * 60)
+    def test_queries_within_dim_score_in_one_block(self, blocks):
+        # 40 queries at 64-d score in one block. Scoring each query on its
+        # own, one block each, gives the same AP reprs in the same order and
+        # mAP bits.
         rng = np.random.default_rng(64)
         ids = [f"v{k:02d}" for k in rng.permutation(60)]
         refs = feature_set("refs", ids, rng.normal(size=(60, 64)))
@@ -276,10 +295,11 @@ class TestEvaluate:
         assert struct.pack("<d", got.map) == struct.pack("<d", 100.0 * float(np.mean(list(want.values()))))
 
     def test_working_memory_is_a_few_blocks(self):
-        # 800 references > 32-d, so blocks of 256 KiB of distances. One block,
-        # its sorted copy, one 256 KiB exact-distance tile and the per-query
-        # bookkeeping fit in four such blocks. An 8 MB budget would put all 800
-        # queries in one block, over 10 MB with its sorted copy.
+        # 800 references at 32-d, so blocks of 32 queries, 200 KiB of
+        # distances. One block, its sorted copy, one 256 KiB exact-distance
+        # tile and the per-query bookkeeping fit in 1 MiB. An 8 MB budget
+        # would put all 800 queries in one block, over 10 MB with its sorted
+        # copy.
         rng = np.random.default_rng(32)
         ids = [f"v{k:03d}" for k in range(800)]
         fs = feature_set("s", ids, rng.normal(size=(800, 32)))

@@ -206,16 +206,6 @@ class TestTrain:
         with pytest.raises(InvalidConfig):
             translator.TrainConfig(**setting)
 
-    def test_empty_pair_rejected(self):
-        model = translator.build(4, 4, 3, "hae")
-        fs = fio.l2_normalize(fio.FeatureSet("x", ("a",), np.ones((1, 4))))
-        paired = fio.align_pairs(fs, fs)
-        cfg = translator.TrainConfig(lr=1e-3, max_epochs=1)
-        # single-vector pair trains degenerately but a dim mismatch must raise
-        bad = fio.l2_normalize(fio.FeatureSet("y", ("a",), np.ones((1, 5))))
-        with pytest.raises(DataError):
-            translator.train(model, fio.align_pairs(fs, bad), cfg)
-
     def test_pair_of_no_rows_rejected(self):
         empty = fio.FeatureSet("x", (), np.empty((0, 4)), normalized=True)
         model = translator.build(4, 4, 3, "hae")
